@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import GraphError, Inertia
-from .graph import WeightedGraph, connected_components
+from .graph import WeightedGraph, _component_vertices
 from .structure import BaseDescriptor, BaseKind, max_matching_forest
 
 __all__ = [
@@ -59,7 +59,7 @@ class CaseCondition:
 
 def forest_inertia(g: WeightedGraph) -> Inertia:
     """(q, q, n - 2q) for acyclic graphs, q the matching number; weights never matter."""
-    if g.m != g.n - len(connected_components(g)):
+    if g.m != g.n - len(_component_vertices(g)):
         raise GraphError("forest_inertia requires an acyclic graph")
     q = max_matching_forest(g)
     return Inertia(q, q, g.n - 2 * q)
@@ -119,32 +119,33 @@ def _tadpole_pn(cycle_ws: Sequence[Fraction], tail_ws: Sequence[Fraction]) -> tu
 # five-edge run contraction (weight folding for the mod-4 reductions)
 
 
-def _fold_once(ws: list[Fraction]) -> Fraction:
-    return ws[0] * ws[2] * ws[4] / (ws[1] * ws[3])
-
-
 def fold_cycle_weights(ws: Sequence[Fraction], times: int) -> tuple[Fraction, ...]:
     """Contract ``times`` five-edge runs of a cycle, folding from the junction.
 
     Each contraction shortens the cycle by 4 and contributes (2, 2) to the
     caller's inertia offset.  The cycle must stay at least a triangle.
     """
-    out = list(ws)
-    for _ in range(times):
-        if len(out) < 7:
-            raise GraphError("cycle too short to contract while staying simple")
-        out = [_fold_once(out)] + out[5:]
-    return tuple(out)
+    if times > 0 and len(ws) < 4 * times + 3:
+        raise GraphError("cycle too short to contract while staying simple")
+    return _fold(ws, times)
 
 
 def fold_path_weights(ws: Sequence[Fraction], times: int) -> tuple[Fraction, ...]:
     """Contract ``times`` five-edge runs of an internally degree-2 path."""
-    out = list(ws)
-    for _ in range(times):
-        if len(out) < 5:
-            raise GraphError("path too short to contract")
-        out = [_fold_once(out)] + out[5:]
-    return tuple(out)
+    if times > 0 and len(ws) < 4 * times + 1:
+        raise GraphError("path too short to contract")
+    return _fold(ws, times)
+
+
+def _fold(ws: Sequence[Fraction], times: int) -> tuple[Fraction, ...]:
+    """``times`` successive contractions of the leading five-edge run, in one
+    pass: folding w1..w5 into w1*w3*w5/(w2*w4) and then the next four edges
+    into it leaves the alternating product of the first 4*times + 1 weights
+    followed by the untouched tail."""
+    if times <= 0:
+        return tuple(ws)
+    head = 4 * times + 1
+    return (_alternating_term(ws[:head]), *ws[head:])
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,9 @@ class WeightedGraph:
             if v in index:
                 raise GraphError(f"duplicate vertex id {v!r}")
             index[v] = len(index)
-        adj: dict[str, dict[str, Fraction]] = {v: {} for v in vs}
+        # adj[u][v] is the position in ``edges`` of edge u-v; each inner dict
+        # keeps edge-insertion order, which is the order ``neighbors`` reports.
+        adj: dict[str, dict[str, int]] = {v: {} for v in vs}
         out: list[Edge] = []
         for u, v, w in edges:
             w = Fraction(w)
@@ -61,13 +63,29 @@ class WeightedGraph:
                 raise GraphError(f"edge {u!r}-{v!r} has non-positive weight {w}")
             if v in adj[u]:
                 raise GraphError(f"duplicate edge {u!r}-{v!r}")
-            adj[u][v] = w
-            adj[v][u] = w
+            adj[u][v] = adj[v][u] = len(out)
             out.append((u, v, w))
         self._vertices = vs
         self._index = index
         self._edges = tuple(out)
         self._adj = adj
+
+    @classmethod
+    def _trusted(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> "WeightedGraph":
+        """Build from parts of an already validated graph without re-validating.
+
+        ``edges`` must be a subsequence of the source graph's edges whose
+        endpoints all lie in ``vertices``.
+        """
+        g = cls.__new__(cls)
+        g._vertices = vertices
+        g._index = {v: i for i, v in enumerate(vertices)}
+        adj: dict[str, dict[str, int]] = {v: {} for v in vertices}
+        for i, (u, v, _) in enumerate(edges):
+            adj[u][v] = adj[v][u] = i
+        g._edges = edges
+        g._adj = adj
+        return g
 
     @classmethod
     def from_edges(cls, edges: Iterable[tuple], isolated: Iterable[str] = ()) -> "WeightedGraph":
@@ -113,7 +131,16 @@ class WeightedGraph:
     def neighbors(self, v: str) -> tuple[tuple[str, Fraction], ...]:
         """Neighbors of v with weights, in edge-insertion order."""
         self.vertex_index(v)
-        return tuple(self._adj[v].items())
+        edges = self._edges
+        return tuple([(nb, edges[i][2]) for nb, i in self._adj[v].items()])
+
+    def _adjacency(self) -> dict[str, dict[str, int]]:
+        """Vertex -> {neighbor: edge position}, each in ``neighbors`` order.
+
+        The graph's own index, handed out for the linear-time walks inside
+        the package; callers must not mutate it.
+        """
+        return self._adj
 
     def has_edge(self, u: str, v: str) -> bool:
         return u in self._adj and v in self._adj[u]
@@ -121,21 +148,41 @@ class WeightedGraph:
     def weight(self, u: str, v: str) -> Fraction:
         if not self.has_edge(u, v):
             raise GraphError(f"no edge {u!r}-{v!r}")
-        return self._adj[u][v]
+        return self._edges[self._adj[u][v]][2]
 
     def induced(self, keep: Iterable[str]) -> "WeightedGraph":
-        """Induced weighted subgraph on ``keep``, preserving vertex order."""
+        """Induced weighted subgraph on ``keep``.
+
+        Vertex order, edge order and each vertex's neighbor order are those of
+        this graph, restricted to ``keep``.  The cost is O(d + k log k) for k
+        kept vertices of total degree d, whatever the size of this graph.
+        Keeping every vertex returns ``self``; graphs are immutable, so the
+        two are interchangeable.
+        """
         keepset = set(keep)
-        unknown = keepset - set(self._vertices)
+        index = self._index
+        unknown = [v for v in keepset if v not in index]
         if unknown:
             raise GraphError(f"unknown vertices {sorted(unknown)!r}")
-        vs = tuple(v for v in self._vertices if v in keepset)
-        es = tuple(e for e in self._edges if e[0] in keepset and e[1] in keepset)
-        return WeightedGraph(vs, es)
+        if len(keepset) == len(self._vertices):
+            return self
+        adj, edges = self._adj, self._edges
+        positions = sorted({i for v in keepset for nb, i in adj[v].items() if nb in keepset})
+        return WeightedGraph._trusted(
+            tuple(sorted(keepset, key=index.__getitem__)), tuple(edges[i] for i in positions)
+        )
 
     def without(self, drop: Iterable[str]) -> "WeightedGraph":
+        """Induced subgraph on the vertices not in ``drop``, in O(n + m).
+
+        Ids in ``drop`` that are not vertices are ignored.
+        """
         dropset = set(drop)
-        return self.induced(v for v in self._vertices if v not in dropset)
+        vs = tuple(v for v in self._vertices if v not in dropset)
+        if len(vs) == len(self._vertices):
+            return self
+        es = tuple(e for e in self._edges if e[0] not in dropset and e[1] not in dropset)
+        return WeightedGraph._trusted(vs, es)
 
     def union(self, other: "WeightedGraph") -> "WeightedGraph":
         """Disjoint union; vertex sets must not overlap."""
@@ -312,28 +359,37 @@ class Classification:
     components: tuple[ComponentClass, ...]
 
 
-def connected_components(g: WeightedGraph) -> list[WeightedGraph]:
-    """Components as induced subgraphs, ordered by first vertex appearance."""
-    unseen = dict.fromkeys(g.vertices)
+def _component_vertices(g: WeightedGraph) -> list[list[str]]:
+    """Vertex lists of the components, ordered by first vertex appearance,
+    found in one O(n + m) pass without building any graph."""
+    adj = g._adjacency()
+    seen: set[str] = set()
     out = []
-    while unseen:
-        start = next(iter(unseen))
-        comp = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for nb, _ in g.neighbors(x):
-                if nb not in comp:
-                    comp.add(nb)
-                    stack.append(nb)
-        for v in comp:
-            unseen.pop(v, None)
-        out.append(g.induced(comp))
+    for start in g.vertices:
+        if start in seen:
+            continue
+        seen.add(start)
+        comp = [start]
+        for x in comp:  # comp grows while it is scanned: breadth-first order
+            for nb in adj[x]:
+                if nb not in seen:
+                    seen.add(nb)
+                    comp.append(nb)
+        out.append(comp)
     return out
 
 
-def _component_class(c: WeightedGraph) -> ComponentClass:
-    excess = c.m - c.n
+def connected_components(g: WeightedGraph) -> list[WeightedGraph]:
+    """Components as induced subgraphs, ordered by first vertex appearance.
+
+    A connected graph is its own single component.
+    """
+    return [g.induced(c) for c in _component_vertices(g)]
+
+
+def _component_class(n: int, m: int) -> ComponentClass:
+    """Class of a connected component with n vertices and m edges."""
+    excess = m - n
     if excess == -1:
         return ComponentClass.TREE
     if excess == 0:
@@ -345,8 +401,9 @@ def _component_class(c: WeightedGraph) -> ComponentClass:
 
 def classify(g: WeightedGraph) -> Classification:
     """Per-component class by edge/vertex count, joined into a whole-graph class."""
-    comps = connected_components(g)
-    kinds = tuple(_component_class(c) for c in comps)
+    kinds = tuple(
+        _component_class(len(c), sum(g.degree(v) for v in c) // 2) for c in _component_vertices(g)
+    )
     if any(k is ComponentClass.UNSUPPORTED for k in kinds):
         overall = GraphClass.UNSUPPORTED
     elif g.m == 0:

@@ -21,14 +21,20 @@ from .closed_forms import (
     theta_base_inertia,
 )
 from .core import GraphError, Inertia
-from .graph import ComponentClass, WeightedGraph, classify, connected_components
+from .graph import (
+    ComponentClass,
+    WeightedGraph,
+    _component_class,
+    _component_vertices,
+    connected_components,
+)
 from .oracle import inertia_oracle
 from .reduction import ReductionRule, ReductionStep, ReductionTrace
 from .structure import (
     BaseKind,
-    HangingTree,
+    _Hanging,
+    _hanging_forest,
     describe_base,
-    hanging_trees,
     is_mismatched,
     two_core,
 )
@@ -53,63 +59,80 @@ class SolveResult:
     trace: ReductionTrace
 
 
-def _pick_matched_root(g: WeightedGraph, trees: list[HangingTree]) -> HangingTree | None:
-    matched = [t for t in trees if t.matched_at_root]
-    if not matched:
+def _forest_part(n: int, matching: int) -> Inertia:
+    return Inertia(matching, matching, n - 2 * matching)
+
+
+def _matched_tree(
+    g: WeightedGraph, forest: list[_Hanging]
+) -> tuple[_Hanging, tuple[str, ...]] | None:
+    """The matched hanging tree with the least root and its vertices in
+    ``g``'s order, or None.  Core order is ``g``'s vertex order, so the first
+    matched tree has the least root."""
+    choice = next((h for h in forest if h.matched_at_root), None)
+    if choice is None:
         return None
-    choice = min(matched, key=lambda t: g.vertex_index(t.root))
-    # A single-vertex hanging tree is mismatched by convention, so a matched
-    # root always brings at least one extra vertex with it.
-    if choice.tree.n < 2:
-        raise GraphError("matched hanging tree cannot be a single vertex")
-    return choice
+    return choice, tuple(sorted(choice.vertices, key=g.vertex_index))
 
 
 def solve_unicyclic(g: WeightedGraph) -> SolveResult:
     """Inertia of a connected unicyclic graph by matched-root splitting or a
     cycle cut, never by matrix work."""
-    if g.m != g.n or len(connected_components(g)) != 1:
+    if g.m != g.n or len(_component_vertices(g)) != 1:
         raise GraphError("solve_unicyclic requires a connected unicyclic graph")
+    return _solve_unicyclic(g)
+
+
+def _solve_unicyclic(g: WeightedGraph) -> SolveResult:
     core = two_core(g)
     if core.n == g.n:
         d = describe_base(core)
         return SolveResult(cycle_inertia(d.a), (Method.CYCLE_CLOSED_FORM,), ReductionTrace())
-    trees = hanging_trees(g, core)
-    choice = _pick_matched_root(g, trees)
-    if choice is not None:
-        part = forest_inertia(choice.tree)
-        rest = g.without(choice.tree.vertices)
-        step = ReductionStep(
-            ReductionRule.TYPE_I_DECOMPOSE, removed=choice.tree.vertices, offset=part.pn
-        )
+    forest = _hanging_forest(g, core)
+    matched = _matched_tree(g, forest)
+    if matched is not None:
+        choice, removed = matched
+        part = _forest_part(len(removed), choice.matching)
+        step = ReductionStep(ReductionRule.TYPE_I_DECOMPOSE, removed=removed, offset=part.pn)
         return SolveResult(
-            part + forest_inertia(rest),
+            part + forest_inertia(g.without(removed)),
             (Method.UNICYCLIC_TYPE_I,),
             ReductionTrace((step,)),
         )
     d = describe_base(core)
     cycle_part = cycle_inertia(d.a)
-    outside = forest_inertia(g.without(core.vertices))
     step = ReductionStep(ReductionRule.TYPE_II_CUT, removed=core.vertices, offset=cycle_part.pn)
     return SolveResult(
-        cycle_part + outside, (Method.UNICYCLIC_TYPE_II,), ReductionTrace((step,))
+        cycle_part + _outside_core(g, core, forest),
+        (Method.UNICYCLIC_TYPE_II,),
+        ReductionTrace((step,)),
     )
+
+
+def _outside_core(g: WeightedGraph, core: WeightedGraph, forest: list[_Hanging]) -> Inertia:
+    """Inertia of ``g`` minus its core when no hanging tree is matched at its
+    root: deleting a mismatched root keeps its tree's matching number, so the
+    remaining forest's matching number is the sum over the trees."""
+    return _forest_part(g.n - core.n, sum(h.matching for h in forest))
 
 
 def solve_bicyclic(g: WeightedGraph) -> SolveResult:
     """Inertia of a connected bicyclic graph; type I splits recurse into
     unicyclic graphs and trees, type II cuts out the whole base."""
-    if g.m != g.n + 1 or len(connected_components(g)) != 1:
+    if g.m != g.n + 1 or len(_component_vertices(g)) != 1:
         raise GraphError("solve_bicyclic requires a connected bicyclic graph")
+    return _solve_bicyclic(g)
+
+
+def _solve_bicyclic(g: WeightedGraph) -> SolveResult:
     core = two_core(g)
-    trees = hanging_trees(g, core)
-    choice = _pick_matched_root(g, trees)
-    if choice is not None:
-        part = forest_inertia(choice.tree)
-        rest = solve(g.without(choice.tree.vertices))
-        step = ReductionStep(
-            ReductionRule.TYPE_I_DECOMPOSE, removed=choice.tree.vertices, offset=part.pn
-        )
+    forest = _hanging_forest(g, core)
+    matched = _matched_tree(g, forest)
+    if matched is not None:
+        choice, removed = matched
+        part = _forest_part(len(removed), choice.matching)
+        rest = solve(g.without(removed))
+        step = ReductionStep(ReductionRule.TYPE_I_DECOMPOSE, removed=removed, offset=part.pn)
         return SolveResult(
             part + rest.inertia,
             (Method.BICYCLIC_TYPE_I,) + rest.methods,
@@ -125,27 +148,33 @@ def solve_bicyclic(g: WeightedGraph) -> SolveResult:
     except ClosedFormUnavailable:
         base_part = inertia_oracle(core)
         method = Method.ORACLE_FALLBACK
-    outside = forest_inertia(g.without(core.vertices))
     step = ReductionStep(ReductionRule.TYPE_II_CUT, removed=core.vertices, offset=base_part.pn)
-    return SolveResult(base_part + outside, (method,), ReductionTrace((step,)))
+    return SolveResult(
+        base_part + _outside_core(g, core, forest), (method,), ReductionTrace((step,))
+    )
 
 
 def solve(g: WeightedGraph) -> SolveResult:
     """Structural inertia of any graph; components are solved independently
-    and summed.  Components denser than bicyclic fall back to the oracle."""
+    and summed.  Components denser than bicyclic fall back to the oracle.
+
+    Trees, unicyclic and bicyclic components cost O(n + m) apart from
+    sorting vertex subsets and the closed forms' rational arithmetic.
+    """
     comps = connected_components(g)
     total = Inertia(0, 0, 0)
     methods: list[Method] = []
     steps: list[ReductionStep] = []
     if len(comps) > 1:
         steps.append(ReductionStep(ReductionRule.COMPONENT_SPLIT))
-    for comp, kind in zip(comps, classify(g).components):
+    for comp in comps:
+        kind = _component_class(comp.n, comp.m)
         if kind is ComponentClass.TREE:
             sub = SolveResult(forest_inertia(comp), (Method.FOREST,), ReductionTrace())
         elif kind is ComponentClass.UNICYCLIC:
-            sub = solve_unicyclic(comp)
+            sub = _solve_unicyclic(comp)
         elif kind is ComponentClass.BICYCLIC:
-            sub = solve_bicyclic(comp)
+            sub = _solve_bicyclic(comp)
         else:
             sub = SolveResult(inertia_oracle(comp), (Method.ORACLE_FALLBACK,), ReductionTrace())
         total = total + sub.inertia

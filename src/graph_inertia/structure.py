@@ -7,7 +7,7 @@ from enum import Enum
 from fractions import Fraction
 
 from .core import GraphError
-from .graph import WeightedGraph, connected_components
+from .graph import WeightedGraph, _component_vertices
 
 __all__ = [
     "BaseKind",
@@ -21,33 +21,52 @@ __all__ = [
 ]
 
 
-def max_matching_forest(g: WeightedGraph) -> int:
-    """Matching number of an acyclic graph by leaf-first greedy deletion.
+def _match_tree(g: WeightedGraph, root: str, stop) -> tuple[list[str], int, bool]:
+    """Walk the tree of ``g`` that contains ``root`` without entering ``stop``,
+    and match it greedily bottom-up: each vertex takes a still-unmatched child.
 
-    Repeatedly matching a leaf with its unique neighbor and deleting both is
-    optimal on forests and runs in linear time.  Cyclic input is rejected.
+    Returns the tree's vertices (breadth-first from ``root``), its matching
+    number and whether the root ends up matched.  On a tree the greedy
+    matching is maximum, and it leaves the root unmatched iff some maximum
+    matching misses the root, i.e. iff the root is mismatched (Jacobs and
+    Trevisan's rooted tree walk).  One O(size + degree) pass.
     """
-    degree = {v: g.degree(v) for v in g.vertices}
-    adj = {v: {nb for nb, _ in g.neighbors(v)} for v in g.vertices}
-    alive = set(g.vertices)
-    leaves = [v for v in g.vertices if degree[v] == 1]
-    matched = 0
-    while leaves:
-        v = leaves.pop()
-        if v not in alive or degree[v] != 1:
-            continue
-        (u,) = (x for x in adj[v] if x in alive)
-        matched += 1
-        alive.discard(v)
-        alive.discard(u)
-        for nb in adj[u]:
-            if nb in alive:
-                degree[nb] -= 1
-                if degree[nb] == 1:
-                    leaves.append(nb)
-    if any(degree[v] > 0 for v in alive):
-        raise GraphError("input contains a cycle; matching requires a forest")
-    return matched
+    adj = g._adjacency()
+    parent: dict[str, str | None] = {root: None}
+    order = [root]
+    for x in order:  # order grows while it is scanned: breadth-first
+        for nb in adj[x]:
+            if nb == parent[x] or nb in stop:
+                continue
+            if nb in parent:
+                raise GraphError("input contains a cycle; matching requires a forest")
+            parent[nb] = x
+            order.append(nb)
+    # Reversed breadth-first order visits every child before its parent.
+    matched: set[str] = set()
+    for x in reversed(order):
+        up = parent[x]
+        if up is not None and x not in matched and up not in matched:
+            matched.add(x)
+            matched.add(up)
+    return order, len(matched) // 2, root in matched
+
+
+def max_matching_forest(g: WeightedGraph) -> int:
+    """Matching number of an acyclic graph by bottom-up greedy matching.
+
+    Matching each vertex with a still-unmatched child, leaves first, from the
+    first vertex of each tree, is optimal on forests and runs in linear time.
+    Cyclic input is rejected.
+    """
+    seen: set[str] = set()
+    total = 0
+    for v in g.vertices:
+        if v not in seen:
+            order, q, _ = _match_tree(g, v, ())
+            seen.update(order)
+            total += q
+    return total
 
 
 def is_mismatched(t: WeightedGraph, v: str) -> bool:
@@ -55,7 +74,7 @@ def is_mismatched(t: WeightedGraph, v: str) -> bool:
 
     A single-vertex tree counts as mismatched.
     """
-    if t.m != t.n - 1 or len(connected_components(t)) != 1:
+    if t.m != t.n - 1 or len(_component_vertices(t)) != 1:
         raise GraphError("is_mismatched requires a tree")
     if not t.has_vertex(v):
         raise GraphError(f"vertex {v!r} not in tree")
@@ -69,7 +88,8 @@ def two_core(g: WeightedGraph) -> WeightedGraph:
     bicyclic graph it is the embedded double-cycle base.  Forests peel away
     completely, which is an error.
     """
-    degree = {v: g.degree(v) for v in g.vertices}
+    adj = g._adjacency()
+    degree = {v: len(adj[v]) for v in g.vertices}
     alive = set(g.vertices)
     queue = [v for v in g.vertices if degree[v] <= 1]
     while queue:
@@ -77,7 +97,7 @@ def two_core(g: WeightedGraph) -> WeightedGraph:
         if v not in alive:
             continue
         alive.discard(v)
-        for nb, _ in g.neighbors(v):
+        for nb in adj[v]:
             if nb in alive:
                 degree[nb] -= 1
                 if degree[nb] <= 1:
@@ -144,6 +164,16 @@ class HangingTree:
 
 
 @dataclass(frozen=True)
+class _Hanging:
+    """A hanging tree found by the one-pass walk, without its graph."""
+
+    root: str
+    vertices: list[str]
+    matching: int
+    matched_at_root: bool
+
+
+@dataclass(frozen=True)
 class _Thread:
     """Maximal chain of degree-2 vertices between two branch vertices."""
 
@@ -177,15 +207,70 @@ def _walk_threads(core: WeightedGraph, hubs: set[str]) -> list[_Thread]:
     return threads
 
 
-def _cycle_candidates(order: list[str], weight_of) -> list[tuple]:
-    n = len(order)
-    out = []
-    for direction in (order, [order[0]] + order[:0:-1]):
-        for shift in range(n):
-            rotated = direction[shift:] + direction[:shift]
-            ws = tuple(weight_of(rotated[i], rotated[(i + 1) % n]) for i in range(n))
-            out.append((ws, tuple(rotated)))
-    return out
+def _least_rotation(ws: list) -> int:
+    """Start of a lexicographically least rotation of ``ws``, in O(p).
+
+    Two candidate starts i and j are compared; when their readings first
+    differ k places on, the start with the larger reading and the k starts
+    after it cannot be least, so it jumps k + 1 places.
+    """
+    p = len(ws)
+    i, j, k = 0, 1, 0
+    while i < p and j < p and k < p:
+        x, y = ws[(i + k) % p], ws[(j + k) % p]
+        if x == y:
+            k += 1
+            continue
+        if x > y:
+            i += k + 1
+        else:
+            j += k + 1
+        if i == j:
+            j += 1
+        k = 0
+    return min(i, j)
+
+
+def _rotation_period(ws: list) -> int:
+    """Least d > 0 such that rotating ``ws`` by d leaves it unchanged, in O(p)
+    (the shortest period from the prefix function, if it divides p)."""
+    p = len(ws)
+    border = [0] * p
+    k = 0
+    for i in range(1, p):
+        while k and ws[i] != ws[k]:
+            k = border[k - 1]
+        if ws[i] == ws[k]:
+            k += 1
+        border[i] = k
+    d = p - border[-1]
+    return d if p % d == 0 else p
+
+
+def _least_cycle_reading(order: list[str], weight_of) -> tuple[tuple, tuple[str, ...]]:
+    """The least ``(weights, vertices)`` reading of a cycle over every start
+    and both directions, in O(p) with one weight lookup per edge.
+
+    ``order`` walks the cycle; readings compare by their weight sequences,
+    then by their vertex sequences.  Two readings of one cycle with distinct
+    starts differ at their first vertex, and two with the same start differ
+    at their second, so those two vertices settle every weight tie.
+    """
+    p = len(order)
+    forward = [weight_of(order[i], order[(i + 1) % p]) for i in range(p)]
+    # Walking back from order[0], edge j is forward edge p - 1 - j.
+    directions = ((order, forward), ([order[0]] + order[:0:-1], forward[::-1]))
+    starts = []
+    for seq, ws in directions:
+        k, d = _least_rotation(ws), _rotation_period(ws)
+        # Every start k + j*d reads the same least weight sequence.
+        starts.append((tuple(ws[k:] + ws[:k]), seq, range(k % d, p, d)))
+    least = min(reading for reading, _, _ in starts)
+    seq, s = min(
+        ((seq, s) for reading, seq, tied in starts if reading == least for s in tied),
+        key=lambda c: (c[0][c[1]], c[0][(c[1] + 1) % p]),
+    )
+    return least, tuple(seq[s:] + seq[:s])
 
 
 def _loop_orientations(t: _Thread):
@@ -200,21 +285,22 @@ def describe_base(core: WeightedGraph) -> BaseDescriptor:
     settled by picking the lexicographically smallest realization, so equal
     cores always yield identical descriptors.
     """
-    if core.n == 0 or len(connected_components(core)) != 1:
+    if core.n == 0 or len(_component_vertices(core)) != 1:
         raise GraphError("core must be connected and non-empty")
     if any(core.degree(v) < 2 for v in core.vertices):
         raise GraphError("core has a vertex of degree < 2; not a 2-core")
 
     if core.m == core.n:
         # All degrees are exactly 2: a single cycle.
+        adj = core._adjacency()
         order = [core.vertices[0]]
         prev: str | None = None
         while len(order) < core.n:
             cur = order[-1]
-            nxt = next(x for x, _ in core.neighbors(cur) if x != prev)
+            nxt = next(x for x in adj[cur] if x != prev)
             order.append(nxt)
             prev = cur
-        ws, vs = min(_cycle_candidates(order, core.weight))
+        ws, vs = _least_cycle_reading(order, core.weight)
         return BaseDescriptor(BaseKind.CYCLE, core.n, 0, 0, ws, (), (), vs, (), ())
 
     if core.m != core.n + 1:
@@ -272,31 +358,32 @@ def describe_base(core: WeightedGraph) -> BaseDescriptor:
     return BaseDescriptor(kind, p, l, q, a_ws, b_ws, c_ws, a_vs, b_vs, c_vs)
 
 
+def _hanging_forest(g: WeightedGraph, core: WeightedGraph) -> list[_Hanging]:
+    """One tree per core vertex, in core order, from one O(n + m) walk that
+    also gives each tree's matching number and matched-root flag."""
+    coreset = set(core.vertices)
+    out = []
+    claimed: set[str] = set()
+    for v in core.vertices:
+        vertices, matching, matched_at_root = _match_tree(g, v, coreset)
+        if not claimed.isdisjoint(vertices[1:]):
+            raise GraphError("hanging trees overlap; graph is not unicyclic/bicyclic")
+        claimed.update(vertices[1:])
+        out.append(_Hanging(v, vertices, matching, matched_at_root))
+    return out
+
+
 def hanging_trees(g: WeightedGraph, core: WeightedGraph) -> list[HangingTree]:
     """One hanging tree per core vertex; trees partition the non-core vertices.
 
     ``core`` must be exactly ``two_core(g)``.  Core vertices with nothing
     attached yield single-vertex trees, which are mismatched by convention.
+    Finding the trees and their matched roots is one O(n + m) walk; building
+    each tree's graph adds O(k log k) for a tree of k vertices.
     """
     if set(core.vertices) != set(two_core(g).vertices):
         raise GraphError("core is not the 2-core of the graph")
-    coreset = set(core.vertices)
-    out = []
-    claimed: set[str] = set()
-    for v in core.vertices:
-        comp = {v}
-        stack = [v]
-        while stack:
-            x = stack.pop()
-            for nb, _ in g.neighbors(x):
-                if nb in coreset or nb in comp:
-                    continue
-                comp.add(nb)
-                stack.append(nb)
-        tree = g.induced(comp)
-        non_root = comp - {v}
-        if non_root & claimed:
-            raise GraphError("hanging trees overlap; graph is not unicyclic/bicyclic")
-        claimed |= non_root
-        out.append(HangingTree(v, tree, matched_at_root=not is_mismatched(tree, v)))
-    return out
+    return [
+        HangingTree(h.root, g.induced(h.vertices), h.matched_at_root)
+        for h in _hanging_forest(g, core)
+    ]

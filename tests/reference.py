@@ -1,5 +1,7 @@
 """Independent test-side oracles, kept deliberately separate from the package:
-subset-search matching and characteristic-polynomial sign counting."""
+subset-search and leaf-deletion matching, characteristic-polynomial sign
+counting, and the plain definitions of induced subgraphs and least cycle
+readings that the package's linear-time versions must reproduce."""
 
 from __future__ import annotations
 
@@ -25,6 +27,52 @@ def brute_force_matching(g: WeightedGraph) -> int:
 
     rec(0, frozenset(), 0)
     return best
+
+
+def leaf_deletion_matching(g: WeightedGraph) -> int:
+    """Matching number of a forest by repeatedly matching a leaf with its
+    unique neighbour and deleting both."""
+    degree = {v: g.degree(v) for v in g.vertices}
+    adj = {v: {nb for nb, _ in g.neighbors(v)} for v in g.vertices}
+    alive = set(g.vertices)
+    leaves = [v for v in g.vertices if degree[v] == 1]
+    matched = 0
+    while leaves:
+        v = leaves.pop()
+        if v not in alive or degree[v] != 1:
+            continue
+        (u,) = (x for x in adj[v] if x in alive)
+        matched += 1
+        alive.discard(v)
+        alive.discard(u)
+        for nb in adj[u]:
+            if nb in alive:
+                degree[nb] -= 1
+                if degree[nb] == 1:
+                    leaves.append(nb)
+    assert all(degree[v] == 0 for v in alive), "input has a cycle"
+    return matched
+
+
+def induced_by_filter(g: WeightedGraph, keep) -> WeightedGraph:
+    """Induced subgraph by filtering every vertex and edge, then validating."""
+    keepset = set(keep)
+    vertices = tuple(v for v in g.vertices if v in keepset)
+    edges = tuple(e for e in g.edges if e[0] in keepset and e[1] in keepset)
+    return WeightedGraph(vertices, edges)
+
+
+def least_cycle_reading(order: list, weight_of) -> tuple:
+    """Least (weights, vertices) over all 2p rotations and reflections of the
+    cycle walked by ``order``."""
+    n = len(order)
+    out = []
+    for direction in (order, [order[0]] + order[:0:-1]):
+        for shift in range(n):
+            rotated = direction[shift:] + direction[:shift]
+            ws = tuple(weight_of(rotated[i], rotated[(i + 1) % n]) for i in range(n))
+            out.append((ws, tuple(rotated)))
+    return min(out)
 
 
 def char_poly(m: SymRationalMatrix) -> list[Fraction]:

@@ -11,6 +11,7 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from graph_inertia import (
+    Inertia,
     ReductionRule,
     SymRationalMatrix,
     WeightedGraph,
@@ -293,3 +294,44 @@ def test_criterion_8_ecmo_invariance():
                     k = Fraction(rng.choice([x for x in range(-4, 5) if x]), rng.randint(1, 3))
                     m = ecmo_add(m, i, j, k)
                 assert congruent_diagonalize(m).inertia == reference
+
+
+def _hang_two_vertex_paths(base: WeightedGraph, rng: random.Random) -> WeightedGraph:
+    """Hang a two-vertex path off every base vertex, so that no hanging tree
+    is matched at its root and the whole base must be cut out and folded."""
+    vertices = list(base.vertices)
+    edges = list(base.edges)
+    for v in base.vertices:
+        vertices += (v + "x", v + "y")
+        edges += [(v, v + "x", random_weight(rng)), (v + "x", v + "y", random_weight(rng))]
+    rng.shuffle(vertices)
+    return WeightedGraph(vertices, edges)
+
+
+def test_criterion_9_linear_scale():
+    # solve is linear, so about 3200 vertices take well under a second each;
+    # a quadratic pass over the 1064-cycle alone costs more than that.
+    with criterion(9, "structural solve at n ~ 3200", 60):
+        rng = random.Random(1009)
+        cases = {
+            "unicyclic": generate(GenSpec("unicyclic", 3200, 1009)),
+            "long-cycle": _hang_two_vertex_paths(
+                build_cycle(sample_cycle_weights(1064, rng, branch="eq")), rng
+            ),
+            "infinity": _hang_two_vertex_paths(
+                build_infinity(267, 443, 358, *sample_infinity_weights(267, 443, 358, rng)), rng
+            ),
+            "theta": _hang_two_vertex_paths(
+                build_theta(267, 356, 447, *sample_theta_weights(267, 356, 447, rng)), rng
+            ),
+        }
+        for name, g in cases.items():
+            assert g.n >= 3190
+            start = time.perf_counter()
+            got = solve(g)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 1.0, f"{name}: solve took {elapsed:.2f}s"
+            reduced, trace = reduce_to_core(g)
+            rest = inertia_oracle(reduced)
+            pos, neg = trace.offset
+            assert got.inertia == Inertia(rest.pos + pos, rest.neg + neg, rest.zero), name

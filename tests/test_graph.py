@@ -17,6 +17,8 @@ from graph_inertia import (
 )
 from graph_inertia.testgen import GenSpec, build_cycle, build_theta, generate
 
+from reference import induced_by_filter
+
 
 def test_parse_single_edge():
     g = parse_graph("1 2 3/2")
@@ -163,3 +165,46 @@ def test_connected_components():
     comps = connected_components(three)
     assert len(comps) == 3
     assert all(c.m == 3 for c in comps)
+
+
+@st.composite
+def graphs_with_nested_keeps(draw):
+    """A graph with shuffled vertex and edge order, a kept vertex set and a
+    subset of it."""
+    names = draw(st.permutations([f"v{i}" for i in range(draw(st.integers(0, 12)))]))
+    pairs = [(u, v) for i, u in enumerate(names) for v in names[i + 1:]]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    edges = []
+    for u, v in chosen:
+        w = Fraction(draw(st.integers(1, 9)), draw(st.integers(1, 4)))
+        edges.append((v, u, w) if draw(st.booleans()) else (u, v, w))
+    keep = draw(st.sets(st.sampled_from(names))) if names else set()
+    inner = draw(st.sets(st.sampled_from(sorted(keep)))) if keep else set()
+    return WeightedGraph(names, edges), keep, inner
+
+
+def _assert_same_graph(got: WeightedGraph, want: WeightedGraph) -> None:
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
+    for v in want.vertices:
+        assert got.neighbors(v) == want.neighbors(v)
+        assert got.vertex_index(v) == want.vertex_index(v)
+    assert got == want
+
+
+@given(graphs_with_nested_keeps())
+def test_induced_and_without_match_the_filter_definition(case):
+    g, keep, inner = case
+    sub = g.induced(keep)
+    _assert_same_graph(sub, induced_by_filter(g, keep))
+    _assert_same_graph(sub.induced(inner), induced_by_filter(g, inner))
+    _assert_same_graph(g.without(keep), induced_by_filter(g, set(g.vertices) - keep))
+    _assert_same_graph(sub.without(inner), induced_by_filter(g, keep - inner))
+
+
+def test_induced_on_every_vertex_is_the_graph_itself():
+    g = generate(GenSpec("bicyclic", 12, 4))
+    assert g.induced(reversed(g.vertices)) is g
+    assert g.without(["not-a-vertex"]) is g
+    with pytest.raises(GraphError, match="unknown vertices"):
+        g.induced(["not-a-vertex"])

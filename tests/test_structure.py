@@ -26,7 +26,9 @@ from graph_inertia.testgen import (
     sample_theta_weights,
 )
 
-from reference import brute_force_matching
+from graph_inertia.structure import _hanging_forest
+
+from reference import brute_force_matching, leaf_deletion_matching, least_cycle_reading
 
 
 def path(n: int) -> WeightedGraph:
@@ -49,6 +51,12 @@ def test_matching_rejects_cycles():
 def test_matching_agrees_with_brute_force(seed):
     g = generate(GenSpec("forest", 4 + seed % 9, seed))
     assert max_matching_forest(g) == brute_force_matching(g)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_matching_agrees_with_leaf_deletion_on_large_forests(seed):
+    g = generate(GenSpec("forest", 50 + 40 * seed, seed))
+    assert max_matching_forest(g) == leaf_deletion_matching(g)
 
 
 def test_is_mismatched_examples():
@@ -127,6 +135,34 @@ def test_describe_base_cycle():
     assert d.kind is BaseKind.CYCLE
     assert d.p == 6
     assert len(d.a) == 6 and len(d.a_vertices) == 6
+
+
+def _cycle_weights(rng: random.Random, p: int, pattern: str) -> list[Fraction]:
+    if pattern == "random":
+        return [random_weight(rng) for _ in range(p)]
+    if pattern == "two-values":
+        return [Fraction(rng.choice((1, 2))) for _ in range(p)]
+    if pattern == "all-equal":
+        return [Fraction(3)] * p
+    period = rng.choice([d for d in range(1, p + 1) if p % d == 0])
+    return [random_weight(rng) for _ in range(period)] * (p // period)
+
+
+@pytest.mark.parametrize("pattern", ["random", "two-values", "all-equal", "periodic"])
+@pytest.mark.parametrize("seed", range(15))
+def test_cycle_descriptor_is_the_least_reading(pattern, seed):
+    rng = random.Random(seed)
+    p = 3 + seed * 57 // 14  # 3 .. 60
+    ws = _cycle_weights(rng, p, pattern)
+    # Shuffled names and vertex order, so vertex ties are not settled by luck.
+    names = rng.sample([f"x{i}" for i in range(100)], p)
+    order = rng.sample(names, p)
+    g = WeightedGraph(order, [(names[i], names[(i + 1) % p], ws[i]) for i in range(p)])
+    walk = [g.vertices[0]]
+    while len(walk) < p:
+        walk.append(next(v for v, _ in g.neighbors(walk[-1]) if v not in walk[-2:]))
+    d = describe_base(g)
+    assert (d.a, d.a_vertices) == least_cycle_reading(walk, g.weight)
 
 
 def test_describe_base_two_triangles_sharing_a_vertex():
@@ -208,6 +244,25 @@ def test_hanging_trees_partition_and_reconstruct(cls, seed):
         for u, v, w in t.tree.edges:
             edges[frozenset((u, v))] = w
     assert edges == {frozenset((u, v)): w for u, v, w in g.edges}
+
+
+@pytest.mark.parametrize("regime", ["random", "force"])
+@pytest.mark.parametrize("n", [8, 50, 150, 400])
+@pytest.mark.parametrize("cls", ["unicyclic", "bicyclic"])
+def test_hanging_forest_walk_matches_the_definitions(cls, n, regime):
+    for seed in range(3):
+        g = generate(GenSpec(cls, n, seed, regime=regime))
+        core = two_core(g)
+        walked = _hanging_forest(g, core)
+        trees = hanging_trees(g, core)
+        assert [h.root for h in walked] == [t.root for t in trees] == list(core.vertices)
+        for h, t in zip(walked, trees):
+            assert sorted(h.vertices) == sorted(t.tree.vertices)
+            q = leaf_deletion_matching(t.tree)
+            assert h.matching == q == max_matching_forest(t.tree)
+            by_definition = leaf_deletion_matching(t.tree.without([t.root])) == q
+            assert h.matched_at_root == t.matched_at_root == (not by_definition)
+            assert by_definition == is_mismatched(t.tree, t.root)
 
 
 def test_hanging_trees_requires_real_core(seed=0):
