@@ -40,7 +40,7 @@ from .matrix import (
     ecmo_scale,
     ecmo_swap,
 )
-from .oracle import diagonalize_graph, inertia_oracle
+from .oracle import inertia_oracle
 from .reduction import (
     ReductionRule,
     ReductionStep,

@@ -72,10 +72,14 @@ class WeightedGraph:
 
     @classmethod
     def _trusted(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> "WeightedGraph":
-        """Build from parts of an already validated graph without re-validating.
+        """Build from parts already known to be valid, without re-validating.
 
-        ``edges`` must be a subsequence of the source graph's edges whose
-        endpoints all lie in ``vertices``.
+        The parts must pass every check the constructor makes: distinct,
+        non-empty vertex ids without whitespace, and distinct non-loop edges
+        with ``Fraction`` weights above zero whose endpoints all lie in
+        ``vertices``.  A subsequence of a validated graph's edges qualifies,
+        and so does the edge-list parser's output, which makes those checks
+        itself to report them with line numbers.
         """
         g = cls.__new__(cls)
         g._vertices = vertices
@@ -258,7 +262,7 @@ def _parse_edgelist(text: str) -> WeightedGraph:
         register(u)
         register(v)
         edges.append((u, v, w))
-    return WeightedGraph(vertices, edges)
+    return WeightedGraph._trusted(tuple(vertices), tuple(edges))
 
 
 def _parse_json(text: str) -> WeightedGraph:

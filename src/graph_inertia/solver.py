@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .closed_forms import (
-    ClosedFormUnavailable,
     cycle_inertia,
     forest_inertia,
     infinity_base_inertia,
@@ -139,18 +138,15 @@ def _solve_bicyclic(g: WeightedGraph) -> SolveResult:
             ReductionTrace((step,) + rest.trace.steps),
         )
     d = describe_base(core)
-    try:
-        if d.kind is BaseKind.INFINITY:
-            base_part = infinity_base_inertia(d)
-        else:
-            base_part = theta_base_inertia(d)
-        method = Method.BICYCLIC_TYPE_II
-    except ClosedFormUnavailable:
-        base_part = inertia_oracle(core)
-        method = Method.ORACLE_FALLBACK
+    if d.kind is BaseKind.INFINITY:
+        base_part = infinity_base_inertia(d)
+    else:
+        base_part = theta_base_inertia(d)
     step = ReductionStep(ReductionRule.TYPE_II_CUT, removed=core.vertices, offset=base_part.pn)
     return SolveResult(
-        base_part + _outside_core(g, core, forest), (method,), ReductionTrace((step,))
+        base_part + _outside_core(g, core, forest),
+        (Method.BICYCLIC_TYPE_II,),
+        ReductionTrace((step,)),
     )
 
 

@@ -308,6 +308,22 @@ def _hang_two_vertex_paths(base: WeightedGraph, rng: random.Random) -> WeightedG
     return WeightedGraph(vertices, edges)
 
 
+def _long_type_ii_bases(rng: random.Random) -> dict[str, WeightedGraph]:
+    """A long cycle, infinity and theta base of about 1064 vertices, each
+    vertex carrying a hanging two-vertex path: about 3200 vertices, type II."""
+    return {
+        "long-cycle": _hang_two_vertex_paths(
+            build_cycle(sample_cycle_weights(1064, rng, branch="eq")), rng
+        ),
+        "infinity": _hang_two_vertex_paths(
+            build_infinity(267, 443, 358, *sample_infinity_weights(267, 443, 358, rng)), rng
+        ),
+        "theta": _hang_two_vertex_paths(
+            build_theta(267, 356, 447, *sample_theta_weights(267, 356, 447, rng)), rng
+        ),
+    }
+
+
 def test_criterion_9_linear_scale():
     # solve is linear, so about 3200 vertices take well under a second each;
     # a quadratic pass over the 1064-cycle alone costs more than that.
@@ -315,15 +331,7 @@ def test_criterion_9_linear_scale():
         rng = random.Random(1009)
         cases = {
             "unicyclic": generate(GenSpec("unicyclic", 3200, 1009)),
-            "long-cycle": _hang_two_vertex_paths(
-                build_cycle(sample_cycle_weights(1064, rng, branch="eq")), rng
-            ),
-            "infinity": _hang_two_vertex_paths(
-                build_infinity(267, 443, 358, *sample_infinity_weights(267, 443, 358, rng)), rng
-            ),
-            "theta": _hang_two_vertex_paths(
-                build_theta(267, 356, 447, *sample_theta_weights(267, 356, 447, rng)), rng
-            ),
+            **_long_type_ii_bases(rng),
         }
         for name, g in cases.items():
             assert g.n >= 3190
@@ -335,3 +343,22 @@ def test_criterion_9_linear_scale():
             rest = inertia_oracle(reduced)
             pos, neg = trace.offset
             assert got.inertia == Inertia(rest.pos + pos, rest.neg + neg, rest.zero), name
+
+
+def test_criterion_10_whole_graph_oracle_at_scale():
+    # The sparse oracle eliminates these treewidth-2 graphs in near-linear
+    # time; the dense routine would need hours for each one.
+    with criterion(10, "whole-graph solver-oracle equivalence at n ~ 3200", 60):
+        cases = {
+            f"{cls}-{regime}": generate(GenSpec(cls, 3200, 1010, regime=regime))
+            for cls in ("tree", "unicyclic", "bicyclic")
+            for regime in ("random", "unit", "force")
+        }
+        cases.update(_long_type_ii_bases(random.Random(1009)))
+        for name, g in cases.items():
+            assert g.n >= 3190
+            start = time.perf_counter()
+            oracle = inertia_oracle(g)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 1.0, f"{name}: inertia_oracle took {elapsed:.2f}s"
+            assert solve(g).inertia == oracle, name

@@ -106,6 +106,19 @@ def test_roundtrip_random_graphs(fmt, seed):
     assert parse_graph(serialize_graph(g, fmt), fmt) == g
 
 
+@pytest.mark.parametrize("cls", ["tree", "forest", "unicyclic", "bicyclic"])
+@pytest.mark.parametrize("regime", ["random", "unit", "force"])
+def test_edgelist_parse_builds_what_the_constructor_builds(cls, regime):
+    # The edge-list parser skips the constructor's checks, making them itself.
+    for seed in range(4):
+        g = generate(GenSpec(cls, 6 + 9 * seed, seed, regime=regime))
+        back = parse_graph(serialize_graph(g))
+        built = WeightedGraph(g.vertices, g.edges)
+        assert back.vertices == built.vertices
+        assert back.edges == built.edges
+        assert all(back.neighbors(v) == built.neighbors(v) for v in built.vertices)
+
+
 def test_roundtrip_preserves_isolated_and_order():
     g = WeightedGraph(["z", "a", "m"], [("m", "a", Fraction(1, 2))])
     for fmt in ("edgelist", "json"):

@@ -185,6 +185,62 @@ def test_component_additivity_via_components():
     assert total == inertia_oracle(g)
 
 
+def dense_inertia(g: WeightedGraph) -> Inertia:
+    return congruent_diagonalize(adjacency_matrix(g)).inertia
+
+
+@pytest.mark.parametrize("cls", ["tree", "forest", "unicyclic", "bicyclic"])
+@pytest.mark.parametrize("regime", ["random", "unit", "force"])
+def test_sparse_oracle_matches_dense_on_generated_graphs(cls, regime):
+    lo = {"tree": 1, "forest": 1, "unicyclic": 3, "bicyclic": 5}[cls]
+    for n in range(lo, 31):
+        g = generate(GenSpec(cls, n, 700 + n, regime=regime))
+        assert inertia_oracle(g) == dense_inertia(g), (cls, regime, n)
+
+
+@st.composite
+def two_weight_graphs(draw, max_n=14):
+    """Random graphs of any density whose weights take two values, so equal
+    products, zero pivots and exact cancellations come up often."""
+    n = draw(st.integers(0, max_n))
+    tenths = draw(st.sampled_from([1, 3, 5, 8, 10]))  # edge density; 10 is complete
+    weights = (Fraction(1), draw(st.sampled_from([Fraction(1), Fraction(2), Fraction(1, 2), Fraction(3)])))
+    names = [f"g{i}" for i in range(n)]
+    edges = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if draw(st.integers(0, 9)) < tenths:
+                edges.append((names[i], names[j], weights[draw(st.integers(0, 1))]))
+    return WeightedGraph(names, edges)
+
+
+@given(two_weight_graphs())
+@settings(max_examples=300, deadline=None)
+def test_sparse_oracle_matches_dense_on_random_graphs(g):
+    assert inertia_oracle(g) == dense_inertia(g)
+
+
+def test_sparse_oracle_matches_dense_on_fixed_families():
+    cases = [WeightedGraph([], []), WeightedGraph(["a", "b", "c"], [])]
+    for n in range(1, 9):
+        names = [f"k{i}" for i in range(n)]
+        cases.append(
+            WeightedGraph(names, [(names[i], names[j], 1) for i in range(n) for j in range(i + 1, n)])
+        )
+    for m in range(1, 5):
+        for n in range(1, 5):
+            left = [f"l{i}" for i in range(m)]
+            right = [f"r{j}" for j in range(n)]
+            edges = [
+                (x, y, Fraction(1 + i + j, 2)) for i, x in enumerate(left) for j, y in enumerate(right)
+            ]
+            cases.append(WeightedGraph(left + right, edges))
+    for g in cases:
+        assert inertia_oracle(g) == dense_inertia(g), g
+    assert inertia_oracle(cases[0]) == Inertia(0, 0, 0)
+    assert inertia_oracle(cases[1]) == Inertia(0, 0, 3)
+
+
 def test_matrix_dump_format():
     m = SymRationalMatrix.from_rows([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
     assert m.dump() == "0 1/2\n1/2 0"

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -16,6 +17,7 @@ from graph_inertia import (
     solve_bicyclic,
     solve_unicyclic,
 )
+from graph_inertia.closed_forms import reduce_infinity_shape, reduce_theta_shape
 from graph_inertia.testgen import (
     GenSpec,
     build_cycle,
@@ -133,6 +135,40 @@ def test_solve_unsupported_uses_oracle_fallback():
     res = solve(k4)
     assert res.methods == (Method.ORACLE_FALLBACK,)
     assert res.inertia == inertia_oracle(k4)
+
+
+def _bare_base_shapes():
+    """Every infinity and theta shape up to one fold past the largest shape
+    that ``reduce_infinity_shape``/``reduce_theta_shape`` leave unfolded
+    (infinity p, q = 6 and l = 5; theta slot 6).  A larger shape folds onto
+    the same representative as the shape here whose sizes agree with it
+    mod 4, so the sweep reaches every representative."""
+    for p, q in itertools.product(range(3, 11), repeat=2):
+        for l in range(1, 10):
+            yield "infinity", (p, l, q)
+    for sizes in itertools.combinations_with_replacement(range(2, 11), 3):
+        if sizes.count(2) <= 1:
+            yield "theta", sizes
+
+
+def test_type_ii_bases_never_need_the_oracle():
+    """A bare base has no hanging tree, so ``solve`` cuts it out whole; every
+    shape must have a closed form, with no oracle fallback."""
+    rng = random.Random(77)
+    for kind, (p, l, q) in _bare_base_shapes():
+        if kind == "infinity":
+            a, b, c = sample_infinity_weights(p, l, q, rng)
+            (p0, l0, q0, *_), _ = reduce_infinity_shape(p, l, q, a, b, c)
+            assert max(p0, q0) <= 6 and l0 <= 5
+            g = build_infinity(p, l, q, a, b, c)
+        else:
+            a, b, c = sample_theta_weights(p, l, q, rng)
+            slots, _ = reduce_theta_shape(p, l, q, a, b, c)
+            assert max(size for size, _ in slots) <= 6
+            g = build_theta(p, l, q, a, b, c)
+        res = solve(g)
+        assert res.methods == (Method.BICYCLIC_TYPE_II,), (kind, p, l, q)
+        assert res.inertia == inertia_oracle(g), (kind, p, l, q)
 
 
 def test_solve_trace_offsets_account_for_everything():
