@@ -4,8 +4,11 @@ Large cycle parameters reduce modulo 4: contracting a run of five edges whose
 four interior vertices have degree 2 into one edge of weight
 ``w1*w3*w5/(w2*w4)`` costs exactly (2, 2) on the (positive, negative) pair, so
 every base folds onto a bounded representative whose value is a table lookup
-or a short case split.  Every branch here is cross-checked against the
-congruence oracle by the test suite.
+or a short case split.  That weight, the weight of several folds in a row and
+the balance test of a cycle of length divisible by 4 are all one
+``alternating_product``, which the rewrite engine and the generator's
+branch-forcing samplers use too.  Every branch here is cross-checked against
+the congruence oracle by the test suite.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .core import GraphError, Inertia
-from .graph import WeightedGraph, _component_vertices
+from .graph import WeightedGraph
 from .structure import BaseDescriptor, BaseKind, max_matching_forest
 
 __all__ = [
@@ -23,6 +26,7 @@ __all__ = [
     "CaseCondition",
     "InfinityRow",
     "INFINITY_TABLE",
+    "alternating_product",
     "forest_inertia",
     "cycle_inertia",
     "infinity_condition",
@@ -57,10 +61,27 @@ class CaseCondition:
         return "lt"
 
 
+def alternating_product(ws: Sequence[Fraction]) -> Fraction:
+    """Product of the even-position weights over the odd-position ones.
+
+    On five weights it is the contracted edge weight ``w1*w3*w5/(w2*w4)``; a
+    cycle of length divisible by 4 has a zero eigenvalue iff it equals 1.
+    """
+    num = Fraction(1)
+    den = Fraction(1)
+    for i, w in enumerate(ws):
+        if i % 2 == 0:
+            num *= w
+        else:
+            den *= w
+    return num / den
+
+
 def forest_inertia(g: WeightedGraph) -> Inertia:
-    """(q, q, n - 2q) for acyclic graphs, q the matching number; weights never matter."""
-    if g.m != g.n - len(_component_vertices(g)):
-        raise GraphError("forest_inertia requires an acyclic graph")
+    """(q, q, n - 2q) for acyclic graphs, q the matching number; weights never matter.
+
+    ``max_matching_forest`` rejects cyclic input with a ``GraphError``.
+    """
     q = max_matching_forest(g)
     return Inertia(q, q, g.n - 2 * q)
 
@@ -73,14 +94,7 @@ def cycle_inertia(weights: Sequence[Fraction]) -> Inertia:
         raise GraphError("a cycle needs at least 3 edges")
     r = n % 4
     if r == 0:
-        odd = Fraction(1)
-        even = Fraction(1)
-        for i, w in enumerate(weights):
-            if i % 2 == 0:
-                odd *= w
-            else:
-                even *= w
-        if odd == even:
+        if alternating_product(weights) == 1:
             return Inertia(n // 2 - 1, n // 2 - 1, 2)
         return Inertia(n // 2, n // 2, 0)
     if r == 1:
@@ -145,7 +159,7 @@ def _fold(ws: Sequence[Fraction], times: int) -> tuple[Fraction, ...]:
     if times <= 0:
         return tuple(ws)
     head = 4 * times + 1
-    return (_alternating_term(ws[:head]), *ws[head:])
+    return (alternating_product(ws[:head]), *ws[head:])
 
 
 # ---------------------------------------------------------------------------
@@ -214,18 +228,6 @@ INFINITY_TABLE: dict[tuple[int, int, int], InfinityRow] = {
 }
 
 
-def _alternating_term(ws: Sequence[Fraction]) -> Fraction:
-    """Product of even-position weights over odd-position ones."""
-    num = Fraction(1)
-    den = Fraction(1)
-    for i, w in enumerate(ws):
-        if i % 2 == 0:
-            num *= w
-        else:
-            den *= w
-    return num / den
-
-
 def infinity_condition(
     p: int, l: int, q: int, a: Sequence[Fraction], b: Sequence[Fraction], c: Sequence[Fraction]
 ) -> CaseCondition | None:
@@ -238,8 +240,8 @@ def infinity_condition(
     row = INFINITY_TABLE.get((p, l, q))
     if row is None or row.condition_text is None:
         return None
-    lhs = _alternating_term(a)
-    rhs = _alternating_term(b)
+    lhs = alternating_product(a)
+    rhs = alternating_product(b)
     if p == q:
         lhs = 4 * lhs * rhs
         rhs = Fraction(1)
@@ -293,13 +295,13 @@ def _infinity_rep_pn(p, l, q, a, b, c):
         r = _removed_cycle_rest_pn(l, a, tuple(reversed(c)))
         return (3 + r[0], 3 + r[1])
     if q == 4:
-        if b[0] * b[2] == b[1] * b[3]:
+        if alternating_product(b) == 1:
             r = _cycle_pn(a) if l == 1 else _tadpole_pn(a, c)
             return (1 + r[0], 1 + r[1])
         r = _removed_cycle_rest_pn(l, a, tuple(reversed(c)))
         return (2 + r[0], 2 + r[1])
     if p == 4:
-        if a[0] * a[2] == a[1] * a[3]:
+        if alternating_product(a) == 1:
             r = _cycle_pn(b) if l == 1 else _tadpole_pn(b, tuple(reversed(c)))
             return (1 + r[0], 1 + r[1])
         r = _removed_cycle_rest_pn(l, b, c)
@@ -367,7 +369,7 @@ def _theta_rep_pn(slots):
     if p == 2 and q == 6:
         # The five-edge path folds onto the parallel direct hub edge by
         # weight addition, leaving a cycle through the remaining path.
-        folded = a[0] + c[0] * c[2] * c[4] / (c[1] * c[3])
+        folded = a[0] + alternating_product(c)
         r = _cycle_pn((folded, *reversed(b)))
         return (2 + r[0], 2 + r[1])
     pair = twins(3)
@@ -380,7 +382,7 @@ def _theta_rep_pn(slots):
     pair = twins(4)
     if pair:
         A, B, (ts, C) = pair
-        folded = A[2] + B[0] * A[1] * B[2] / (A[0] * B[1])
+        folded = A[2] + alternating_product((A[1], A[0], B[0], B[1], B[2]))
         r = _cycle_pn((A[0], A[1], folded, *reversed(C)))
         return (1 + r[0], 1 + r[1])
     pair = twins(5)

@@ -21,17 +21,19 @@ class ParseError(GraphError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
-_RATIONAL = re.compile(r"[+-]?\d+(?:/[1-9]\d*)?")
+_RATIONAL = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
 def parse_rational(text: str) -> Fraction:
     """Parse an ``int`` or ``int/int`` literal into an exact Fraction.
 
-    Floats, empty strings and zero denominators are rejected.
+    Floats, empty strings and zero denominators are rejected.  The match's
+    own groups give the numerator and denominator, so the text is read once.
     """
-    if not _RATIONAL.fullmatch(text):
+    m = _RATIONAL.fullmatch(text)
+    if not m:
         raise ValueError(f"not an integer or integer ratio: {text!r}")
-    return Fraction(text)
+    return Fraction(int(m[1]), int(m[2] or 1))
 
 
 @dataclass(frozen=True)

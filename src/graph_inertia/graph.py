@@ -91,18 +91,6 @@ class WeightedGraph:
         g._adj = adj
         return g
 
-    @classmethod
-    def from_edges(cls, edges: Iterable[tuple], isolated: Iterable[str] = ()) -> "WeightedGraph":
-        """Build a graph whose vertex order is first appearance across edges."""
-        edges = tuple(edges)
-        seen: dict[str, None] = {}
-        for u, v, _ in edges:
-            seen.setdefault(u)
-            seen.setdefault(v)
-        for v in isolated:
-            seen.setdefault(v)
-        return cls(tuple(seen), edges)
-
     @property
     def vertices(self) -> tuple[str, ...]:
         return self._vertices

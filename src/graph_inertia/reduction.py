@@ -3,7 +3,8 @@
 Two local rewrites drive everything: deleting a pendant vertex together with
 its neighbor costs exactly (1, 1) on the (positive, negative) pair, and
 contracting a five-edge run whose four interior vertices have degree 2 into a
-single edge of weight ``w1*w3*w5/(w2*w4)`` costs exactly (2, 2).
+single edge of weight ``w1*w3*w5/(w2*w4)`` costs exactly (2, 2).  That weight
+is the closed forms' own one-run fold, ``fold_path_weights(ws, 1)``.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
+from .closed_forms import fold_path_weights
 from .core import GraphError
 from .graph import WeightedGraph
 
@@ -66,9 +68,6 @@ class ReductionTrace:
         neg = sum(s.offset[1] for s in self.steps)
         return (pos, neg)
 
-    def extend(self, more: Iterable[ReductionStep]) -> "ReductionTrace":
-        return ReductionTrace(self.steps + tuple(more))
-
     def serialize(self) -> str:
         return "\n".join(s.serialize() for s in self.steps)
 
@@ -105,18 +104,10 @@ def contract_degree2_path(
             raise GraphError(f"interior vertex {x!r} has degree {g.degree(x)}, expected 2")
     if g.has_edge(path[0], path[5]):
         raise GraphError("contraction refused: the new edge would parallel an existing one")
-    w = ws[0] * ws[2] * ws[4] / (ws[1] * ws[3])
-    interior = set(path[1:5])
-    vertices = tuple(v for v in g.vertices if v not in interior)
-    edges = tuple(e for e in g.edges if e[0] not in interior and e[1] not in interior)
-    edges += ((path[0], path[5], w),)
-    step = ReductionStep(
-        ReductionRule.PATH_CONTRACT,
-        removed=path[1:5],
-        added=((path[0], path[5], w),),
-        offset=(2, 2),
-    )
-    return WeightedGraph(vertices, edges), step
+    added = ((path[0], path[5], fold_path_weights(ws, 1)[0]),)
+    rest = g.without(path[1:5])
+    step = ReductionStep(ReductionRule.PATH_CONTRACT, removed=path[1:5], added=added, offset=(2, 2))
+    return WeightedGraph._trusted(rest.vertices, rest.edges + added), step
 
 
 def _find_contractible_run(g: WeightedGraph) -> tuple[str, ...] | None:

@@ -31,7 +31,6 @@ from .oracle import inertia_oracle
 from .reduction import ReductionRule, ReductionStep, ReductionTrace
 from .structure import (
     BaseKind,
-    _Hanging,
     _hanging_forest,
     describe_base,
     is_mismatched,
@@ -62,16 +61,17 @@ def _forest_part(n: int, matching: int) -> Inertia:
     return Inertia(matching, matching, n - 2 * matching)
 
 
-def _matched_tree(
-    g: WeightedGraph, forest: list[_Hanging]
-) -> tuple[_Hanging, tuple[str, ...]] | None:
-    """The matched hanging tree with the least root and its vertices in
-    ``g``'s order, or None.  Core order is ``g``'s vertex order, so the first
-    matched tree has the least root."""
-    choice = next((h for h in forest if h.matched_at_root), None)
-    if choice is None:
-        return None
-    return choice, tuple(sorted(choice.vertices, key=g.vertex_index))
+# (type I, type II) method tags of each cyclic component class.
+_CYCLIC_METHODS = {
+    ComponentClass.UNICYCLIC: (Method.UNICYCLIC_TYPE_I, Method.UNICYCLIC_TYPE_II),
+    ComponentClass.BICYCLIC: (Method.BICYCLIC_TYPE_I, Method.BICYCLIC_TYPE_II),
+}
+
+_BASE_CLOSED_FORMS = {
+    BaseKind.CYCLE: lambda d: cycle_inertia(d.a),
+    BaseKind.INFINITY: infinity_base_inertia,
+    BaseKind.THETA: theta_base_inertia,
+}
 
 
 def solve_unicyclic(g: WeightedGraph) -> SolveResult:
@@ -79,40 +79,7 @@ def solve_unicyclic(g: WeightedGraph) -> SolveResult:
     cycle cut, never by matrix work."""
     if g.m != g.n or len(_component_vertices(g)) != 1:
         raise GraphError("solve_unicyclic requires a connected unicyclic graph")
-    return _solve_unicyclic(g)
-
-
-def _solve_unicyclic(g: WeightedGraph) -> SolveResult:
-    core = two_core(g)
-    if core.n == g.n:
-        d = describe_base(core)
-        return SolveResult(cycle_inertia(d.a), (Method.CYCLE_CLOSED_FORM,), ReductionTrace())
-    forest = _hanging_forest(g, core)
-    matched = _matched_tree(g, forest)
-    if matched is not None:
-        choice, removed = matched
-        part = _forest_part(len(removed), choice.matching)
-        step = ReductionStep(ReductionRule.TYPE_I_DECOMPOSE, removed=removed, offset=part.pn)
-        return SolveResult(
-            part + forest_inertia(g.without(removed)),
-            (Method.UNICYCLIC_TYPE_I,),
-            ReductionTrace((step,)),
-        )
-    d = describe_base(core)
-    cycle_part = cycle_inertia(d.a)
-    step = ReductionStep(ReductionRule.TYPE_II_CUT, removed=core.vertices, offset=cycle_part.pn)
-    return SolveResult(
-        cycle_part + _outside_core(g, core, forest),
-        (Method.UNICYCLIC_TYPE_II,),
-        ReductionTrace((step,)),
-    )
-
-
-def _outside_core(g: WeightedGraph, core: WeightedGraph, forest: list[_Hanging]) -> Inertia:
-    """Inertia of ``g`` minus its core when no hanging tree is matched at its
-    root: deleting a mismatched root keeps its tree's matching number, so the
-    remaining forest's matching number is the sum over the trees."""
-    return _forest_part(g.n - core.n, sum(h.matching for h in forest))
+    return _solve_cyclic(g, ComponentClass.UNICYCLIC)
 
 
 def solve_bicyclic(g: WeightedGraph) -> SolveResult:
@@ -120,32 +87,41 @@ def solve_bicyclic(g: WeightedGraph) -> SolveResult:
     unicyclic graphs and trees, type II cuts out the whole base."""
     if g.m != g.n + 1 or len(_component_vertices(g)) != 1:
         raise GraphError("solve_bicyclic requires a connected bicyclic graph")
-    return _solve_bicyclic(g)
+    return _solve_cyclic(g, ComponentClass.BICYCLIC)
 
 
-def _solve_bicyclic(g: WeightedGraph) -> SolveResult:
+def _solve_cyclic(g: WeightedGraph, kind: ComponentClass) -> SolveResult:
+    """Type I splits off the matched hanging tree with the least root (core
+    order is ``g``'s vertex order) and solves the rest: a forest when ``g`` is
+    unicyclic, otherwise whatever ``solve`` makes of it.  Type II cuts out the
+    whole core; deleting a mismatched root keeps its tree's matching number,
+    so the forest left outside the core matches the sum over the trees."""
+    type_i, type_ii = _CYCLIC_METHODS[kind]
     core = two_core(g)
+    if kind is ComponentClass.UNICYCLIC and core.n == g.n:
+        d = describe_base(core)
+        return SolveResult(cycle_inertia(d.a), (Method.CYCLE_CLOSED_FORM,), ReductionTrace())
     forest = _hanging_forest(g, core)
-    matched = _matched_tree(g, forest)
-    if matched is not None:
-        choice, removed = matched
+    choice = next((h for h in forest if h.matched_at_root), None)
+    if choice is not None:
+        removed = tuple(sorted(choice.vertices, key=g.vertex_index))
         part = _forest_part(len(removed), choice.matching)
-        rest = solve(g.without(removed))
         step = ReductionStep(ReductionRule.TYPE_I_DECOMPOSE, removed=removed, offset=part.pn)
+        if kind is ComponentClass.UNICYCLIC:
+            rest = SolveResult(forest_inertia(g.without(removed)), (), ReductionTrace())
+        else:
+            rest = solve(g.without(removed))
         return SolveResult(
             part + rest.inertia,
-            (Method.BICYCLIC_TYPE_I,) + rest.methods,
+            (type_i,) + rest.methods,
             ReductionTrace((step,) + rest.trace.steps),
         )
     d = describe_base(core)
-    if d.kind is BaseKind.INFINITY:
-        base_part = infinity_base_inertia(d)
-    else:
-        base_part = theta_base_inertia(d)
+    base_part = _BASE_CLOSED_FORMS[d.kind](d)
     step = ReductionStep(ReductionRule.TYPE_II_CUT, removed=core.vertices, offset=base_part.pn)
     return SolveResult(
-        base_part + _outside_core(g, core, forest),
-        (Method.BICYCLIC_TYPE_II,),
+        base_part + _forest_part(g.n - core.n, sum(h.matching for h in forest)),
+        (type_ii,),
         ReductionTrace((step,)),
     )
 
@@ -167,10 +143,8 @@ def solve(g: WeightedGraph) -> SolveResult:
         kind = _component_class(comp.n, comp.m)
         if kind is ComponentClass.TREE:
             sub = SolveResult(forest_inertia(comp), (Method.FOREST,), ReductionTrace())
-        elif kind is ComponentClass.UNICYCLIC:
-            sub = _solve_unicyclic(comp)
-        elif kind is ComponentClass.BICYCLIC:
-            sub = _solve_bicyclic(comp)
+        elif kind in _CYCLIC_METHODS:
+            sub = _solve_cyclic(comp, kind)
         else:
             sub = SolveResult(inertia_oracle(comp), (Method.ORACLE_FALLBACK,), ReductionTrace())
         total = total + sub.inertia

@@ -70,7 +70,8 @@ def max_matching_forest(g: WeightedGraph) -> int:
 
 
 def is_mismatched(t: WeightedGraph, v: str) -> bool:
-    """True iff deleting v does not decrease the matching number of the tree.
+    """True iff deleting v does not decrease the matching number of the tree,
+    i.e. iff the greedy walk rooted at v leaves v unmatched.
 
     A single-vertex tree counts as mismatched.
     """
@@ -78,7 +79,7 @@ def is_mismatched(t: WeightedGraph, v: str) -> bool:
         raise GraphError("is_mismatched requires a tree")
     if not t.has_vertex(v):
         raise GraphError(f"vertex {v!r} not in tree")
-    return max_matching_forest(t.without([v])) == max_matching_forest(t)
+    return not _match_tree(t, v, ())[2]
 
 
 def two_core(g: WeightedGraph) -> WeightedGraph:

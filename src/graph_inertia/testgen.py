@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .closed_forms import INFINITY_TABLE, infinity_condition
+from .closed_forms import INFINITY_TABLE, alternating_product, infinity_condition
 from .core import GraphError
 from .graph import WeightedGraph
 from .structure import BaseDescriptor, BaseKind
@@ -19,8 +19,6 @@ __all__ = [
     "generate",
     "random_weight",
     "build_cycle",
-    "build_path",
-    "build_tadpole",
     "build_infinity",
     "build_theta",
     "build_from_descriptor",
@@ -55,23 +53,6 @@ def build_cycle(weights: Sequence[Fraction], prefix: str = "v") -> WeightedGraph
     names = [f"{prefix}{i}" for i in range(n)]
     edges = [(names[i], names[(i + 1) % n], Fraction(weights[i])) for i in range(n)]
     return WeightedGraph(names, edges)
-
-
-def build_path(weights: Sequence[Fraction], prefix: str = "p") -> WeightedGraph:
-    """Path with ``len(weights) + 1`` vertices; zero weights yields one vertex."""
-    names = [f"{prefix}{i}" for i in range(len(weights) + 1)]
-    edges = [(names[i], names[i + 1], Fraction(w)) for i, w in enumerate(weights)]
-    return WeightedGraph(names, edges)
-
-
-def build_tadpole(cycle_weights: Sequence[Fraction], tail_weights: Sequence[Fraction]) -> WeightedGraph:
-    """Cycle with a pendant path attached at its first vertex."""
-    g = build_cycle(cycle_weights, prefix="v")
-    names = ["v0"] + [f"t{i}" for i in range(1, len(tail_weights) + 1)]
-    edges = list(g.edges) + [
-        (names[i], names[i + 1], Fraction(w)) for i, w in enumerate(tail_weights)
-    ]
-    return WeightedGraph(tuple(g.vertices) + tuple(names[1:]), edges)
 
 
 def build_infinity(
@@ -207,7 +188,7 @@ def sample_infinity_weights(p, l, q, rng, branch=None, unit=False):
     if 4 in (p, q):
         for ws in (a, b):
             if len(ws) == 4:
-                balanced = ws[1] * ws[3] / ws[2]
+                balanced = alternating_product(ws[1:])
                 ws[0] = balanced if branch == "eq" else balanced * 2
         return tuple(a), tuple(b), tuple(c)
     raise GraphError(f"infinity({p},{l},{q}) has no weight-condition branches")
@@ -220,16 +201,9 @@ def sample_cycle_weights(n, rng, branch=None, unit=False):
         return tuple(ws)
     if n % 4 != 0:
         raise GraphError("only cycles of length divisible by 4 have a weight condition")
-    odd = Fraction(1)
-    even = Fraction(1)
-    for i, w in enumerate(ws):
-        if i == 0:
-            continue
-        if i % 2 == 0:
-            odd *= w
-        else:
-            even *= w
-    ws[0] = even / odd if branch == "eq" else 2 * even / odd
+    # alternating_product(ws) is ws[0] / alternating_product(ws[1:]).
+    balanced = alternating_product(ws[1:])
+    ws[0] = balanced if branch == "eq" else 2 * balanced
     return tuple(ws)
 
 
@@ -263,7 +237,7 @@ def sample_theta_weights(p, l, q, rng, branch=None, unit=False):
             c[0] = target if sub == "ceq" else target * 2
     elif sizes.count(4) >= 2 and sizes[0] == 2:
         # theta(2,4,4): reduced 4-cycle (B0, B1, B2', A0) with the twin-path fold.
-        folded = b[2] + c[0] * b[1] * c[2] / (b[0] * c[1])
+        folded = b[2] + alternating_product((b[1], b[0], c[0], c[1], c[2]))
         target = b[0] * folded / b[1]
         a[0] = target if main == "ceq" else target * 2
     elif sizes[1:] == (5, 5):
@@ -280,7 +254,7 @@ def sample_theta_weights(p, l, q, rng, branch=None, unit=False):
     elif sizes[0] == 2 and 6 in sizes:
         # theta(2,l,6): direct edge absorbs the folded 6-path; only l == 4
         # leaves a weight-sensitive 4-cycle (folded, B2, B1, B0).
-        folded = a[0] + c[0] * c[2] * c[4] / (c[1] * c[3])
+        folded = a[0] + alternating_product(c)
         if sizes[1] == 4:
             target = folded * b[1] / b[0]
             b[2] = target if main == "ceq" else target * 2

@@ -1,9 +1,22 @@
+import hashlib
 import io
 import json
+import random
 
 from graph_inertia.cli import main
 from graph_inertia.graph import parse_graph, serialize_graph
-from graph_inertia.testgen import GenSpec, generate
+from graph_inertia.testgen import (
+    GenSpec,
+    build_cycle,
+    build_infinity,
+    build_theta,
+    generate,
+    sample_cycle_weights,
+    sample_infinity_weights,
+    sample_theta_weights,
+)
+
+from test_acceptance import _hang_two_vertex_paths
 
 
 def run(argv, stdin_text=""):
@@ -139,3 +152,65 @@ def test_byte_identical_given_same_inputs(tmp_path):
     path.write_text(serialize_graph(g))
     runs = {run(["inertia", "--method", "both", str(path)])[1] for _ in range(3)}
     assert len(runs) == 1
+
+
+# SHA-256 of ``_cli_transcript()``.  Any byte change in what the commands
+# below print, or in their exit codes, fails the pin; a deliberate change to
+# CLI output records the new digest here.
+CLI_TRANSCRIPT_SHA256 = "0c594de614e0bf797a9616ee09d6f33257636e32bd64b8e06c4f9ec0e75883ad"
+
+
+def _pinned_inputs():
+    """Edge-list texts: testgen graphs of every class and regime up to n = 300,
+    long type-II bases that fold, and malformed inputs."""
+    texts = [
+        serialize_graph(generate(GenSpec(cls, n, 7 * n + i, regime=regime)))
+        for i, cls in enumerate(("tree", "forest", "unicyclic", "bicyclic"))
+        for regime in ("random", "unit", "force")
+        for n in (6, 11, 24, 80, 300)
+    ]
+    rng = random.Random(4)
+    bases = [
+        build_cycle(sample_cycle_weights(24, rng, branch="eq")),
+        build_cycle(sample_cycle_weights(27, rng)),
+        build_infinity(11, 6, 9, *sample_infinity_weights(11, 6, 9, rng)),
+        build_infinity(8, 1, 12, *sample_infinity_weights(8, 1, 12, rng)),
+        build_theta(7, 10, 13, *sample_theta_weights(7, 10, 13, rng)),
+        build_theta(2, 9, 10, *sample_theta_weights(2, 9, 10, rng)),
+    ]
+    texts += [serialize_graph(g) for g in bases]
+    texts += [serialize_graph(_hang_two_vertex_paths(g, rng)) for g in bases]
+    texts += ["1 2 0\n", "1 2 1/0\n", "1 2 1.5\n", "1 1 1\n", "a b 1\nb a 2\n", "a b\n"]
+    return texts
+
+
+def _cli_transcript():
+    """Exit code, stdout and stderr of every pinned command, in order."""
+    commands = [
+        ["inertia", "--method", "both", "--output", "json", "-"],
+        ["inertia", "-"],
+        ["classify", "-"],
+        ["reduce", "-"],
+        ["reduce", "--output", "json", "-"],
+    ]
+    runs = [(argv, text) for text in _pinned_inputs() for argv in commands]
+    runs += [
+        (["verify", "--class", cls, "--count", "40", "--n", "30", "--seed", "11", "--output", "json"], "")
+        for cls in ("tree", "unicyclic", "bicyclic")
+    ]
+    runs += [(["table1", "--seed", str(seed), "--output", "json"], "") for seed in (0, 5)]
+    runs += [
+        (["gen", "--class", cls, "--n", str(n), "--seed", "3", "--format", fmt], "")
+        for cls in ("tree", "forest", "unicyclic", "bicyclic")
+        for n in (9, 60)
+        for fmt in ("edgelist", "json")
+    ]
+    parts = []
+    for argv, text in runs:
+        code, out, err = run(argv, text)
+        parts.append(f"{' '.join(argv)}\n{code}\n{out}\x00{err}\x00")
+    return "".join(parts).encode("utf-8")
+
+
+def test_cli_output_bytes_are_pinned():
+    assert hashlib.sha256(_cli_transcript()).hexdigest() == CLI_TRANSCRIPT_SHA256

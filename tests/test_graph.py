@@ -15,6 +15,7 @@ from graph_inertia import (
     parse_graph,
     serialize_graph,
 )
+from graph_inertia.core import parse_rational
 from graph_inertia.testgen import GenSpec, build_cycle, build_theta, generate
 
 from reference import induced_by_filter
@@ -52,6 +53,30 @@ def test_parse_rejects_self_loop_and_duplicate():
 def test_parse_rejects_float_weight():
     with pytest.raises(ParseError, match="line 1"):
         parse_graph("1 2 0.5")
+
+
+@pytest.mark.parametrize(
+    "text, accepted",
+    [
+        pytest.param("+3", True, id="plus-sign"),
+        pytest.param("-0", True, id="minus-zero"),
+        pytest.param("007/3", True, id="leading-zeros"),
+        pytest.param("-4/8", True, id="unreduced"),
+        pytest.param("1" * 999 + "3/7", True, id="1000-digit-numerator"),
+        pytest.param("1/0", False, id="zero-denominator"),
+        pytest.param("1/01", False, id="padded-denominator"),
+        pytest.param("1.5", False, id="decimal"),
+        pytest.param("", False, id="empty"),
+        pytest.param("1/-2", False, id="negative-denominator"),
+        pytest.param("+", False, id="sign-only"),
+    ],
+)
+def test_parse_rational_grammar(text, accepted):
+    if accepted:
+        assert parse_rational(text) == Fraction(text)
+    else:
+        with pytest.raises(ValueError, match="^not an integer or integer ratio: "):
+            parse_rational(text)
 
 
 def test_parse_comments_blanks_and_header():

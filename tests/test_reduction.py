@@ -7,6 +7,7 @@ from graph_inertia import (
     GraphError,
     Inertia,
     ReductionRule,
+    WeightedGraph,
     contract_degree2_path,
     delete_pendant_pair,
     inertia_oracle,
@@ -14,7 +15,16 @@ from graph_inertia import (
     parse_graph,
     reduce_to_core,
 )
-from graph_inertia.testgen import GenSpec, build_cycle, build_theta, generate
+from graph_inertia.testgen import (
+    GenSpec,
+    build_cycle,
+    build_infinity,
+    build_theta,
+    generate,
+    sample_cycle_weights,
+    sample_infinity_weights,
+    sample_theta_weights,
+)
 
 
 def test_pendant_pair_on_p2():
@@ -69,6 +79,42 @@ def test_contract_c8_to_c4():
     assert g2.n == 4 and g2.m == 4
     assert inertia_oracle(c8) == Inertia(3, 3, 2)
     assert inertia_oracle(g2) + Inertia(2, 2, 0) == inertia_oracle(c8)
+
+
+def _contract_by_filtering(g, path):
+    """The contraction as a filter of ``g`` plus the new edge, through the
+    validating constructor."""
+    ws = [g.weight(path[i], path[i + 1]) for i in range(5)]
+    w = ws[0] * ws[2] * ws[4] / (ws[1] * ws[3])
+    interior = set(path[1:5])
+    vertices = tuple(v for v in g.vertices if v not in interior)
+    edges = tuple(e for e in g.edges if e[0] not in interior and e[1] not in interior)
+    return WeightedGraph(vertices, edges + ((path[0], path[5], w),))
+
+
+@pytest.mark.parametrize("shape", ["long-cycle", "infinity", "theta"])
+def test_contraction_builds_what_the_constructor_builds(shape):
+    # The next run found, and so the reduce trace, depends on the neighbour
+    # order of the contracted graph, not only on its edge set.
+    rng = random.Random(29)
+    g = {
+        "long-cycle": build_cycle(sample_cycle_weights(44, rng, branch="eq")),
+        "infinity": build_infinity(13, 10, 11, *sample_infinity_weights(13, 10, 11, rng)),
+        "theta": build_theta(9, 10, 14, *sample_theta_weights(9, 10, 14, rng)),
+    }[shape]
+    _, trace = reduce_to_core(g)
+    assert len(trace.steps) >= 5
+    for step in trace.steps:
+        assert step.rule is ReductionRule.PATH_CONTRACT
+        ((u, v, _),) = step.added
+        path = (u, *step.removed, v)
+        got, _ = contract_degree2_path(g, path)
+        want = _contract_by_filtering(g, path)
+        assert got.vertices == want.vertices
+        assert got.edges == want.edges
+        for x in want.vertices:
+            assert got.neighbors(x) == want.neighbors(x)
+        g = got
 
 
 def test_contract_refusals():

@@ -74,14 +74,23 @@ def test_is_mismatched_errors():
         is_mismatched(build_cycle([Fraction(1)] * 3), "v0")
 
 
-@pytest.mark.parametrize("seed", range(25))
+# Seeds 0-24 give trees of 3 to 12 vertices; the larger seeds give trees of
+# 50 to 200 vertices, so the walk is checked well past hand-checkable sizes.
+_DROP_TREES = {seed: 3 + seed % 10 for seed in range(25)} | {1000 + n: n for n in (50, 120, 200)}
+
+
+@pytest.mark.parametrize("seed", list(_DROP_TREES))
 def test_matching_number_drop_is_zero_or_one(seed):
-    t = generate(GenSpec("tree", 3 + seed % 10, seed))
+    t = generate(GenSpec("tree", _DROP_TREES[seed], seed))
     q = max_matching_forest(t)
+    # is_mismatched and max_matching_forest share one walk, so both are also
+    # held to the independent leaf-deletion matching.
+    assert leaf_deletion_matching(t) == q
     for v in t.vertices:
         drop = q - max_matching_forest(t.without([v]))
         assert drop in (0, 1)
         assert is_mismatched(t, v) == (drop == 0)
+        assert is_mismatched(t, v) == (leaf_deletion_matching(t.without([v])) == q)
 
 
 @pytest.mark.parametrize("seed", range(25))
