@@ -22,7 +22,6 @@ from .graph import WeightedGraph
 from .structure import BaseDescriptor, BaseKind, max_matching_forest
 
 __all__ = [
-    "ClosedFormUnavailable",
     "CaseCondition",
     "InfinityRow",
     "INFINITY_TABLE",
@@ -39,10 +38,6 @@ __all__ = [
     "reduce_infinity_shape",
     "reduce_theta_shape",
 ]
-
-
-class ClosedFormUnavailable(GraphError):
-    """No stated closed form covers this base representative."""
 
 
 @dataclass(frozen=True)
@@ -405,7 +400,7 @@ def _theta_rep_pn(slots):
         return (3, 3)
     if sizes == (3, 4, 5):
         return (4, 4)
-    raise ClosedFormUnavailable(f"no closed form for theta{sizes}")
+    raise GraphError(f"no closed form for theta{sizes}")
 
 
 def theta_inertia(p, l, q, a, b, c) -> Inertia:

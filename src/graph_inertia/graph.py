@@ -258,6 +258,8 @@ def _parse_json(text: str) -> WeightedGraph:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid json: {exc.msg}", exc.lineno) from None
+    except ValueError as exc:  # an integer literal past the int digit limit
+        raise ParseError(f"invalid json: {exc}") from None
     if not isinstance(obj, dict):
         raise ParseError("top-level json value must be an object")
     vertices = obj.get("vertices", [])
@@ -276,10 +278,17 @@ def _parse_json(text: str) -> WeightedGraph:
         u, v, wraw = item
         if not (isinstance(u, str) and isinstance(v, str)):
             raise ParseError(f"edge endpoints must be strings: {item!r}")
-        try:
-            w = parse_rational(wraw) if isinstance(wraw, str) else Fraction(wraw)
-        except (ValueError, TypeError) as exc:
-            raise ParseError(f"bad weight {wraw!r}: {exc}") from None
+        # Only exact weights: a rational string or a JSON integer.  Floats
+        # (inexact, or inf past 1e308) and booleans are rejected.
+        if isinstance(wraw, str):
+            try:
+                w = parse_rational(wraw)
+            except ValueError as exc:
+                raise ParseError(f"bad weight {wraw!r}: {exc}") from None
+        elif isinstance(wraw, int) and not isinstance(wraw, bool):
+            w = Fraction(wraw)
+        else:
+            raise ParseError(f"bad weight {wraw!r}: must be an integer or a rational string")
         seen.setdefault(u)
         seen.setdefault(v)
         edges.append((u, v, w))

@@ -29,13 +29,7 @@ from .graph import (
 )
 from .oracle import inertia_oracle
 from .reduction import ReductionRule, ReductionStep, ReductionTrace
-from .structure import (
-    BaseKind,
-    _hanging_forest,
-    describe_base,
-    is_mismatched,
-    two_core,
-)
+from .structure import BaseKind, _peel, _tree_vertices, describe_base, is_mismatched
 
 __all__ = ["Method", "SolveResult", "JoinDecision", "solve", "solve_unicyclic", "solve_bicyclic", "joining_decompose"]
 
@@ -95,17 +89,19 @@ def _solve_cyclic(g: WeightedGraph, kind: ComponentClass) -> SolveResult:
     order is ``g``'s vertex order) and solves the rest: a forest when ``g`` is
     unicyclic, otherwise whatever ``solve`` makes of it.  Type II cuts out the
     whole core; deleting a mismatched root keeps its tree's matching number,
-    so the forest left outside the core matches the sum over the trees."""
+    so the forest left outside the core matches what the peel matched.  One
+    leaf peel gives the core, the trees, their matchings and their roots."""
     type_i, type_ii = _CYCLIC_METHODS[kind]
-    core = two_core(g)
+    live, parent, matched = _peel(g)
+    core = g.induced(live)
     if kind is ComponentClass.UNICYCLIC and core.n == g.n:
         d = describe_base(core)
         return SolveResult(cycle_inertia(d.a), (Method.CYCLE_CLOSED_FORM,), ReductionTrace())
-    forest = _hanging_forest(g, core)
-    choice = next((h for h in forest if h.matched_at_root), None)
+    choice = next((v for v in core.vertices if v in matched), None)
     if choice is not None:
-        removed = tuple(sorted(choice.vertices, key=g.vertex_index))
-        part = _forest_part(len(removed), choice.matching)
+        tree = _tree_vertices(live, parent)[choice]
+        removed = tuple(sorted(tree, key=g.vertex_index))
+        part = _forest_part(len(removed), sum(v in matched for v in tree) // 2)
         step = ReductionStep(ReductionRule.TYPE_I_DECOMPOSE, removed=removed, offset=part.pn)
         if kind is ComponentClass.UNICYCLIC:
             rest = SolveResult(forest_inertia(g.without(removed)), (), ReductionTrace())
@@ -120,7 +116,7 @@ def _solve_cyclic(g: WeightedGraph, kind: ComponentClass) -> SolveResult:
     base_part = _BASE_CLOSED_FORMS[d.kind](d)
     step = ReductionStep(ReductionRule.TYPE_II_CUT, removed=core.vertices, offset=base_part.pn)
     return SolveResult(
-        base_part + _forest_part(g.n - core.n, sum(h.matching for h in forest)),
+        base_part + _forest_part(g.n - core.n, len(matched) // 2),
         (type_ii,),
         ReductionTrace((step,)),
     )

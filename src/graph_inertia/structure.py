@@ -1,4 +1,5 @@
-"""Forest matching, matched-vertex tests, 2-core peeling and base extraction."""
+"""One leaf peel for forest matching, matched-root tests, the 2-core and its
+hanging trees; canonical descriptors of the core."""
 
 from __future__ import annotations
 
@@ -21,57 +22,78 @@ __all__ = [
 ]
 
 
-def _match_tree(g: WeightedGraph, root: str, stop) -> tuple[list[str], int, bool]:
-    """Walk the tree of ``g`` that contains ``root`` without entering ``stop``,
-    and match it greedily bottom-up: each vertex takes a still-unmatched child.
+def _peel(
+    g: WeightedGraph, keep=()
+) -> tuple[dict[str, int], dict[str, str | None], set[str]]:
+    """Peel vertices of degree <= 1 that are not in ``keep``, leaves first,
+    until none is left, matching greedily on the way (Jacobs and Trevisan's
+    leaves-first walk).  One O(n + m) pass.
 
-    Returns the tree's vertices (breadth-first from ``root``), its matching
-    number and whether the root ends up matched.  On a tree the greedy
-    matching is maximum, and it leaves the root unmatched iff some maximum
-    matching misses the root, i.e. iff the root is mismatched (Jacobs and
-    Trevisan's rooted tree walk).  One O(size + degree) pass.
+    Returns the live vertices with their live degrees, the parent of each
+    peeled vertex in peel order (its last live neighbour, or None), and the
+    matched vertices: a peeled vertex is matched to its parent when both are
+    still free.  Matching a leaf to its neighbour is the pendant-pair rule,
+    so the matching is maximum on every tree that peels away.  Every tree
+    hanging off a live vertex is matched bottom-up, which leaves its root
+    unmatched iff some maximum matching of the tree misses the root, i.e. iff
+    the root is mismatched.  With nothing kept, the live vertices are the
+    2-core.
     """
     adj = g._adjacency()
-    parent: dict[str, str | None] = {root: None}
-    order = [root]
-    for x in order:  # order grows while it is scanned: breadth-first
-        for nb in adj[x]:
-            if nb == parent[x] or nb in stop:
-                continue
-            if nb in parent:
-                raise GraphError("input contains a cycle; matching requires a forest")
-            parent[nb] = x
-            order.append(nb)
-    # Reversed breadth-first order visits every child before its parent.
+    live = {v: len(adj[v]) for v in g.vertices}
+    stack = [v for v, d in live.items() if d <= 1 and v not in keep]
+    parent: dict[str, str | None] = {}
     matched: set[str] = set()
-    for x in reversed(order):
-        up = parent[x]
-        if up is not None and x not in matched and up not in matched:
-            matched.add(x)
-            matched.add(up)
-    return order, len(matched) // 2, root in matched
+    while stack:
+        v = stack.pop()
+        del live[v]
+        up = None
+        for nb in adj[v]:
+            if nb in live:
+                up = nb
+                d = live[nb] - 1
+                live[nb] = d
+                if d == 1 and nb not in keep:
+                    stack.append(nb)
+                if v not in matched and nb not in matched:
+                    matched.add(v)
+                    matched.add(nb)
+                break
+        parent[v] = up
+    return live, parent, matched
+
+
+def _tree_vertices(live, parent) -> dict[str, list[str]]:
+    """The vertices of the tree hanging off each live vertex, root first.
+
+    Peeled vertices whose parents lead to no live vertex (the trees of a
+    forest component) belong to no tree.
+    """
+    root = {v: v for v in live}
+    trees = {v: [v] for v in live}
+    for v in reversed(parent):  # a parent is peeled after its children
+        r = root.get(parent[v])
+        if r is not None:
+            root[v] = r
+            trees[r].append(v)
+    return trees
 
 
 def max_matching_forest(g: WeightedGraph) -> int:
-    """Matching number of an acyclic graph by bottom-up greedy matching.
+    """Matching number of an acyclic graph by leaves-first greedy matching,
+    which is optimal on forests and runs in linear time.
 
-    Matching each vertex with a still-unmatched child, leaves first, from the
-    first vertex of each tree, is optimal on forests and runs in linear time.
     Cyclic input is rejected.
     """
-    seen: set[str] = set()
-    total = 0
-    for v in g.vertices:
-        if v not in seen:
-            order, q, _ = _match_tree(g, v, ())
-            seen.update(order)
-            total += q
-    return total
+    live, _, matched = _peel(g)
+    if live:
+        raise GraphError("input contains a cycle; matching requires a forest")
+    return len(matched) // 2
 
 
 def is_mismatched(t: WeightedGraph, v: str) -> bool:
     """True iff deleting v does not decrease the matching number of the tree,
-    i.e. iff the greedy walk rooted at v leaves v unmatched.
+    i.e. iff peeling the tree towards v leaves v unmatched.
 
     A single-vertex tree counts as mismatched.
     """
@@ -79,7 +101,7 @@ def is_mismatched(t: WeightedGraph, v: str) -> bool:
         raise GraphError("is_mismatched requires a tree")
     if not t.has_vertex(v):
         raise GraphError(f"vertex {v!r} not in tree")
-    return not _match_tree(t, v, ())[2]
+    return v not in _peel(t, (v,))[2]
 
 
 def two_core(g: WeightedGraph) -> WeightedGraph:
@@ -89,23 +111,10 @@ def two_core(g: WeightedGraph) -> WeightedGraph:
     bicyclic graph it is the embedded double-cycle base.  Forests peel away
     completely, which is an error.
     """
-    adj = g._adjacency()
-    degree = {v: len(adj[v]) for v in g.vertices}
-    alive = set(g.vertices)
-    queue = [v for v in g.vertices if degree[v] <= 1]
-    while queue:
-        v = queue.pop()
-        if v not in alive:
-            continue
-        alive.discard(v)
-        for nb in adj[v]:
-            if nb in alive:
-                degree[nb] -= 1
-                if degree[nb] <= 1:
-                    queue.append(nb)
-    if not alive:
+    live = _peel(g)[0]
+    if not live:
         raise GraphError("graph is a forest; its 2-core is empty")
-    return g.induced(alive)
+    return g.induced(live)
 
 
 class BaseKind(Enum):
@@ -145,10 +154,6 @@ class BaseDescriptor:
     b_vertices: tuple[str, ...]
     c_vertices: tuple[str, ...]
 
-    @property
-    def shape(self) -> tuple[int, int, int]:
-        return (self.p, self.l, self.q)
-
     def __str__(self) -> str:
         if self.kind is BaseKind.CYCLE:
             return f"cycle({self.p})"
@@ -161,16 +166,6 @@ class HangingTree:
 
     root: str
     tree: WeightedGraph
-    matched_at_root: bool
-
-
-@dataclass(frozen=True)
-class _Hanging:
-    """A hanging tree found by the one-pass walk, without its graph."""
-
-    root: str
-    vertices: list[str]
-    matching: int
     matched_at_root: bool
 
 
@@ -359,32 +354,19 @@ def describe_base(core: WeightedGraph) -> BaseDescriptor:
     return BaseDescriptor(kind, p, l, q, a_ws, b_ws, c_ws, a_vs, b_vs, c_vs)
 
 
-def _hanging_forest(g: WeightedGraph, core: WeightedGraph) -> list[_Hanging]:
-    """One tree per core vertex, in core order, from one O(n + m) walk that
-    also gives each tree's matching number and matched-root flag."""
-    coreset = set(core.vertices)
-    out = []
-    claimed: set[str] = set()
-    for v in core.vertices:
-        vertices, matching, matched_at_root = _match_tree(g, v, coreset)
-        if not claimed.isdisjoint(vertices[1:]):
-            raise GraphError("hanging trees overlap; graph is not unicyclic/bicyclic")
-        claimed.update(vertices[1:])
-        out.append(_Hanging(v, vertices, matching, matched_at_root))
-    return out
-
-
 def hanging_trees(g: WeightedGraph, core: WeightedGraph) -> list[HangingTree]:
     """One hanging tree per core vertex; trees partition the non-core vertices.
 
     ``core`` must be exactly ``two_core(g)``.  Core vertices with nothing
     attached yield single-vertex trees, which are mismatched by convention.
-    Finding the trees and their matched roots is one O(n + m) walk; building
-    each tree's graph adds O(k log k) for a tree of k vertices.
+    The one leaf peel that finds the core also finds the trees and their
+    matched roots in O(n + m); building each tree's graph adds O(k log k)
+    for a tree of k vertices.
     """
-    if set(core.vertices) != set(two_core(g).vertices):
+    live, parent, matched = _peel(g)
+    if not live:
+        raise GraphError("graph is a forest; its 2-core is empty")
+    if live.keys() != set(core.vertices):
         raise GraphError("core is not the 2-core of the graph")
-    return [
-        HangingTree(h.root, g.induced(h.vertices), h.matched_at_root)
-        for h in _hanging_forest(g, core)
-    ]
+    trees = _tree_vertices(live, parent)
+    return [HangingTree(v, g.induced(trees[v]), v in matched) for v in core.vertices]

@@ -277,28 +277,23 @@ def sample_theta_weights(p, l, q, rng, branch=None, unit=False):
 class GenSpec:
     """Deterministic generation request; ``seed`` fully determines the output.
 
-    ``regime`` is "random", "unit", or "force"; a force regime picks (or is
-    given via ``branch``) a degenerate weight-condition branch to satisfy
-    exactly.
+    ``regime`` is "random", "unit", or "force"; a force regime picks a
+    degenerate weight-condition branch to satisfy exactly.
     """
 
     target: str
     n: int
     seed: int
     regime: str = "random"
-    branch: str | None = None
 
 
-def _attach_forest(rng, g, n_total, unit, label_start=0):
-    """Attach extra vertices one at a time to uniformly chosen earlier vertices."""
+def _attach_forest(rng, g, n_total, unit):
+    """Attach extra vertices ``t0, t1, ...`` one at a time to uniformly chosen
+    earlier vertices; no base graph uses those names."""
     vertices = list(g.vertices)
     edges = list(g.edges)
-    i = label_start
-    while len(vertices) < n_total:
+    for i in range(n_total - len(vertices)):
         name = f"t{i}"
-        i += 1
-        if name in set(vertices):
-            continue
         anchor = vertices[rng.randrange(len(vertices))]
         w = Fraction(1) if unit else random_weight(rng)
         vertices.append(name)
@@ -341,9 +336,8 @@ def generate(spec: GenSpec) -> WeightedGraph:
         if force:
             lengths = [k for k in range(4, n + 1, 4)]
             cycle_len = rng.choice(lengths) if lengths else rng.randint(3, n)
-            branch = spec.branch or "eq"
             if cycle_len % 4 == 0:
-                ws = sample_cycle_weights(cycle_len, rng, branch=branch)
+                ws = sample_cycle_weights(cycle_len, rng, branch="eq")
             else:
                 ws = sample_cycle_weights(cycle_len, rng)
         else:
@@ -364,7 +358,7 @@ def generate(spec: GenSpec) -> WeightedGraph:
                 p, q = min(p, q), max(p, q)
                 if force:
                     branches = infinity_branches(p, l, q)
-                    branch = spec.branch or (rng.choice(branches) if branches else None)
+                    branch = rng.choice(branches) if branches else None
                 else:
                     branch = None
                 a, b, c = sample_infinity_weights(p, l, q, rng, branch=branch, unit=unit)
@@ -376,7 +370,7 @@ def generate(spec: GenSpec) -> WeightedGraph:
                 p, l, q = sizes
                 if force:
                     branches = theta_branches(p, l, q)
-                    branch = spec.branch or (rng.choice(branches) if branches else None)
+                    branch = rng.choice(branches) if branches else None
                 else:
                     branch = None
                 a, b, c = sample_theta_weights(p, l, q, rng, branch=branch, unit=unit)

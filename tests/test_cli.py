@@ -3,6 +3,8 @@ import io
 import json
 import random
 
+import pytest
+
 from graph_inertia.cli import main
 from graph_inertia.graph import parse_graph, serialize_graph
 from graph_inertia.testgen import (
@@ -138,6 +140,18 @@ def test_parse_error_exit_code_and_message():
     code, _, err = run(["inertia", "-"], "1 2 0\n")
     assert code == 2
     assert err.startswith("error: line 1")
+
+
+@pytest.mark.parametrize(
+    "weight",
+    ["1e400", "7" * 5000, "true", "0.1"],
+    ids=["float-overflow", "5000-digit-int", "bool", "float"],
+)
+def test_json_weights_must_be_exact(weight):
+    code, out, err = run(["inertia", "--format", "json", "-"], f'{{"edges": [["a", "b", {weight}]]}}')
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
 
 
 def test_missing_file_is_usage_error(tmp_path):

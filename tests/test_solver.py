@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -28,6 +29,8 @@ from graph_inertia.testgen import (
     sample_infinity_weights,
     sample_theta_weights,
 )
+
+from test_cli import _pinned_inputs
 
 
 def test_solve_empty_graph():
@@ -230,3 +233,28 @@ def test_joining_identities_against_oracle(seed):
     else:
         part = inertia_oracle(joined.induced(tuple(rest.vertices) + (u,)))
     assert whole.pn == (decision.tree_inertia.pos + part.pos, decision.tree_inertia.neg + part.neg)
+
+
+# SHA-256 of ``_solve_transcript()``.  Traces are otherwise checked only by
+# their offsets, so this pin is what holds the type-I choice and the removed
+# vertex sets of every pinned input fixed.
+SOLVE_TRANSCRIPT_SHA256 = "52655714266964bfc03343bd3dc013898f240c0f65e8f5348969daa715543ac3"
+
+
+def _solve_transcript():
+    """Methods, serialized trace and inertia of ``solve`` on every pinned CLI
+    input that parses, in order."""
+    parts = []
+    for text in _pinned_inputs():
+        try:
+            g = parse_graph(text)
+        except GraphError:
+            continue
+        r = solve(g)
+        methods = ",".join(m.value for m in r.methods)
+        parts.append(f"{methods}\n{r.trace.serialize()}\n{r.inertia.as_tuple()}\x00")
+    return "".join(parts).encode("utf-8")
+
+
+def test_solve_traces_are_pinned():
+    assert hashlib.sha256(_solve_transcript()).hexdigest() == SOLVE_TRANSCRIPT_SHA256

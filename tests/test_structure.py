@@ -7,6 +7,7 @@ from graph_inertia import (
     BaseKind,
     GraphError,
     WeightedGraph,
+    connected_components,
     describe_base,
     hanging_trees,
     is_mismatched,
@@ -26,7 +27,7 @@ from graph_inertia.testgen import (
     sample_theta_weights,
 )
 
-from graph_inertia.structure import _hanging_forest
+from graph_inertia.structure import _peel, _tree_vertices
 
 from reference import brute_force_matching, leaf_deletion_matching, least_cycle_reading
 
@@ -103,8 +104,6 @@ def test_quasi_pendant_vertices_are_matched(seed):
 
 @pytest.mark.parametrize("seed", range(25))
 def test_mismatched_vertex_neighbors_matched_in_their_components(seed):
-    from graph_inertia import connected_components
-
     t = generate(GenSpec("tree", 4 + seed % 9, seed + 200))
     for v in t.vertices:
         if not is_mismatched(t, v):
@@ -262,16 +261,74 @@ def test_hanging_forest_walk_matches_the_definitions(cls, n, regime):
     for seed in range(3):
         g = generate(GenSpec(cls, n, seed, regime=regime))
         core = two_core(g)
-        walked = _hanging_forest(g, core)
+        live, parent, matched = _peel(g)
+        walked = _tree_vertices(live, parent)
         trees = hanging_trees(g, core)
-        assert [h.root for h in walked] == [t.root for t in trees] == list(core.vertices)
-        for h, t in zip(walked, trees):
-            assert sorted(h.vertices) == sorted(t.tree.vertices)
+        assert list(walked) == [t.root for t in trees] == list(core.vertices)
+        total = 0
+        for t in trees:
+            vertices = walked[t.root]
+            assert vertices[0] == t.root
+            assert sorted(vertices) == sorted(t.tree.vertices)
             q = leaf_deletion_matching(t.tree)
-            assert h.matching == q == max_matching_forest(t.tree)
+            assert sum(v in matched for v in vertices) == 2 * q
+            assert q == max_matching_forest(t.tree)
+            total += q
             by_definition = leaf_deletion_matching(t.tree.without([t.root])) == q
-            assert h.matched_at_root == t.matched_at_root == (not by_definition)
+            assert (t.root in matched) == t.matched_at_root == (not by_definition)
             assert by_definition == is_mismatched(t.tree, t.root)
+        # Every matched pair lies inside one tree, so the peel's matching is
+        # the forest outside the core's matching number.
+        assert len(matched) == 2 * total
+
+
+def _forest(vertices, edges):
+    return WeightedGraph(vertices, [(u, v, Fraction(1)) for u, v in edges])
+
+
+_EDGE_CASE_FORESTS = {
+    "k2": _forest("ab", ["ab"]),
+    "isolated": _forest("abc", []),
+    "k2-twice-and-isolated": _forest("abcdef", ["ab", "dc"]),
+    "star": _forest("abcdex", ["xa", "xb", "xc", "xd", "xe"]),
+    "star-centre-last": _forest("abcx", ["ax", "bx", "cx"]),
+    "stars-and-paths": _forest(
+        "abcdefghijklm",
+        ["ab", "ac", "ad", "ef", "gh", "hi", "ij", "jk", "lm"],
+    ),
+    "k2s-only": _forest("abcdefgh", ["ab", "cd", "ef", "gh"]),
+}
+
+
+@pytest.mark.parametrize("name", list(_EDGE_CASE_FORESTS))
+def test_matching_on_forest_edge_cases(name):
+    g = _EDGE_CASE_FORESTS[name]
+    assert max_matching_forest(g) == brute_force_matching(g)
+    for comp in connected_components(g):
+        q = brute_force_matching(comp)
+        for v in comp.vertices:
+            dropped = brute_force_matching(comp.without([v]))
+            assert is_mismatched(comp, v) == (dropped == q)
+
+
+def test_hanging_trees_leave_out_tree_components():
+    # A triangle with a pendant path and a pendant vertex, beside a path, a
+    # K2 and an isolated vertex: the peel roots none of the last three.
+    g = parse_graph(
+        "vertices: x v0 v1 v2 a b c y z k1 k2 w\n"
+        "v0 v1 1\nv1 v2 2\nv2 v0 3\nv0 a 1\na b 2\nv1 c 5\nx y 1\ny z 2\nk1 k2 3\n"
+    )
+    core = two_core(g)
+    assert core.vertices == ("v0", "v1", "v2")
+    got = [
+        (t.root, t.tree.vertices, t.tree.edges, t.matched_at_root)
+        for t in hanging_trees(g, core)
+    ]
+    assert got == [
+        ("v0", ("v0", "a", "b"), (("v0", "a", Fraction(1)), ("a", "b", Fraction(2))), False),
+        ("v1", ("v1", "c"), (("v1", "c", Fraction(5)),), True),
+        ("v2", ("v2",), (), False),
+    ]
 
 
 def test_hanging_trees_requires_real_core(seed=0):
