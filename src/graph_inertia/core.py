@@ -21,6 +21,13 @@ class ParseError(GraphError):
         super().__init__(f"line {line}: {message}" if line is not None else message)
 
 
+def echo(value: object) -> str:
+    """``repr(value)`` for an error message, cut after 40 characters, so that
+    a huge input literal cannot flood the message."""
+    text = repr(value)
+    return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
+
+
 _RATIONAL = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
 
 
@@ -32,8 +39,11 @@ def parse_rational(text: str) -> Fraction:
     """
     m = _RATIONAL.fullmatch(text)
     if not m:
-        raise ValueError(f"not an integer or integer ratio: {text!r}")
-    return Fraction(int(m[1]), int(m[2] or 1))
+        raise ValueError(f"not an integer or integer ratio: {echo(text)}")
+    try:
+        return Fraction(int(m[1]), int(m[2] or 1))
+    except ValueError:  # a literal past the interpreter's int digit limit
+        raise ValueError("integer literal too long for exact conversion") from None
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable
 
-from .core import GraphError, ParseError, parse_rational
+from .core import GraphError, ParseError, echo, parse_rational
 from .matrix import SymRationalMatrix
 
 __all__ = [
@@ -43,9 +43,11 @@ class WeightedGraph:
         index: dict[str, int] = {}
         for v in vs:
             if not isinstance(v, str) or not v or any(ch.isspace() for ch in v):
-                raise GraphError(f"vertex id must be a non-empty string without whitespace: {v!r}")
+                raise GraphError(
+                    f"vertex id must be a non-empty string without whitespace: {echo(v)}"
+                )
             if v in index:
-                raise GraphError(f"duplicate vertex id {v!r}")
+                raise GraphError(f"duplicate vertex id {echo(v)}")
             index[v] = len(index)
         # adj[u][v] is the position in ``edges`` of edge u-v; each inner dict
         # keeps edge-insertion order, which is the order ``neighbors`` reports.
@@ -54,15 +56,15 @@ class WeightedGraph:
         for u, v, w in edges:
             w = Fraction(w)
             if u == v:
-                raise GraphError(f"self-loop at vertex {u!r}")
+                raise GraphError(f"self-loop at vertex {echo(u)}")
             if u not in adj:
-                raise GraphError(f"edge endpoint {u!r} is not a declared vertex")
+                raise GraphError(f"edge endpoint {echo(u)} is not a declared vertex")
             if v not in adj:
-                raise GraphError(f"edge endpoint {v!r} is not a declared vertex")
+                raise GraphError(f"edge endpoint {echo(v)} is not a declared vertex")
             if w <= 0:
-                raise GraphError(f"edge {u!r}-{v!r} has non-positive weight {w}")
+                raise GraphError(f"edge {echo(u)}-{echo(v)} has non-positive weight {w}")
             if v in adj[u]:
-                raise GraphError(f"duplicate edge {u!r}-{v!r}")
+                raise GraphError(f"duplicate edge {echo(u)}-{echo(v)}")
             adj[u][v] = adj[v][u] = len(out)
             out.append((u, v, w))
         self._vertices = vs
@@ -233,7 +235,7 @@ def _parse_edgelist(text: str) -> WeightedGraph:
             continue
         parts = line.split()
         if len(parts) != 3:
-            raise ParseError(f"expected '<u> <v> <weight>', got {line!r}", lineno)
+            raise ParseError(f"expected '<u> <v> <weight>', got {echo(line)}", lineno)
         u, v, wtext = parts
         try:
             w = parse_rational(wtext)
@@ -242,10 +244,10 @@ def _parse_edgelist(text: str) -> WeightedGraph:
         if w <= 0:
             raise ParseError(f"non-positive weight {w}", lineno)
         if u == v:
-            raise ParseError(f"self-loop at vertex {u!r}", lineno)
+            raise ParseError(f"self-loop at vertex {echo(u)}", lineno)
         key = frozenset((u, v))
         if key in pairs:
-            raise ParseError(f"duplicate edge {u!r}-{v!r}", lineno)
+            raise ParseError(f"duplicate edge {echo(u)}-{echo(v)}", lineno)
         pairs.add(key)
         register(u)
         register(v)
@@ -260,6 +262,8 @@ def _parse_json(text: str) -> WeightedGraph:
         raise ParseError(f"invalid json: {exc.msg}", exc.lineno) from None
     except ValueError as exc:  # an integer literal past the int digit limit
         raise ParseError(f"invalid json: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid json: nested too deeply") from None
     if not isinstance(obj, dict):
         raise ParseError("top-level json value must be an object")
     vertices = obj.get("vertices", [])
@@ -274,21 +278,21 @@ def _parse_json(text: str) -> WeightedGraph:
     edges: list[Edge] = []
     for item in raw_edges:
         if not (isinstance(item, list) and len(item) == 3):
-            raise ParseError(f"each edge must be [u, v, weight], got {item!r}")
+            raise ParseError(f"each edge must be [u, v, weight], got {echo(item)}")
         u, v, wraw = item
         if not (isinstance(u, str) and isinstance(v, str)):
-            raise ParseError(f"edge endpoints must be strings: {item!r}")
+            raise ParseError(f"edge endpoints must be strings: {echo(item)}")
         # Only exact weights: a rational string or a JSON integer.  Floats
         # (inexact, or inf past 1e308) and booleans are rejected.
         if isinstance(wraw, str):
             try:
                 w = parse_rational(wraw)
             except ValueError as exc:
-                raise ParseError(f"bad weight {wraw!r}: {exc}") from None
+                raise ParseError(f"bad weight {echo(wraw)}: {exc}") from None
         elif isinstance(wraw, int) and not isinstance(wraw, bool):
             w = Fraction(wraw)
         else:
-            raise ParseError(f"bad weight {wraw!r}: must be an integer or a rational string")
+            raise ParseError(f"bad weight {echo(wraw)}: must be an integer or a rational string")
         seen.setdefault(u)
         seen.setdefault(v)
         edges.append((u, v, w))

@@ -9,6 +9,7 @@ is the closed forms' own one-run fold, ``fold_path_weights(ws, 1)``.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -110,46 +111,104 @@ def contract_degree2_path(
     return WeightedGraph._trusted(rest.vertices, rest.edges + added), step
 
 
-def _find_contractible_run(g: WeightedGraph) -> tuple[str, ...] | None:
-    for x1 in g.vertices:
-        if g.degree(x1) != 2:
-            continue
-        for x0, _ in g.neighbors(x1):
-            chain = [x0, x1]
-            good = True
-            for _ in range(4):
-                prev, cur = chain[-2], chain[-1]
-                if g.degree(cur) != 2:
-                    good = False
-                    break
-                nxt = next(x for x, _ in g.neighbors(cur) if x != prev)
-                chain.append(nxt)
-            if not good or len(set(chain)) != 6:
-                continue
-            if g.has_edge(chain[0], chain[5]):
-                continue
-            return tuple(chain)
+def _run_from(adj: dict[str, dict[str, int]], x1: str) -> list[str] | None:
+    """The first contractible run x0..x5 through degree-2 ``x1``, trying its
+    neighbours as x0 in neighbour order, or None."""
+    for x0 in adj[x1]:
+        run = [x0, x1]
+        prev, cur = x0, x1
+        for _ in range(4):
+            nbrs = adj[cur]
+            if len(nbrs) != 2:
+                break
+            a, b = nbrs
+            prev, cur = cur, b if a == prev else a
+            run.append(cur)
+        else:
+            if len(set(run)) == 6 and run[5] not in adj[x0]:
+                return run
     return None
 
 
 def reduce_to_core(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
     """Apply pendant-pair deletion, then path contraction, to a fixed point.
 
-    Pendant pairs are exhausted first; vertices are scanned in stored order,
-    so traces are deterministic.  The fixed point plus the accumulated
-    (pos, neg) offset determines the input's inertia: i0 never changes.
+    Each step rewrites the first candidate in stored vertex order: the first
+    pendant vertex while there is one, else the first degree-2 vertex x1 with
+    a contractible run, taking its neighbours as x0 in neighbour order.  The
+    fixed point plus the accumulated (pos, neg) offset determines the input's
+    inertia: i0 never changes.
+
+    One pass over a mutable copy of the adjacency does this in
+    O((n + m) log n).  Deleting a neighbour keeps the order of the others and
+    a contraction's edge is inserted last, so every neighbour order, and so
+    every choice, is the one the graph after each single-step rewrite
+    (``delete_pendant_pair``, ``contract_degree2_path``) would give.
     """
+    vs = g.vertices
+    rank = {v: i for i, v in enumerate(vs)}
+    adj = {v: dict(nbrs) for v, nbrs in g._adjacency().items()}
+    edges: list[tuple[str, str, Fraction] | None] = list(g.edges)  # None: deleted
     steps: list[ReductionStep] = []
-    cur = g
-    while True:
-        pendant = next((v for v in cur.vertices if cur.degree(v) == 1), None)
-        if pendant is not None:
-            cur, step = delete_pendant_pair(cur, pendant)
-            steps.append(step)
+
+    # Degrees only fall while pendant pairs go, so a vertex reaches degree 1
+    # at most once and a stale heap entry never becomes valid again.
+    pendants = [i for i, v in enumerate(vs) if len(adj[v]) == 1]
+    while pendants:
+        v = vs[heapq.heappop(pendants)]
+        if v not in adj or len(adj[v]) != 1:
             continue
-        run = _find_contractible_run(cur)
+        ((u, pos),) = adj.pop(v).items()
+        edges[pos] = None
+        del adj[u][v]
+        for nb, pos in adj.pop(u).items():
+            del adj[nb][u]
+            edges[pos] = None
+            if len(adj[nb]) == 1:
+                heapq.heappush(pendants, rank[nb])
+        steps.append(ReductionStep(ReductionRule.PENDANT_PAIR, removed=(v, u), offset=(1, 1)))
+
+    # Contractions take x1 in one sweep of the stored order.  A contraction
+    # keeps every surviving degree (x0 trades x1 for x5, x5 trades x4 for
+    # x0), so no pendant appears after the first one, and the degree-2
+    # vertices keep forming the same maximal chains between the same end
+    # vertices, or the same hub-free cycles.  Whether a vertex has a run
+    # depends on its chain or cycle alone.  On a hub-free cycle every vertex
+    # has one iff the cycle has at least 7 vertices.  On a chain with m
+    # interior vertices, a vertex with k interior vertices beyond it towards
+    # one end has a run that way iff k >= 3 and the run is not refused; a
+    # refusal needs m = 4 (coincident or adjacent ends) or m = 5 (coincident
+    # ends).  A contraction removes four vertices of one cycle, or four
+    # consecutive interior vertices of one chain: that lowers m by 4, lowers
+    # or keeps every survivor's k, and can only make the ends adjacent.  So a
+    # vertex without a run never gains one, and a vertex the sweep has passed
+    # needs no second look: the sweep finds the same first run as a scan from
+    # the first vertex after every step.
+    for x1 in vs:
+        if x1 not in adj or len(adj[x1]) != 2:
+            continue
+        run = _run_from(adj, x1)
         if run is None:
-            break
-        cur, step = contract_degree2_path(cur, run)
-        steps.append(step)
-    return cur, ReductionTrace(tuple(steps))
+            continue
+        ws = []
+        for a, b in zip(run, run[1:]):
+            pos = adj[a][b]
+            ws.append(edges[pos][2])
+            edges[pos] = None
+        x0, x5 = run[0], run[5]
+        del adj[x0][run[1]], adj[x5][run[4]]
+        for x in run[1:5]:
+            del adj[x]
+        added = (x0, x5, fold_path_weights(ws, 1)[0])
+        adj[x0][x5] = adj[x5][x0] = len(edges)
+        edges.append(added)
+        steps.append(
+            ReductionStep(
+                ReductionRule.PATH_CONTRACT, removed=tuple(run[1:5]), added=(added,), offset=(2, 2)
+            )
+        )
+
+    reduced = WeightedGraph._trusted(
+        tuple(v for v in vs if v in adj), tuple(e for e in edges if e is not None)
+    )
+    return reduced, ReductionTrace(tuple(steps))

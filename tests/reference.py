@@ -1,13 +1,21 @@
 """Independent test-side oracles, kept deliberately separate from the package:
 subset-search and leaf-deletion matching, characteristic-polynomial sign
-counting, and the plain definitions of induced subgraphs and least cycle
-readings that the package's linear-time versions must reproduce."""
+counting, the plain definitions of induced subgraphs and least cycle
+readings, and the rescanning rewrite engine, which the package's linear-time
+versions must reproduce."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from graph_inertia import Inertia, SymRationalMatrix, WeightedGraph
+from graph_inertia import (
+    Inertia,
+    SymRationalMatrix,
+    WeightedGraph,
+    contract_degree2_path,
+    delete_pendant_pair,
+)
+from graph_inertia.reduction import ReductionTrace
 
 
 def brute_force_matching(g: WeightedGraph) -> int:
@@ -118,3 +126,47 @@ def inertia_by_sign_counting(m: SymRationalMatrix) -> Inertia:
     negated = [c if i % 2 == 0 else -c for i, c in enumerate(coeffs)]
     neg = sign_changes(negated)
     return Inertia(pos, neg, zero)
+
+
+def find_contractible_run(g: WeightedGraph) -> tuple[str, ...] | None:
+    """The first five-edge run x0..x5 with degree-2 interior, distinct
+    vertices and x0, x5 not adjacent: x1 in vertex order, then x0 in x1's
+    neighbour order."""
+    for x1 in g.vertices:
+        if g.degree(x1) != 2:
+            continue
+        for x0, _ in g.neighbors(x1):
+            chain = [x0, x1]
+            good = True
+            for _ in range(4):
+                prev, cur = chain[-2], chain[-1]
+                if g.degree(cur) != 2:
+                    good = False
+                    break
+                nxt = next(x for x, _ in g.neighbors(cur) if x != prev)
+                chain.append(nxt)
+            if not good or len(set(chain)) != 6:
+                continue
+            if g.has_edge(chain[0], chain[5]):
+                continue
+            return tuple(chain)
+    return None
+
+
+def reduce_by_rescan(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
+    """``reduce_to_core`` by definition: after every single-step rewrite,
+    scan again from the first vertex for a pendant vertex, then for a run."""
+    steps = []
+    cur = g
+    while True:
+        pendant = next((v for v in cur.vertices if cur.degree(v) == 1), None)
+        if pendant is not None:
+            cur, step = delete_pendant_pair(cur, pendant)
+            steps.append(step)
+            continue
+        run = find_contractible_run(cur)
+        if run is None:
+            break
+        cur, step = contract_degree2_path(cur, run)
+        steps.append(step)
+    return cur, ReductionTrace(tuple(steps))

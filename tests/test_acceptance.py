@@ -362,3 +362,26 @@ def test_criterion_10_whole_graph_oracle_at_scale():
             elapsed = time.perf_counter() - start
             assert elapsed < 1.0, f"{name}: inertia_oracle took {elapsed:.2f}s"
             assert solve(g).inertia == oracle, name
+
+
+def test_criterion_11_rewrite_engine_at_scale():
+    # The rewrite engine is one pass over a mutable adjacency; a rescan after
+    # every rewrite takes 1.8-2.6 s on each n ~ 3200 graph below.
+    with criterion(11, "rewrite engine at n ~ 3200 and n = 10^5", 60):
+        timed = dict(_long_type_ii_bases(random.Random(1009)))
+        for cls in ("tree", "unicyclic", "bicyclic"):
+            timed[cls] = generate(GenSpec(cls, 3200, 1011))
+        large = {
+            "unit-cycle-100000": build_cycle([Fraction(1)] * 100_000),
+            "bicyclic-100000": generate(GenSpec("bicyclic", 100_000, 1011)),
+        }
+        for name, g in {**timed, **large}.items():
+            start = time.perf_counter()
+            reduced, trace = reduce_to_core(g)
+            elapsed = time.perf_counter() - start
+            if name in timed:
+                assert g.n >= 3190
+                assert elapsed < 0.25, f"{name}: reduce_to_core took {elapsed:.2f}s"
+            rest = inertia_oracle(reduced)
+            pos, neg = trace.offset
+            assert inertia_oracle(g) == Inertia(rest.pos + pos, rest.neg + neg, rest.zero), name

@@ -154,6 +154,44 @@ def test_json_weights_must_be_exact(weight):
     assert err.startswith("error:")
 
 
+def test_deeply_nested_json_is_a_parse_error():
+    code, out, err = run(["inertia", "--format", "json", "-"], "[" * 100000)
+    assert code == 2
+    assert out == ""
+    assert err == "error: invalid json: nested too deeply\n"
+
+
+_LONG = "7" * 5000
+
+
+@pytest.mark.parametrize(
+    "fmt, text",
+    [
+        ("json", f'{{"edges": [["a", "b", "{_LONG}"]]}}'),
+        ("json", f'{{"edges": [["a", "b", "x{_LONG}"]]}}'),
+        ("json", f'{{"edges": [["a", "b", {_LONG}]]}}'),
+        ("json", f'{{"edges": [["a", "{_LONG}"]]}}'),
+        ("json", f'{{"edges": [["a", ["{_LONG}"], 1]]}}'),
+        ("json", f'{{"edges": [["{_LONG}", "b", 1], ["b", "{_LONG}", 2]]}}'),
+        ("edgelist", f"a b {_LONG}\n"),
+        ("edgelist", f"a b x{_LONG}\n"),
+        ("edgelist", f"a b 1 {_LONG}\n"),
+        ("edgelist", f"{_LONG} {_LONG} 1\n"),
+    ],
+    ids=[
+        "json-digit-string", "json-bad-string", "json-integer", "json-short-edge",
+        "json-list-endpoint", "json-duplicate-edge", "edgelist-digits", "edgelist-bad-weight",
+        "edgelist-long-line", "edgelist-self-loop",
+    ],
+)
+def test_long_input_is_cut_in_parse_errors(fmt, text):
+    code, out, err = run(["inertia", "--format", fmt, "-"], text)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert len(err.encode("utf-8")) < 200
+
+
 def test_missing_file_is_usage_error(tmp_path):
     code, _, err = run(["inertia", str(tmp_path / "nope.txt")])
     assert code == 1

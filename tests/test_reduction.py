@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, find, given, settings
+from hypothesis import strategies as st
 
 from graph_inertia import (
     GraphError,
@@ -25,6 +27,9 @@ from graph_inertia.testgen import (
     sample_infinity_weights,
     sample_theta_weights,
 )
+
+from reference import reduce_by_rescan
+from test_acceptance import _long_type_ii_bases
 
 
 def test_pendant_pair_on_p2():
@@ -219,3 +224,119 @@ def test_trace_serialization_format():
     _, trace2 = reduce_to_core(g2)
     assert "PathContract" in trace2.serialize()
     assert "added=[(" in trace2.serialize()
+
+
+def _assert_same_as_rescan(g):
+    """``reduce_to_core`` against the rescanning reference: the same trace,
+    result vertices, edges and neighbour order.  Returns the trace."""
+    reduced, trace = reduce_to_core(g)
+    want, want_trace = reduce_by_rescan(g)
+    assert trace.serialize() == want_trace.serialize()
+    assert reduced.vertices == want.vertices
+    assert reduced.edges == want.edges
+    for v in want.vertices:
+        assert reduced.neighbors(v) == want.neighbors(v)
+    # The engine sweeps x1 once in stored order, so the rescan's runs must
+    # start at ever later vertices.
+    contractions = [s for s in trace.steps if s.rule is ReductionRule.PATH_CONTRACT]
+    starts = [g.vertex_index(s.removed[0]) for s in contractions]
+    assert starts == sorted(starts)
+    return trace
+
+
+@pytest.mark.parametrize("n", [6, 11, 24, 80, 300])
+@pytest.mark.parametrize("regime", ["random", "unit", "force"])
+@pytest.mark.parametrize("cls", ["tree", "forest", "unicyclic", "bicyclic"])
+def test_reduce_matches_rescan_on_generated_graphs(cls, regime, n):
+    for seed in range(2):
+        _assert_same_as_rescan(generate(GenSpec(cls, n, 7 * n + seed, regime=regime)))
+
+
+@pytest.mark.parametrize("name", ["long-cycle", "infinity", "theta"])
+def test_reduce_matches_rescan_on_long_bases(name):
+    trace = _assert_same_as_rescan(_long_type_ii_bases(random.Random(1009))[name])
+    assert any(s.rule is ReductionRule.PATH_CONTRACT for s in trace.steps)
+
+
+@st.composite
+def subdivided_multigraphs(draw):
+    """1-5 hubs joined by chains of 1-14 edges, loops and parallel chains
+    included, as a simple graph with shuffled vertex and edge order and
+    weights from two values."""
+    hubs = draw(st.integers(1, 5))
+    chains = draw(
+        st.lists(
+            st.tuples(st.integers(0, hubs - 1), st.integers(0, hubs - 1), st.integers(1, 14)),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    low, high = draw(st.sampled_from([(1, 2), (Fraction(1, 2), 3)]))
+    vertices = [f"h{i}" for i in range(hubs)]
+    edges = []
+    direct = set()
+    for a, b, length in chains:
+        if a == b and length < 3:
+            continue  # a loop or a parallel edge
+        if length == 1:
+            if frozenset((a, b)) in direct:
+                continue
+            direct.add(frozenset((a, b)))
+        inner = [f"c{len(vertices) + i}" for i in range(length - 1)]
+        vertices += inner
+        path = [f"h{a}", *inner, f"h{b}"]
+        for u, v in zip(path, path[1:]):
+            if draw(st.booleans()):
+                u, v = v, u
+            edges.append((u, v, draw(st.sampled_from((low, high)))))
+    return WeightedGraph(draw(st.permutations(vertices)), draw(st.permutations(edges)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(subdivided_multigraphs())
+def test_reduce_matches_rescan_on_subdivided_multigraphs(g):
+    _assert_same_as_rescan(g)
+
+
+def _refusals(g, added):
+    """How ``contract_degree2_path`` refuses the five-edge walks of ``g``
+    that start at a degree-2 vertex and keep to degree-2 interiors: "loop",
+    "parallel", and "parallel to an added edge" when the ends are joined by
+    an edge in ``added``."""
+    out = set()
+    for x1 in g.vertices:
+        if g.degree(x1) != 2:
+            continue
+        for x0, _ in g.neighbors(x1):
+            walk = [x0, x1]
+            while len(walk) < 6 and g.degree(walk[-1]) == 2:
+                walk.append(next(x for x, _ in g.neighbors(walk[-1]) if x != walk[-2]))
+            if len(walk) < 6:
+                continue
+            try:
+                contract_degree2_path(g, walk)
+            except GraphError as exc:
+                if "loop" in str(exc):
+                    out.add("loop")
+                elif "parallel" in str(exc):
+                    out.add("parallel")
+                    if frozenset((walk[0], walk[5])) in added:
+                        out.add("parallel to an added edge")
+    return out
+
+
+@pytest.mark.parametrize("event", ["loop", "parallel", "parallel to an added edge"])
+def test_subdivided_multigraphs_reach_every_refusal(event):
+    # At the fixed point every remaining walk was tried and refused.
+    def reaches(g):
+        reduced, trace = reduce_to_core(g)
+        added = {frozenset(s.added[0][:2]) for s in trace.steps if s.added}
+        return event in _refusals(reduced, added)
+
+    find(
+        subdivided_multigraphs(),
+        reaches,
+        settings=settings(
+            max_examples=2000, database=None, derandomize=True, phases=[Phase.generate]
+        ),
+    )
