@@ -27,13 +27,7 @@ from .graph import (
     parse_graph,
     serialize_graph,
 )
-from .matrix import (
-    SymRationalMatrix,
-    congruent_diagonalize,
-    ecmo_add,
-    ecmo_scale,
-    ecmo_swap,
-)
+from .matrix import SymRationalMatrix, congruent_diagonalize
 from .oracle import inertia_oracle
 from .reduction import (
     ReductionRule,

@@ -215,23 +215,16 @@ class GraphFormat(str, Enum):
 
 
 def _parse_edgelist(text: str) -> WeightedGraph:
-    vertices: list[str] = []
-    seen: set[str] = set()
-    pairs: set[frozenset] = set()
+    # Vertex -> {neighbour: edge position}, in first-appearance order.
+    adj: dict[str, dict[str, int]] = {}
     edges: list[Edge] = []
-
-    def register(v: str) -> None:
-        if v not in seen:
-            seen.add(v)
-            vertices.append(v)
-
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("vertices:"):
             for tok in line[len("vertices:"):].split():
-                register(tok)
+                adj.setdefault(tok, {})
             continue
         parts = line.split()
         if len(parts) != 3:
@@ -245,14 +238,12 @@ def _parse_edgelist(text: str) -> WeightedGraph:
             raise ParseError(f"non-positive weight {w}", lineno)
         if u == v:
             raise ParseError(f"self-loop at vertex {echo(u)}", lineno)
-        key = frozenset((u, v))
-        if key in pairs:
+        u_adj = adj.setdefault(u, {})
+        if v in u_adj:
             raise ParseError(f"duplicate edge {echo(u)}-{echo(v)}", lineno)
-        pairs.add(key)
-        register(u)
-        register(v)
+        u_adj[v] = adj.setdefault(v, {})[u] = len(edges)
         edges.append((u, v, w))
-    return WeightedGraph._trusted(tuple(vertices), tuple(edges))
+    return WeightedGraph._trusted(tuple(adj), tuple(edges))
 
 
 def _parse_json(text: str) -> WeightedGraph:

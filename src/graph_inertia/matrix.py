@@ -18,9 +18,6 @@ __all__ = [
     "SymRationalMatrix",
     "EcmoStep",
     "DiagonalizationResult",
-    "ecmo_swap",
-    "ecmo_scale",
-    "ecmo_add",
     "congruent_diagonalize",
 ]
 
@@ -49,9 +46,6 @@ class SymRationalMatrix:
     def order(self) -> int:
         return len(self.rows)
 
-    def entry(self, i: int, j: int) -> Fraction:
-        return self.rows[i][j]
-
     def dump(self) -> str:
         """Debug format: one row per line, reduced rationals separated by spaces."""
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
@@ -77,55 +71,6 @@ class DiagonalizationResult:
     inertia: Inertia
     diagonal: tuple[Fraction, ...]
     steps: tuple[EcmoStep, ...]
-
-
-def _check_index(m: SymRationalMatrix, i: int) -> None:
-    if not 0 <= i < m.order:
-        raise GraphError(f"index {i} out of range for order {m.order}")
-
-
-def ecmo_swap(m: SymRationalMatrix, i: int, j: int) -> SymRationalMatrix:
-    """Swap rows i, j and columns i, j; the result is congruent to ``m``."""
-    _check_index(m, i)
-    _check_index(m, j)
-    if i == j:
-        raise GraphError("swap requires two distinct indices")
-    rows = [list(r) for r in m.rows]
-    rows[i], rows[j] = rows[j], rows[i]
-    for row in rows:
-        row[i], row[j] = row[j], row[i]
-    return SymRationalMatrix(tuple(tuple(r) for r in rows))
-
-
-def ecmo_scale(m: SymRationalMatrix, i: int, k: Fraction) -> SymRationalMatrix:
-    """Scale row i and column i by a nonzero k; entry (i, i) picks up k**2."""
-    _check_index(m, i)
-    k = Fraction(k)
-    if k == 0:
-        raise GraphError("scale factor must be nonzero")
-    rows = [list(r) for r in m.rows]
-    rows[i] = [k * x for x in rows[i]]
-    for row in rows:
-        row[i] *= k
-    return SymRationalMatrix(tuple(tuple(r) for r in rows))
-
-
-def ecmo_add(m: SymRationalMatrix, src: int, dst: int, k: Fraction) -> SymRationalMatrix:
-    """Add k times row/column ``src`` onto row/column ``dst``."""
-    _check_index(m, src)
-    _check_index(m, dst)
-    if src == dst:
-        raise GraphError("add requires distinct source and destination rows")
-    k = Fraction(k)
-    if k == 0:
-        raise GraphError("add multiplier must be nonzero")
-    rows = [list(r) for r in m.rows]
-    n = len(rows)
-    for c in range(n):
-        rows[dst][c] += k * rows[src][c]
-    for r in range(n):
-        rows[r][dst] += k * rows[r][src]
-    return SymRationalMatrix(tuple(tuple(r) for r in rows))
 
 
 def congruent_diagonalize(m: SymRationalMatrix) -> DiagonalizationResult:

@@ -93,11 +93,11 @@ def _solve_cyclic(g: WeightedGraph, kind: ComponentClass) -> SolveResult:
     leaf peel gives the core, the trees, their matchings and their roots."""
     type_i, type_ii = _CYCLIC_METHODS[kind]
     live, parent, matched = _peel(g)
-    core = g.induced(live)
-    if kind is ComponentClass.UNICYCLIC and core.n == g.n:
-        d = describe_base(core)
+    if kind is ComponentClass.UNICYCLIC and len(live) == g.n:
+        d = describe_base(g)
         return SolveResult(cycle_inertia(d.a), (Method.CYCLE_CLOSED_FORM,), ReductionTrace())
-    choice = next((v for v in core.vertices if v in matched), None)
+    # ``live`` keeps g's vertex order, so this is the least matched root.
+    choice = next((v for v in live if v in matched), None)
     if choice is not None:
         tree = _tree_vertices(live, parent)[choice]
         removed = tuple(sorted(tree, key=g.vertex_index))
@@ -112,6 +112,7 @@ def _solve_cyclic(g: WeightedGraph, kind: ComponentClass) -> SolveResult:
             (type_i,) + rest.methods,
             ReductionTrace((step,) + rest.trace.steps),
         )
+    core = g.induced(live)
     d = describe_base(core)
     base_part = _BASE_CLOSED_FORMS[d.kind](d)
     step = ReductionStep(ReductionRule.TYPE_II_CUT, removed=core.vertices, offset=base_part.pn)

@@ -22,12 +22,10 @@ __all__ = [
 ]
 
 
-def _peel(
-    g: WeightedGraph, keep=()
-) -> tuple[dict[str, int], dict[str, str | None], set[str]]:
-    """Peel vertices of degree <= 1 that are not in ``keep``, leaves first,
-    until none is left, matching greedily on the way (Jacobs and Trevisan's
-    leaves-first walk).  One O(n + m) pass.
+def _peel(g: WeightedGraph) -> tuple[dict[str, int], dict[str, str | None], set[str]]:
+    """Peel vertices of degree <= 1, leaves first, until none is left,
+    matching greedily on the way (Jacobs and Trevisan's leaves-first walk).
+    One O(n + m) pass.
 
     Returns the live vertices with their live degrees, the parent of each
     peeled vertex in peel order (its last live neighbour, or None), and the
@@ -36,12 +34,11 @@ def _peel(
     so the matching is maximum on every tree that peels away.  Every tree
     hanging off a live vertex is matched bottom-up, which leaves its root
     unmatched iff some maximum matching of the tree misses the root, i.e. iff
-    the root is mismatched.  With nothing kept, the live vertices are the
-    2-core.
+    the root is mismatched.  The live vertices are the 2-core.
     """
     adj = g._adjacency()
     live = {v: len(adj[v]) for v in g.vertices}
-    stack = [v for v, d in live.items() if d <= 1 and v not in keep]
+    stack = [v for v, d in live.items() if d <= 1]
     parent: dict[str, str | None] = {}
     matched: set[str] = set()
     while stack:
@@ -53,7 +50,7 @@ def _peel(
                 up = nb
                 d = live[nb] - 1
                 live[nb] = d
-                if d == 1 and nb not in keep:
+                if d == 1:
                     stack.append(nb)
                 if v not in matched and nb not in matched:
                     matched.add(v)
@@ -92,8 +89,7 @@ def max_matching_forest(g: WeightedGraph) -> int:
 
 
 def is_mismatched(t: WeightedGraph, v: str) -> bool:
-    """True iff deleting v does not decrease the matching number of the tree,
-    i.e. iff peeling the tree towards v leaves v unmatched.
+    """True iff deleting v does not decrease the matching number of the tree.
 
     A single-vertex tree counts as mismatched.
     """
@@ -101,7 +97,7 @@ def is_mismatched(t: WeightedGraph, v: str) -> bool:
         raise GraphError("is_mismatched requires a tree")
     if not t.has_vertex(v):
         raise GraphError(f"vertex {v!r} not in tree")
-    return v not in _peel(t, (v,))[2]
+    return max_matching_forest(t.without((v,))) == max_matching_forest(t)
 
 
 def two_core(g: WeightedGraph) -> WeightedGraph:
@@ -169,37 +165,27 @@ class HangingTree:
     matched_at_root: bool
 
 
-@dataclass(frozen=True)
-class _Thread:
-    """Maximal chain of degree-2 vertices between two branch vertices."""
-
-    start: str
-    end: str
-    inner: tuple[str, ...]
-    weights: tuple[Fraction, ...]
-
-
-def _walk_threads(core: WeightedGraph, hubs: set[str]) -> list[_Thread]:
-    used: set[frozenset] = set()
+def _walk_threads(core: WeightedGraph, hubs) -> list[tuple]:
+    """The maximal chains of degree-2 vertices between ``hubs``, each as
+    ``(start, end, inner vertices, edge weights)``, walked from the first hub
+    in ``hubs`` order and then in neighbour order.  Only a chain's last edge
+    can be met again from a hub, so it alone is marked, by edge position."""
+    adj, edges = core._adjacency(), core.edges
+    used: set[int] = set()
     threads = []
-    for h in core.vertices:
-        if h not in hubs:
-            continue
-        for nb, w in core.neighbors(h):
-            key = frozenset((h, nb))
-            if key in used:
+    for h in hubs:
+        for nb, i in adj[h].items():
+            if i in used:
                 continue
-            used.add(key)
             inner: list[str] = []
-            weights = [w]
+            weights = [edges[i][2]]
             prev, cur = h, nb
             while cur not in hubs:
                 inner.append(cur)
-                nxt, wn = next((x, wx) for x, wx in core.neighbors(cur) if x != prev)
-                weights.append(wn)
-                used.add(frozenset((cur, nxt)))
-                prev, cur = cur, nxt
-            threads.append(_Thread(h, cur, tuple(inner), tuple(weights)))
+                prev, (cur, i) = cur, next(x for x in adj[cur].items() if x[0] != prev)
+                weights.append(edges[i][2])
+            used.add(i)
+            threads.append((h, cur, tuple(inner), tuple(weights)))
     return threads
 
 
@@ -243,35 +229,39 @@ def _rotation_period(ws: list) -> int:
     return d if p % d == 0 else p
 
 
-def _least_cycle_reading(order: list[str], weight_of) -> tuple[tuple, tuple[str, ...]]:
+def _least_cycle_reading(order: list[str], forward: tuple) -> tuple[tuple, tuple[str, ...]]:
     """The least ``(weights, vertices)`` reading of a cycle over every start
-    and both directions, in O(p) with one weight lookup per edge.
+    and both directions, in O(p) after ranking the distinct weights.
 
-    ``order`` walks the cycle; readings compare by their weight sequences,
-    then by their vertex sequences.  Two readings of one cycle with distinct
-    starts differ at their first vertex, and two with the same start differ
-    at their second, so those two vertices settle every weight tie.
+    ``order`` walks the cycle and ``forward[i]`` weighs the edge from
+    ``order[i]`` on.  Readings compare by their weight sequences, then by
+    their vertex sequences.  Each weight is replaced by its rank among the
+    distinct weights, which keeps the order, so the scans compare ints.  Two
+    readings of one cycle with distinct starts differ at their first vertex,
+    and two with the same start differ at their second, so those two
+    vertices settle every weight tie.
     """
     p = len(order)
-    forward = [weight_of(order[i], order[(i + 1) % p]) for i in range(p)]
+    # (numerator, denominator) pairs hash and compare in C, Fractions do not.
+    ratios = [w.as_integer_ratio() for w in forward]
+    rank = {r: i for i, r in enumerate(sorted(set(ratios), key=lambda r: Fraction(*r)))}
+    ranks = [rank[r] for r in ratios]
     # Walking back from order[0], edge j is forward edge p - 1 - j.
-    directions = ((order, forward), ([order[0]] + order[:0:-1], forward[::-1]))
-    starts = []
-    for seq, ws in directions:
-        k, d = _least_rotation(ws), _rotation_period(ws)
-        # Every start k + j*d reads the same least weight sequence.
-        starts.append((tuple(ws[k:] + ws[:k]), seq, range(k % d, p, d)))
-    least = min(reading for reading, _, _ in starts)
-    seq, s = min(
-        ((seq, s) for reading, seq, tied in starts if reading == least for s in tied),
-        key=lambda c: (c[0][c[1]], c[0][(c[1] + 1) % p]),
+    directions = (
+        (order, forward, ranks),
+        ([order[0]] + order[:0:-1], forward[::-1], ranks[::-1]),
     )
-    return least, tuple(seq[s:] + seq[:s])
-
-
-def _loop_orientations(t: _Thread):
-    yield (t.start, *t.inner), t.weights
-    yield (t.start, *reversed(t.inner)), tuple(reversed(t.weights))
+    starts = []
+    for seq, ws, rs in directions:
+        k, d = _least_rotation(rs), _rotation_period(rs)
+        # Every start k + j*d reads the same least weight sequence.
+        starts.append((rs[k:] + rs[:k], seq, ws, range(k % d, p, d)))
+    least = min(start[0] for start in starts)
+    seq, ws, s = min(
+        ((seq, ws, s) for reading, seq, ws, tied in starts if reading == least for s in tied),
+        key=lambda c: (c[0][c[2]], c[0][(c[2] + 1) % p]),
+    )
+    return ws[s:] + ws[:s], tuple(seq[s:] + seq[:s])
 
 
 def describe_base(core: WeightedGraph) -> BaseDescriptor:
@@ -283,75 +273,52 @@ def describe_base(core: WeightedGraph) -> BaseDescriptor:
     """
     if core.n == 0 or len(_component_vertices(core)) != 1:
         raise GraphError("core must be connected and non-empty")
-    if any(core.degree(v) < 2 for v in core.vertices):
+    adj = core._adjacency()
+    if any(len(nbs) < 2 for nbs in adj.values()):
         raise GraphError("core has a vertex of degree < 2; not a 2-core")
 
     if core.m == core.n:
-        # All degrees are exactly 2: a single cycle.
-        adj = core._adjacency()
-        order = [core.vertices[0]]
-        prev: str | None = None
-        while len(order) < core.n:
-            cur = order[-1]
-            nxt = next(x for x in adj[cur] if x != prev)
-            order.append(nxt)
-            prev = cur
-        ws, vs = _least_cycle_reading(order, core.weight)
+        # All degrees are exactly 2: one loop from the first vertex.
+        ((h, _, inner, ws),) = _walk_threads(core, core.vertices[:1])
+        ws, vs = _least_cycle_reading([h, *inner], ws)
         return BaseDescriptor(BaseKind.CYCLE, core.n, 0, 0, ws, (), (), vs, (), ())
 
     if core.m != core.n + 1:
         raise GraphError("core matches neither a cycle nor a double-cycle base")
 
-    hubs = [v for v in core.vertices if core.degree(v) >= 3]
-    degs = sorted(core.degree(h) for h in hubs)
-    if degs not in ([4], [3, 3]):
-        raise GraphError("core matches neither an infinity base nor a theta base")
-    threads = _walk_threads(core, set(hubs))
-    loops = [t for t in threads if t.start == t.end]
-    links = [t for t in threads if t.start != t.end]
-
-    candidates: list[tuple] = []
-    if len(loops) == 2 and len(links) <= 1:
-        link = links[0] if links else None
-        l = 1 if link is None else len(link.weights) + 1
-        for first, second in ((loops[0], loops[1]), (loops[1], loops[0])):
-            p, q = len(first.weights), len(second.weights)
-            if p > q:
-                continue
-            if link is None:
-                c_ws: tuple = ()
-                c_vs: tuple = ()
-            elif link.start == first.start:
-                c_ws, c_vs = link.weights, link.inner
-            else:
-                c_ws, c_vs = tuple(reversed(link.weights)), tuple(reversed(link.inner))
-            for a_vs, a_ws in _loop_orientations(first):
-                for b_vs, b_ws in _loop_orientations(second):
-                    candidates.append((p, l, q, a_ws, b_ws, c_ws, a_vs, b_vs, c_vs))
+    # The degrees add up to 2n + 2 and none is below 2, so there is one hub
+    # of degree 4 or two of degree 3: two loops and at most one link
+    # between them, or three links.
+    hubs = [v for v, nbs in adj.items() if len(nbs) > 2]
+    threads = _walk_threads(core, hubs)
+    loops = [t for t in threads if t[0] == t[1]]
+    links = [t for t in threads if t[0] != t[1]]
+    candidates = []
+    if loops:
         kind = BaseKind.INFINITY
-    elif len(loops) == 0 and len(links) == 3:
-        h1, h2 = hubs
-        for u, v in ((h1, h2), (h2, h1)):
-            oriented = []
-            for t in links:
-                if t.start == u:
-                    vs = (u, *t.inner, v)
-                    ws = t.weights
-                else:
-                    vs = (u, *reversed(t.inner), v)
-                    ws = tuple(reversed(t.weights))
-                oriented.append((len(ws) + 1, ws, vs))
-            oriented.sort()
-            (p, a_ws, a_vs), (l, b_ws, b_vs), (q, c_ws, c_vs) = oriented
-            candidates.append((p, l, q, a_ws, b_ws, c_ws, a_vs, b_vs, c_vs))
-        kind = BaseKind.THETA
+        # Each loop takes the lesser of its two readings from its hub on its
+        # own: the loops are independent in the candidate order.
+        readings = [
+            (h, *min((ws, (h, *inner)), (ws[::-1], (h, *inner[::-1]))))
+            for h, _, inner, ws in loops
+        ]
+        start, _, inner, ws = links[0] if links else (None, None, (), ())
+        for (u, a_ws, a_vs), (_, b_ws, b_vs) in (readings, readings[::-1]):
+            if len(a_ws) <= len(b_ws):
+                c_ws, c_vs = (ws, inner) if start == u else (ws[::-1], inner[::-1])
+                p, l, q = len(a_ws), len(ws) + 1, len(b_ws)
+                candidates.append((p, l, q, a_ws, b_ws, c_ws, a_vs, b_vs, c_vs))
     else:
-        raise GraphError("core matches neither an infinity base nor a theta base")
-
-    p, l, q, a_ws, b_ws, c_ws, a_vs, b_vs, c_vs = min(candidates)
-    if kind is BaseKind.THETA and sum(1 for s in (p, l, q) if s == 2) > 1:
-        raise GraphError("theta base with two length-1 paths is not a simple graph")
-    return BaseDescriptor(kind, p, l, q, a_ws, b_ws, c_ws, a_vs, b_vs, c_vs)
+        kind = BaseKind.THETA
+        for u, v in (hubs, hubs[::-1]):
+            (p, a_ws, a_vs), (l, b_ws, b_vs), (q, c_ws, c_vs) = sorted(
+                (len(ws) + 1, ws, (u, *inner, v))
+                if s == u
+                else (len(ws) + 1, ws[::-1], (u, *inner[::-1], v))
+                for s, _, inner, ws in links
+            )
+            candidates.append((p, l, q, a_ws, b_ws, c_ws, a_vs, b_vs, c_vs))
+    return BaseDescriptor(kind, *min(candidates))
 
 
 def hanging_trees(g: WeightedGraph, core: WeightedGraph) -> list[HangingTree]:

@@ -136,6 +136,17 @@ _INFINITY_CONDITIONED = frozenset(
     shape for shape, row in INFINITY_TABLE.items() if row.condition_text is not None
 )
 
+# A forced weight is the weight that balances a condition, times the
+# branch's scale: 1 makes the two sides equal, 2 or 1/2 pulls them apart.
+_SCALE = {
+    "eq": Fraction(1),
+    "ceq": Fraction(1),
+    "neq": Fraction(2),
+    "cneq": Fraction(2),
+    "gt": Fraction(2),
+    "lt": Fraction(1, 2),
+}
+
 
 def infinity_branches(p: int, l: int, q: int) -> tuple[str, ...]:
     """Forcible weight-condition branches of an infinity representative."""
@@ -181,15 +192,12 @@ def sample_infinity_weights(p, l, q, rng, branch=None, unit=False):
     if (p, l, q) in _INFINITY_CONDITIONED:
         # The condition is linear in a1, so solve for it at a1 = 1.
         probe = infinity_condition(p, l, q, [Fraction(1)] + a[1:], b, c)
-        pivot = probe.rhs / probe.lhs
-        scale = {"eq": Fraction(1), "gt": Fraction(2), "lt": Fraction(1, 2)}[branch]
-        a[0] = pivot * scale
+        a[0] = probe.rhs / probe.lhs * _SCALE[branch]
         return tuple(a), tuple(b), tuple(c)
     if 4 in (p, q):
         for ws in (a, b):
             if len(ws) == 4:
-                balanced = alternating_product(ws[1:])
-                ws[0] = balanced if branch == "eq" else balanced * 2
+                ws[0] = alternating_product(ws[1:]) * _SCALE[branch]
         return tuple(a), tuple(b), tuple(c)
     raise GraphError(f"infinity({p},{l},{q}) has no weight-condition branches")
 
@@ -202,8 +210,7 @@ def sample_cycle_weights(n, rng, branch=None, unit=False):
     if n % 4 != 0:
         raise GraphError("only cycles of length divisible by 4 have a weight condition")
     # alternating_product(ws) is ws[0] / alternating_product(ws[1:]).
-    balanced = alternating_product(ws[1:])
-    ws[0] = balanced if branch == "eq" else 2 * balanced
+    ws[0] = alternating_product(ws[1:]) * _SCALE[branch]
     return tuple(ws)
 
 
@@ -213,7 +220,9 @@ def sample_theta_weights(p, l, q, rng, branch=None, unit=False):
     Branch ids follow ``theta_branches``: "eq"/"neq" act on the main product
     condition of the twin-path case; "ceq"/"cneq" act on the alternating
     condition of the 4-cycle that the case reduces to; "gt"/"eq"/"lt" order
-    the two products of the small explicit cases.
+    the two products of the small explicit cases.  Each condition is the
+    balance of an even cycle, so the forced weight is the alternating
+    product of the rest of that cycle, read from the next weight on.
     """
     p, l, q = sorted((p, l, q))
     a = list(_weights(rng, p - 1, unit))
@@ -221,51 +230,31 @@ def sample_theta_weights(p, l, q, rng, branch=None, unit=False):
     c = list(_weights(rng, q - 1, unit))
     if branch is None:
         return tuple(a), tuple(b), tuple(c)
-    sizes = (p, l, q)
     main, _, sub = branch.partition(":")
-
-    if sizes[:2] == (3, 3) or (sizes[0] == 2 and sizes[1] == sizes[2] == 3):
-        # Twin 2-edge paths: condition A0*B1 == A1*B0 on them.
-        first, second = (a, b) if sizes[0] == 3 else (b, c)
-        if main == "eq" or main.startswith("eq"):
-            first[0] = first[1] * second[0] / second[1]
-        else:
-            first[0] = 2 * first[1] * second[0] / second[1]
-        if sub and sizes == (3, 3, 3):
-            # Reduced 4-cycle (A0, A1, C1, C0): force/deny A0*C1 == A1*C0.
-            target = a[0] * c[1] / a[1]
-            c[0] = target if sub == "ceq" else target * 2
-    elif sizes.count(4) >= 2 and sizes[0] == 2:
-        # theta(2,4,4): reduced 4-cycle (B0, B1, B2', A0) with the twin-path fold.
+    if (p, l) == (3, 3) or (l, q) in ((3, 3), (5, 5)):
+        # Twin paths F, S with equal alternating products: the cycle
+        # (*F, *reversed(S)) is balanced.
+        first, second = (a, b) if (p, l) == (3, 3) else (b, c)
+        first[0] = alternating_product((*first[1:], *reversed(second))) * _SCALE[main]
+        if sub and p == q == 3:
+            # Reduced 4-cycle (A0, A1, C1, C0).
+            c[0] = alternating_product((a[0], a[1], c[1])) * _SCALE[sub]
+        elif sub and p == q == 5:
+            # Reduced 8-cycle (B0..B3, A3..A0).
+            a[1] = alternating_product((a[0], *b, a[3], a[2])) * _SCALE[sub]
+    elif (p, l, q) == (2, 4, 4):
+        # Reduced 4-cycle (B0, B1, B2', A0), B2' folding in the twin path.
         folded = b[2] + alternating_product((b[1], b[0], c[0], c[1], c[2]))
-        target = b[0] * folded / b[1]
-        a[0] = target if main == "ceq" else target * 2
-    elif sizes[1:] == (5, 5):
-        first, second = (b, c)
-        if main in ("eq",) or main.startswith("eq"):
-            first[0] = second[0] * first[1] * second[2] * first[3] / (second[1] * first[2] * second[3])
-        else:
-            first[0] = 2 * second[0] * first[1] * second[2] * first[3] / (second[1] * first[2] * second[3])
-        if sub and sizes == (5, 5, 5):
-            # Reduced 8-cycle (B0..B3, A3..A0): force/deny alternating products.
-            a[1] = b[1] * b[3] * a[2] * a[0] / (b[0] * b[2] * a[3])
-            if sub == "cneq":
-                a[1] *= 2
-    elif sizes[0] == 2 and 6 in sizes:
-        # theta(2,l,6): direct edge absorbs the folded 6-path; only l == 4
-        # leaves a weight-sensitive 4-cycle (folded, B2, B1, B0).
-        folded = a[0] + alternating_product(c)
-        if sizes[1] == 4:
-            target = folded * b[1] / b[0]
-            b[2] = target if main == "ceq" else target * 2
-    elif sizes in ((2, 3, 4), (2, 4, 5)):
-        # Explicit case: direct edge E and 3-edge path F; order E0*F1 vs F0*F2.
-        f = b if sizes == (2, 4, 5) else c
-        pivot = f[0] * f[2] / f[1]
-        scale = {"eq": Fraction(1), "gt": Fraction(2), "lt": Fraction(1, 2)}[main]
-        a[0] = pivot * scale
+        a[0] = alternating_product((b[0], b[1], folded)) * _SCALE[main]
+    elif (p, l, q) == (2, 4, 6):
+        # The direct edge absorbs the folded 6-path: reduced 4-cycle
+        # (A0', B2, B1, B0).
+        b[2] = alternating_product((b[1], b[0], a[0] + alternating_product(c))) * _SCALE[main]
+    elif (p, l, q) in ((2, 3, 4), (2, 4, 5)):
+        # The direct edge A0 and the 3-edge path F form a 4-cycle.
+        a[0] = alternating_product(b if l == 4 else c) * _SCALE[main]
     else:
-        raise GraphError(f"theta{tuple(sizes)} has no branch {branch!r}")
+        raise GraphError(f"theta{(p, l, q)} has no branch {branch!r}")
     return tuple(a), tuple(b), tuple(c)
 
 

@@ -2,13 +2,15 @@
 subset-search and leaf-deletion matching, characteristic-polynomial sign
 counting, the plain definitions of induced subgraphs and least cycle
 readings, and the rescanning rewrite engine, which the package's linear-time
-versions must reproduce."""
+versions must reproduce; and the three elementary congruence operations,
+whose invariance the tests check the diagonalization against."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 
 from graph_inertia import (
+    GraphError,
     Inertia,
     SymRationalMatrix,
     WeightedGraph,
@@ -81,6 +83,55 @@ def least_cycle_reading(order: list, weight_of) -> tuple:
             ws = tuple(weight_of(rotated[i], rotated[(i + 1) % n]) for i in range(n))
             out.append((ws, tuple(rotated)))
     return min(out)
+
+
+def _check_index(m: SymRationalMatrix, i: int) -> None:
+    if not 0 <= i < m.order:
+        raise GraphError(f"index {i} out of range for order {m.order}")
+
+
+def ecmo_swap(m: SymRationalMatrix, i: int, j: int) -> SymRationalMatrix:
+    """Swap rows i, j and columns i, j; the result is congruent to ``m``."""
+    _check_index(m, i)
+    _check_index(m, j)
+    if i == j:
+        raise GraphError("swap requires two distinct indices")
+    rows = [list(r) for r in m.rows]
+    rows[i], rows[j] = rows[j], rows[i]
+    for row in rows:
+        row[i], row[j] = row[j], row[i]
+    return SymRationalMatrix(tuple(tuple(r) for r in rows))
+
+
+def ecmo_scale(m: SymRationalMatrix, i: int, k: Fraction) -> SymRationalMatrix:
+    """Scale row i and column i by a nonzero k; entry (i, i) picks up k**2."""
+    _check_index(m, i)
+    k = Fraction(k)
+    if k == 0:
+        raise GraphError("scale factor must be nonzero")
+    rows = [list(r) for r in m.rows]
+    rows[i] = [k * x for x in rows[i]]
+    for row in rows:
+        row[i] *= k
+    return SymRationalMatrix(tuple(tuple(r) for r in rows))
+
+
+def ecmo_add(m: SymRationalMatrix, src: int, dst: int, k: Fraction) -> SymRationalMatrix:
+    """Add k times row/column ``src`` onto row/column ``dst``."""
+    _check_index(m, src)
+    _check_index(m, dst)
+    if src == dst:
+        raise GraphError("add requires distinct source and destination rows")
+    k = Fraction(k)
+    if k == 0:
+        raise GraphError("add multiplier must be nonzero")
+    rows = [list(r) for r in m.rows]
+    n = len(rows)
+    for c in range(n):
+        rows[dst][c] += k * rows[src][c]
+    for r in range(n):
+        rows[r][dst] += k * rows[r][src]
+    return SymRationalMatrix(tuple(tuple(r) for r in rows))
 
 
 def char_poly(m: SymRationalMatrix) -> list[Fraction]:

@@ -19,9 +19,6 @@ from graph_inertia import (
     contract_degree2_path,
     cycle_inertia,
     delete_pendant_pair,
-    ecmo_add,
-    ecmo_scale,
-    ecmo_swap,
     forest_inertia,
     inertia_oracle,
     reduce_to_core,
@@ -46,7 +43,7 @@ from graph_inertia.testgen import (
     sample_theta_weights,
 )
 
-from reference import brute_force_matching
+from reference import brute_force_matching, ecmo_add, ecmo_scale, ecmo_swap
 
 
 @contextmanager

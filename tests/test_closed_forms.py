@@ -18,8 +18,11 @@ from graph_inertia import (
     theta_inertia,
     two_core,
 )
+from graph_inertia import closed_forms
 from graph_inertia.closed_forms import (
     INFINITY_TABLE,
+    CaseCondition,
+    alternating_product,
     fold_cycle_weights,
     fold_path_weights,
     reduce_infinity_shape,
@@ -289,3 +292,49 @@ def test_fold_helpers():
     with pytest.raises(GraphError):
         fold_cycle_weights([Fraction(1)] * 6, 1)
     assert fold_path_weights([Fraction(1)] * 5, 1) == (Fraction(1),)
+
+
+def _taken_branch(monkeypatch, p, l, q, a, b, c):
+    """The branch ``theta_inertia`` takes, in ``theta_branches`` terms: the
+    relation of an explicit case, "neq" for the path of unequal twins, and
+    for a cycle "ceq"/"cneq" when its length is divisible by 4, else "eq"."""
+    seen = []
+    cycle_pn, path_pn = closed_forms._cycle_pn, closed_forms._path_pn
+
+    class Recorded(CaseCondition):
+        def __init__(self, lhs, rhs):
+            super().__init__(lhs, rhs)
+            seen.append(self.relation)
+
+    def cycle(ws):
+        if len(ws) % 4:
+            seen.append("eq")
+        else:
+            seen.append("ceq" if alternating_product(ws) == 1 else "cneq")
+        return cycle_pn(ws)
+
+    def path(m):
+        seen.append("neq")
+        return path_pn(m)
+
+    with monkeypatch.context() as m:
+        m.setattr(closed_forms, "CaseCondition", Recorded)
+        m.setattr(closed_forms, "_cycle_pn", cycle)
+        m.setattr(closed_forms, "_path_pn", path)
+        theta_inertia(p, l, q, a, b, c)
+    (taken,) = seen
+    return taken
+
+
+@pytest.mark.parametrize(
+    "shape", [s for s in _theta_rep_shapes() if theta_branches(*s)], ids=lambda s: f"theta{s}"
+)
+def test_forced_theta_equalities_reach_their_branch(monkeypatch, shape):
+    # Branch ids that force an equality: the twin products ("eq", "eq:..."),
+    # the reduced cycle ("ceq") or the explicit condition ("eq").
+    forced = [b for b in theta_branches(*shape) if {"eq", "ceq"} & set(b.split(":"))]
+    rng = random.Random(1)
+    for branch in forced:
+        for _ in range(300):
+            a, b, c = sample_theta_weights(*shape, rng, branch=branch)
+            assert _taken_branch(monkeypatch, *shape, a, b, c) == branch.split(":")[-1]

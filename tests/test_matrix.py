@@ -13,14 +13,11 @@ from graph_inertia import (
     adjacency_matrix,
     congruent_diagonalize,
     connected_components,
-    ecmo_add,
-    ecmo_scale,
-    ecmo_swap,
     inertia_oracle,
 )
 from graph_inertia.testgen import GenSpec, build_cycle, generate, random_weight
 
-from reference import inertia_by_sign_counting
+from reference import ecmo_add, ecmo_scale, ecmo_swap, inertia_by_sign_counting
 
 rationals = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6)
 

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -173,6 +174,22 @@ def test_cycle_descriptor_is_the_least_reading(pattern, seed):
     assert (d.a, d.a_vertices) == least_cycle_reading(walk, g.weight)
 
 
+@pytest.mark.parametrize("pattern", ["unit", "period-2"])
+def test_long_cycle_descriptor_is_written_out(pattern):
+    # Unit weights: every reading ties, so the least vertex "v0" and its
+    # lesser neighbour "v1" fix the walk.  Weights 2, 1, 2, 1, ...: a least
+    # reading starts on a 1, which from "v0" means walking backwards.
+    p = 100000
+    ws = [Fraction(1)] * p if pattern == "unit" else [Fraction(2 - i % 2) for i in range(p)]
+    names = [f"v{i}" for i in range(p)]
+    d = describe_base(build_cycle(ws))
+    if pattern == "unit":
+        assert (d.a, d.a_vertices) == (tuple(ws), tuple(names))
+    else:
+        assert (d.a, d.a_vertices) == (tuple(ws[::-1]), ("v0", *names[:0:-1]))
+    assert (d.kind, d.p) == (BaseKind.CYCLE, p)
+
+
 def test_describe_base_two_triangles_sharing_a_vertex():
     # infinity(3,1,3): one degree-4 junction
     g = parse_graph("j a 1\na b 2\nb j 3\nj c 4\nc d 5\nd j 6")
@@ -335,3 +352,59 @@ def test_hanging_trees_requires_real_core(seed=0):
     g = generate(GenSpec("unicyclic", 8, seed))
     with pytest.raises(GraphError):
         hanging_trees(g, build_cycle([Fraction(1)] * 3).relabel(lambda v: "q" + v))
+
+
+def _shuffled(g: WeightedGraph, rng: random.Random) -> WeightedGraph:
+    """``g`` on fresh vertex names, with vertex order, edge order and edge
+    orientation shuffled, so every tie-break of a descriptor is exercised."""
+    name = dict(zip(g.vertices, (f"s{i}" for i in rng.sample(range(1000), g.n))))
+    edges = [
+        (name[u], name[v], w) if rng.random() < 0.5 else (name[v], name[u], w)
+        for u, v, w in g.edges
+    ]
+    rng.shuffle(edges)
+    return WeightedGraph(rng.sample(list(name.values()), g.n), edges)
+
+
+def _pin_weights(rng: random.Random, count: int, pattern: str) -> list[Fraction]:
+    if pattern == "unit":
+        return [Fraction(1)] * count
+    if pattern == "two-values":
+        return [Fraction(rng.choice((1, 2))) for _ in range(count)]
+    return [random_weight(rng) for _ in range(count)]
+
+
+def _pinned_cores():
+    for cls in ("unicyclic", "bicyclic"):
+        for regime in ("random", "unit", "force"):
+            for n in (6, 11, 24, 80):
+                for seed in range(10):
+                    yield two_core(generate(GenSpec(cls, n, seed, regime=regime)))
+    rng = random.Random(7)
+    for pattern in ("random", "unit", "two-values"):
+        for p in range(3, 31):
+            yield _shuffled(build_cycle(_pin_weights(rng, p, pattern)), rng)
+        for p in range(3, 9):
+            for q in range(3, 9):
+                for l in range(1, 6):
+                    ws = [_pin_weights(rng, k, pattern) for k in (p, q, l - 1)]
+                    yield _shuffled(build_infinity(p, l, q, *ws), rng)
+        for p in range(2, 9):
+            for l in range(p, 9):
+                for q in range(l, 9):
+                    if (p, l) != (2, 2):
+                        ws = [_pin_weights(rng, k - 1, pattern) for k in (p, l, q)]
+                        yield _shuffled(build_theta(p, l, q, *ws), rng)
+
+
+# SHA-256 of the descriptors of every core above, one repr per core.
+DESCRIPTORS_SHA256 = "ebcc0a73c6d0d9df1869fbe007ad9549562678520c7ab38fb7696e439714d1af"
+
+
+def test_descriptors_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for core in _pinned_cores():
+        digest.update(repr(describe_base(core)).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == (1095, DESCRIPTORS_SHA256)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -116,3 +117,34 @@ def test_forced_bicyclic_generation_covers_branches():
         assert classify(g).overall is GraphClass.BICYCLIC
         seen.add(g.edges[:2])
     assert len(seen) > 30
+
+
+# SHA-256 of every sampler output below, with the generator's next draw, so
+# the weights and the draws the samplers consume are both pinned.
+SAMPLERS_SHA256 = "e1108e9c4ded83c5e17acbd9730a7e0eb20a3aa187422251260cd673ff563498"
+
+
+def test_samplers_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    shapes = [
+        (sample_theta_weights, theta_branches, (p, l, q))
+        for p in range(2, 11)
+        for l in range(p, 11)
+        for q in range(l, 11)
+        if (p, l) != (2, 2)
+    ] + [
+        (sample_infinity_weights, infinity_branches, (p, l, q))
+        for p in range(3, 11)
+        for q in range(3, 11)
+        for l in range(1, 11)
+    ]
+    for sample, branches, shape in shapes:
+        for branch in (None, *branches(*shape)):
+            for seed in range(3):
+                for unit in (False, True):
+                    rng = random.Random(seed)
+                    out = sample(*shape, rng, branch=branch, unit=unit)
+                    digest.update(repr((out, rng.random())).encode() + b"\n")
+                    count += 1
+    assert (count, digest.hexdigest()) == (6918, SAMPLERS_SHA256)
