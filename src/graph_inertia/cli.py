@@ -9,7 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Sequence, TextIO
+from typing import BinaryIO, Sequence, TextIO
 
 from .closed_forms import INFINITY_TABLE, infinity_condition, infinity_inertia
 from .core import GraphError, Inertia, ParseError
@@ -78,11 +78,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_graph(args, stdin: TextIO) -> WeightedGraph:
+def _read_graph(args, stdin: TextIO | BinaryIO | None) -> WeightedGraph:
+    # Bytes go to parse_graph undecoded, so invalid UTF-8 is a parse error.
     if args.input == "-":
-        text = stdin.read()
+        text = (stdin or sys.stdin.buffer).read()
     else:
-        with open(args.input, "r", encoding="utf-8") as fh:
+        with open(args.input, "rb") as fh:
             text = fh.read()
     return parse_graph(text, args.format)
 
@@ -95,7 +96,7 @@ def _fmt(i: Inertia) -> str:
     return f"i+={i.pos} i-={i.neg} i0={i.zero}"
 
 
-def _cmd_inertia(args, out: TextIO, stdin: TextIO) -> int:
+def _cmd_inertia(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
     g = _read_graph(args, stdin)
     payload: dict = {}
     lines = []
@@ -128,7 +129,7 @@ def _cmd_inertia(args, out: TextIO, stdin: TextIO) -> int:
     return code
 
 
-def _cmd_classify(args, out: TextIO, stdin: TextIO) -> int:
+def _cmd_classify(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
     g = _read_graph(args, stdin)
     cls = classify(g)
     base = None
@@ -147,7 +148,7 @@ def _cmd_classify(args, out: TextIO, stdin: TextIO) -> int:
     return EXIT_OK
 
 
-def _cmd_reduce(args, out: TextIO, stdin: TextIO) -> int:
+def _cmd_reduce(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
     g = _read_graph(args, stdin)
     reduced, trace = reduce_to_core(g)
     if args.output == "json":
@@ -176,7 +177,7 @@ def _cmd_reduce(args, out: TextIO, stdin: TextIO) -> int:
     return EXIT_OK
 
 
-def _cmd_verify(args, out: TextIO) -> int:
+def _cmd_verify(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
     mismatches = []
     for i in range(args.count):
         seed = args.seed + i
@@ -197,13 +198,13 @@ def _cmd_verify(args, out: TextIO) -> int:
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
-def _cmd_gen(args, out: TextIO) -> int:
+def _cmd_gen(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
     g = generate(GenSpec(args.klass, args.n, args.seed))
     out.write(serialize_graph(g, args.format))
     return EXIT_OK
 
 
-def _cmd_table1(args, out: TextIO) -> int:
+def _cmd_table1(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
     import random
 
     rng = random.Random(args.seed)
@@ -250,30 +251,31 @@ def _cmd_table1(args, out: TextIO) -> int:
     return EXIT_OK if all_match else EXIT_MISMATCH
 
 
-def main(argv: Sequence[str] | None = None, stdout: TextIO | None = None, stderr: TextIO | None = None, stdin: TextIO | None = None) -> int:
+_COMMANDS = {
+    "inertia": _cmd_inertia,
+    "classify": _cmd_classify,
+    "reduce": _cmd_reduce,
+    "verify": _cmd_verify,
+    "gen": _cmd_gen,
+    "table1": _cmd_table1,
+}
+
+
+def main(
+    argv: Sequence[str] | None = None,
+    stdout: TextIO | None = None,
+    stderr: TextIO | None = None,
+    stdin: TextIO | BinaryIO | None = None,
+) -> int:
     out = stdout or sys.stdout
     err = stderr or sys.stderr
-    inp = stdin or sys.stdin
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        if args.command == "inertia":
-            return _cmd_inertia(args, out, inp)
-        if args.command == "classify":
-            return _cmd_classify(args, out, inp)
-        if args.command == "reduce":
-            return _cmd_reduce(args, out, inp)
-        if args.command == "verify":
-            return _cmd_verify(args, out)
-        if args.command == "gen":
-            return _cmd_gen(args, out)
-        if args.command == "table1":
-            return _cmd_table1(args, out)
-        parser.error(f"unknown command {args.command!r}")
-        return EXIT_USAGE
+        # The subcommand is required, so argparse lets only these names through.
+        return _COMMANDS[args.command](args, out, stdin)
     except ParseError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_PARSE

@@ -108,15 +108,12 @@ def _cycle_pn(ws: Sequence[Fraction]) -> tuple[int, int]:
     return cycle_inertia(tuple(ws)).pn
 
 
-def _tadpole_pn(cycle_ws: Sequence[Fraction], tail_ws: Sequence[Fraction]) -> tuple[int, int]:
-    """Cycle with a pendant path of ``len(tail_ws)`` edges at one vertex.
+def _tadpole_pn(cycle_ws: Sequence[Fraction], t: int) -> tuple[int, int]:
+    """Cycle with a pendant path of ``t`` edges at one vertex.
 
     An odd tail matches the junction into its own path, splitting off the
     cycle-minus-junction path; an even tail leaves the cycle intact.
     """
-    t = len(tail_ws)
-    if t == 0:
-        return _cycle_pn(cycle_ws)
     if t % 2 == 1:
         half = (t + 1) // 2 + (len(cycle_ws) - 1) // 2
         return (half, half)
@@ -136,24 +133,22 @@ def fold_cycle_weights(ws: Sequence[Fraction], times: int) -> tuple[Fraction, ..
     """
     if times > 0 and len(ws) < 4 * times + 3:
         raise GraphError("cycle too short to contract while staying simple")
-    return _fold(ws, times)
+    return fold_path_weights(ws, times)
 
 
 def fold_path_weights(ws: Sequence[Fraction], times: int) -> tuple[Fraction, ...]:
-    """Contract ``times`` five-edge runs of an internally degree-2 path."""
-    if times > 0 and len(ws) < 4 * times + 1:
-        raise GraphError("path too short to contract")
-    return _fold(ws, times)
+    """Contract ``times`` five-edge runs of an internally degree-2 path.
 
-
-def _fold(ws: Sequence[Fraction], times: int) -> tuple[Fraction, ...]:
-    """``times`` successive contractions of the leading five-edge run, in one
-    pass: folding w1..w5 into w1*w3*w5/(w2*w4) and then the next four edges
-    into it leaves the alternating product of the first 4*times + 1 weights
-    followed by the untouched tail."""
+    The runs are contracted in one pass: folding w1..w5 into
+    w1*w3*w5/(w2*w4) and then the next four edges into it leaves the
+    alternating product of the first 4*times + 1 weights followed by the
+    untouched tail.
+    """
     if times <= 0:
         return tuple(ws)
     head = 4 * times + 1
+    if len(ws) < head:
+        raise GraphError("path too short to contract")
     return (alternating_product(ws[:head]), *ws[head:])
 
 
@@ -270,33 +265,21 @@ def reduce_infinity_shape(p, l, q, a, b, c):
     )
 
 
-def _removed_cycle_rest_pn(l, other_cycle_ws, conn_ws):
-    """(pos, neg) of the base minus one whole cycle (junction included).
-
-    ``conn_ws`` runs from the deleted junction toward the surviving one.
-    """
-    if l == 1:
-        return _path_pn(len(other_cycle_ws) - 1)
-    tail = tuple(reversed(conn_ws[1:]))
-    return _tadpole_pn(other_cycle_ws, tail)
-
-
 def _infinity_rep_pn(p, l, q, a, b, c):
     # Read a 6-cycle, else a lone 4-cycle, as b; otherwise p <= q, as the
     # table is keyed.
     if (p in (4, 6), p) > (q in (4, 6), q):
         p, q, a, b = q, p, b, a
         c = tuple(reversed(c))
-    if q == 6:
-        # A 6-cycle always detaches with offset (3, 3), whatever its weights.
-        r = _removed_cycle_rest_pn(l, a, tuple(reversed(c)))
-        return (3 + r[0], 3 + r[1])
-    if q == 4:
-        if alternating_product(b) == 1:
-            r = _cycle_pn(a) if l == 1 else _tadpole_pn(a, c)
-            return (1 + r[0], 1 + r[1])
-        r = _removed_cycle_rest_pn(l, a, tuple(reversed(c)))
-        return (2 + r[0], 2 + r[1])
+    if q == 4 and alternating_product(b) == 1:
+        r = _tadpole_pn(a, l - 1)
+        return (1 + r[0], 1 + r[1])
+    if q in (4, 6):
+        # A 6-cycle, or an unbalanced 4-cycle, detaches with its junction at
+        # offset (q/2, q/2), leaving the other cycle minus the shared junction
+        # (a path) or with the rest of the connector hanging off it.
+        r = _path_pn(p - 1) if l == 1 else _tadpole_pn(a, l - 2)
+        return (q // 2 + r[0], q // 2 + r[1])
     row = INFINITY_TABLE[(p, l, q)]
     cond = infinity_condition(p, l, q, a, b, c)
     return row.outcome("any" if cond is None else cond.relation)

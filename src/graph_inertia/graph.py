@@ -294,9 +294,15 @@ def _parse_json(text: str) -> WeightedGraph:
 
 
 def parse_graph(text: str | bytes, fmt: GraphFormat | str = GraphFormat.EDGELIST) -> WeightedGraph:
-    """Parse a graph from edge-list or json text; weights are exact rationals."""
+    """Parse a graph from edge-list or json text; weights are exact rationals.
+
+    Bytes are decoded as UTF-8; bytes that are not UTF-8 are a parse error.
+    """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
     fmt = GraphFormat(fmt)
     if fmt is GraphFormat.EDGELIST:
         return _parse_edgelist(text)
@@ -304,9 +310,17 @@ def parse_graph(text: str | bytes, fmt: GraphFormat | str = GraphFormat.EDGELIST
 
 
 def serialize_graph(g: WeightedGraph, fmt: GraphFormat | str = GraphFormat.EDGELIST) -> str:
-    """Serialize so that ``parse_graph(serialize_graph(g), fmt) == g``."""
+    """Serialize so that ``parse_graph(serialize_graph(g), fmt) == g``.
+
+    An edge list cannot hold a vertex id that contains the comment mark
+    ``#`` or starts with ``vertices:``, the header mark; such a graph raises
+    ``GraphError`` there and can be written as json.
+    """
     fmt = GraphFormat(fmt)
     if fmt is GraphFormat.EDGELIST:
+        for v in g.vertices:
+            if "#" in v or v.startswith("vertices:"):
+                raise GraphError(f"vertex id {echo(v)} cannot be written as an edge list")
         lines = []
         if g.n:
             # The header pins the full vertex order, not just isolated vertices.

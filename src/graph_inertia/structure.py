@@ -189,12 +189,16 @@ def _walk_threads(core: WeightedGraph, hubs) -> list[tuple]:
     return threads
 
 
-def _least_rotation(ws: list) -> int:
-    """Start of a lexicographically least rotation of ``ws``, in O(p).
+def _least_rotation(ws: list) -> tuple[int, int]:
+    """Start of a lexicographically least rotation of ``ws``, and the least
+    d > 0 such that rotating ``ws`` by d leaves it unchanged, in O(p).
 
     Two candidate starts i and j are compared; when their readings first
     differ k places on, the start with the larger reading and the k starts
-    after it cannot be least, so it jumps k + 1 places.
+    after it cannot be least, so it jumps k + 1 places.  Only starts with a
+    strictly larger reading are skipped, so if i and j come to read the same
+    all the way round, no start between them ties and ``|i - j|`` is the
+    period; otherwise the least rotation is unique and the period is p.
     """
     p = len(ws)
     i, j, k = 0, 1, 0
@@ -210,23 +214,7 @@ def _least_rotation(ws: list) -> int:
         if i == j:
             j += 1
         k = 0
-    return min(i, j)
-
-
-def _rotation_period(ws: list) -> int:
-    """Least d > 0 such that rotating ``ws`` by d leaves it unchanged, in O(p)
-    (the shortest period from the prefix function, if it divides p)."""
-    p = len(ws)
-    border = [0] * p
-    k = 0
-    for i in range(1, p):
-        while k and ws[i] != ws[k]:
-            k = border[k - 1]
-        if ws[i] == ws[k]:
-            k += 1
-        border[i] = k
-    d = p - border[-1]
-    return d if p % d == 0 else p
+    return min(i, j), (abs(i - j) if k == p else p)
 
 
 def _least_cycle_reading(order: list[str], forward: tuple) -> tuple[tuple, tuple[str, ...]]:
@@ -253,7 +241,7 @@ def _least_cycle_reading(order: list[str], forward: tuple) -> tuple[tuple, tuple
     )
     starts = []
     for seq, ws, rs in directions:
-        k, d = _least_rotation(rs), _rotation_period(rs)
+        k, d = _least_rotation(rs)
         # Every start k + j*d reads the same least weight sequence.
         starts.append((rs[k:] + rs[:k], seq, ws, range(k % d, p, d)))
     least = min(start[0] for start in starts)

@@ -46,13 +46,19 @@ def _weights(rng: random.Random, count: int, unit: bool = False) -> tuple[Fracti
 # explicit builders
 
 
+def _chains(vertices, *chains) -> WeightedGraph:
+    """The graph on ``vertices`` whose edges walk each ``(vertex sequence,
+    weights)`` chain in turn, one weight per step; a cycle's sequence ends
+    where it starts."""
+    edges = [(vs[i], vs[i + 1], w) for vs, ws in chains for i, w in enumerate(ws)]
+    return WeightedGraph(vertices, edges)
+
+
 def build_cycle(weights: Sequence[Fraction], prefix: str = "v") -> WeightedGraph:
-    n = len(weights)
-    if n < 3:
+    if len(weights) < 3:
         raise GraphError("a cycle needs at least 3 edges")
-    names = [f"{prefix}{i}" for i in range(n)]
-    edges = [(names[i], names[(i + 1) % n], Fraction(weights[i])) for i in range(n)]
-    return WeightedGraph(names, edges)
+    names = [f"{prefix}{i}" for i in range(len(weights))]
+    return _chains(names, ((*names, names[0]), weights))
 
 
 def build_infinity(
@@ -76,12 +82,9 @@ def build_infinity(
     vs = [f"v{i}" for i in range(q)]
     if l == 1:
         vs[0] = us[0]
-    edges = [(us[i], us[(i + 1) % p], Fraction(a[i])) for i in range(p)]
-    edges += [(vs[i], vs[(i + 1) % q], Fraction(b[i])) for i in range(q)]
     ws = [us[0]] + [f"w{i}" for i in range(1, l - 1)] + [vs[0]]
-    edges += [(ws[i], ws[i + 1], Fraction(c[i])) for i in range(l - 1)]
     vertices = us + ws[1:-1] + (vs if l > 1 else vs[1:])
-    return WeightedGraph(vertices, edges)
+    return _chains(vertices, ((*us, us[0]), a), ((*vs, vs[0]), b), (ws, c))
 
 
 def build_theta(
@@ -99,34 +102,20 @@ def build_theta(
         raise GraphError(f"theta({p},{l},{q}) is not a valid shape")
     if (len(a), len(b), len(c)) != (p - 1, l - 1, q - 1):
         raise GraphError("weight sequence lengths must be (p-1, l-1, q-1)")
-    vertices = ["u", "v"]
-    edges = []
-    for label, size, seq in (("a", p, a), ("b", l, b), ("c", q, c)):
-        inner = [f"{label}{i}" for i in range(1, size - 1)]
-        vertices.extend(inner)
-        chain = ["u"] + inner + ["v"]
-        edges += [(chain[i], chain[i + 1], Fraction(seq[i])) for i in range(size - 1)]
-    return WeightedGraph(vertices, edges)
+    inners = [[f"{label}{i}" for i in range(1, size - 1)] for label, size in zip("abc", sizes)]
+    chains = [(["u", *inner, "v"], ws) for inner, ws in zip(inners, (a, b, c))]
+    return _chains(["u", "v", *inners[0], *inners[1], *inners[2]], *chains)
 
 
 def build_from_descriptor(d: BaseDescriptor) -> WeightedGraph:
     """Reassemble the graph a descriptor came from, on its own vertex ids."""
+    av, bv, cv = d.a_vertices, d.b_vertices, d.c_vertices
     if d.kind is BaseKind.CYCLE:
-        vs = d.a_vertices
-        edges = [(vs[i], vs[(i + 1) % d.p], d.a[i]) for i in range(d.p)]
-        return WeightedGraph(vs, edges)
+        return _chains(av, ((*av, av[0]), d.a))
     if d.kind is BaseKind.INFINITY:
-        edges = [(d.a_vertices[i], d.a_vertices[(i + 1) % d.p], d.a[i]) for i in range(d.p)]
-        edges += [(d.b_vertices[i], d.b_vertices[(i + 1) % d.q], d.b[i]) for i in range(d.q)]
-        chain = [d.a_vertices[0], *d.c_vertices, d.b_vertices[0]]
-        edges += [(chain[i], chain[i + 1], d.c[i]) for i in range(len(d.c))]
-        vertices = dict.fromkeys(d.a_vertices + d.c_vertices + d.b_vertices)
-        return WeightedGraph(tuple(vertices), edges)
-    edges = []
-    for seq, chain in ((d.a, d.a_vertices), (d.b, d.b_vertices), (d.c, d.c_vertices)):
-        edges += [(chain[i], chain[i + 1], seq[i]) for i in range(len(seq))]
-    vertices = dict.fromkeys(d.a_vertices + d.b_vertices + d.c_vertices)
-    return WeightedGraph(tuple(vertices), edges)
+        cycles = ((*av, av[0]), d.a), ((*bv, bv[0]), d.b)
+        return _chains(dict.fromkeys(av + cv + bv), *cycles, ((av[0], *cv, bv[0]), d.c))
+    return _chains(dict.fromkeys(av + bv + cv), (av, d.a), (bv, d.b), (cv, d.c))
 
 
 # ---------------------------------------------------------------------------
@@ -322,16 +311,10 @@ def generate(spec: GenSpec) -> WeightedGraph:
     if spec.target == "unicyclic":
         if n < 3:
             raise GraphError("a unicyclic graph needs at least 3 vertices")
-        if force:
-            lengths = [k for k in range(4, n + 1, 4)]
-            cycle_len = rng.choice(lengths) if lengths else rng.randint(3, n)
-            if cycle_len % 4 == 0:
-                ws = sample_cycle_weights(cycle_len, rng, branch="eq")
-            else:
-                ws = sample_cycle_weights(cycle_len, rng)
-        else:
-            cycle_len = rng.randint(3, n)
-            ws = sample_cycle_weights(cycle_len, rng, unit=unit)
+        lengths = range(4, n + 1, 4) if force else ()
+        cycle_len = rng.choice(lengths) if lengths else rng.randint(3, n)
+        branch = "eq" if force and cycle_len % 4 == 0 else None
+        ws = sample_cycle_weights(cycle_len, rng, branch=branch, unit=unit)
         return _attach_forest(rng, build_cycle(ws), n, unit)
 
     if spec.target == "bicyclic":
@@ -345,11 +328,8 @@ def generate(spec: GenSpec) -> WeightedGraph:
                 if p + q + l - 2 > n:
                     continue
                 p, q = min(p, q), max(p, q)
-                if force:
-                    branches = infinity_branches(p, l, q)
-                    branch = rng.choice(branches) if branches else None
-                else:
-                    branch = None
+                branches = infinity_branches(p, l, q) if force else ()
+                branch = rng.choice(branches) if branches else None
                 a, b, c = sample_infinity_weights(p, l, q, rng, branch=branch, unit=unit)
                 base = build_infinity(p, l, q, a, b, c)
             else:
@@ -357,11 +337,8 @@ def generate(spec: GenSpec) -> WeightedGraph:
                 if sum(1 for s in sizes if s == 2) > 1 or sum(sizes) - 4 > n:
                     continue
                 p, l, q = sizes
-                if force:
-                    branches = theta_branches(p, l, q)
-                    branch = rng.choice(branches) if branches else None
-                else:
-                    branch = None
+                branches = theta_branches(p, l, q) if force else ()
+                branch = rng.choice(branches) if branches else None
                 a, b, c = sample_theta_weights(p, l, q, rng, branch=branch, unit=unit)
                 base = build_theta(p, l, q, a, b, c)
             return _attach_forest(rng, base, n, unit)

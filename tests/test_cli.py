@@ -192,6 +192,37 @@ def test_long_input_is_cut_in_parse_errors(fmt, text):
     assert len(err.encode("utf-8")) < 200
 
 
+def test_classify_json_names_the_base_of_a_cyclic_graph():
+    code, out, _ = run(["classify", "--output", "json", "-"], C3)
+    assert code == 0
+    assert json.loads(out) == {"class": "unicyclic", "components": ["unicyclic"], "base": "cycle(3)"}
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"edges": []}\n}', "line 2: invalid json: Extra data"),
+        ("[]", "top-level json value must be an object"),
+        ('{"vertices": ["a", 1]}', '"vertices" must be a list of strings'),
+        ('{"edges": {}}', '"edges" must be a list'),
+    ],
+    ids=["invalid-json", "top-level-list", "non-string-vertex", "edges-not-a-list"],
+)
+def test_json_structure_errors_are_parse_errors(text, message):
+    assert run(["inertia", "--format", "json", "-"], text) == (2, "", f"error: {message}\n")
+
+
+def test_invalid_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1 2 \xff\n")
+    for argv, stdin in ((["inertia", str(path)], None), (["inertia", "-"], io.BytesIO(path.read_bytes()))):
+        out, err = io.StringIO(), io.StringIO()
+        code = main(argv, stdout=out, stderr=err, stdin=stdin)
+        assert (code, out.getvalue()) == (2, "")
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1
+        assert len(err.getvalue().encode("utf-8")) < 200
+
+
 def test_missing_file_is_usage_error(tmp_path):
     code, _, err = run(["inertia", str(tmp_path / "nope.txt")])
     assert code == 1

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -158,6 +159,52 @@ def test_roundtrip_preserves_reduced_rationals(a, b, c, d):
     back = parse_graph(serialize_graph(g))
     assert back.weight("x", "y") == Fraction(a, b)
     assert back.weight("y", "z") == Fraction(c, d)
+
+
+def test_parse_bytes_as_utf8():
+    assert parse_graph("é ü 1".encode()) == parse_graph("é ü 1")
+    assert parse_graph(b'{"edges": [["a", "b", 2]]}', "json") == parse_graph("a b 2")
+    with pytest.raises(ParseError, match="invalid UTF-8 at byte 4"):
+        parse_graph(b"1 2 \xff")
+
+
+@pytest.mark.parametrize("v", ["a#b", "#", "vertices:x", "vertices:"])
+def test_edgelist_refuses_ids_it_cannot_write(v):
+    g = WeightedGraph([v, "b"], [(v, "b", 1)])
+    with pytest.raises(GraphError, match="cannot be written as an edge list"):
+        serialize_graph(g)
+    assert parse_graph(serialize_graph(g, "json"), "json") == g
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+_JSON_ATOMS = st.sampled_from(["a", "b", "c", "", "a b", "1", "2/3", "0", "-1"]) | _JSON_VALUES
+_JSON_GRAPHS = st.fixed_dictionaries(
+    {
+        "vertices": st.lists(_JSON_ATOMS, max_size=4),
+        "edges": st.lists(st.lists(_JSON_ATOMS, min_size=2, max_size=4), max_size=5),
+    }
+)
+
+
+def _parses_or_raises_parse_error(data, fmt):
+    try:
+        assert isinstance(parse_graph(data, fmt), WeightedGraph)
+    except ParseError:
+        pass
+
+
+@given(st.text() | st.binary(), st.sampled_from(["edgelist", "json"]))
+def test_parse_graph_on_any_text_or_bytes(data, fmt):
+    _parses_or_raises_parse_error(data, fmt)
+
+
+@given(_JSON_VALUES | _JSON_GRAPHS)
+def test_parse_graph_on_any_json_value(obj):
+    _parses_or_raises_parse_error(json.dumps(obj), "json")
 
 
 def test_classify_examples():

@@ -229,13 +229,13 @@ def test_describe_base_is_canonical_under_relabeling():
 
 @pytest.mark.parametrize("seed", range(20))
 def test_descriptor_reassembly_matches_core(seed):
-    g = generate(GenSpec("bicyclic", 6 + seed % 8, seed))
-    core = two_core(g)
-    rebuilt = build_from_descriptor(describe_base(core))
-    assert set(rebuilt.vertices) == set(core.vertices)
-    assert {frozenset((u, v)): w for u, v, w in rebuilt.edges} == {
-        frozenset((u, v)): w for u, v, w in core.edges
-    }
+    for cls in ("unicyclic", "bicyclic"):
+        core = two_core(generate(GenSpec(cls, 6 + seed % 8, seed)))
+        rebuilt = build_from_descriptor(describe_base(core))
+        assert set(rebuilt.vertices) == set(core.vertices)
+        assert {frozenset((u, v)): w for u, v, w in rebuilt.edges} == {
+            frozenset((u, v)): w for u, v, w in core.edges
+        }
 
 
 def test_hanging_trees_bare_cycle_all_mismatched():

@@ -5,8 +5,13 @@ from fractions import Fraction
 import pytest
 
 from graph_inertia import GraphClass, GraphError, classify, infinity_condition
+from graph_inertia.graph import serialize_graph
+from graph_inertia.structure import describe_base
 from graph_inertia.testgen import (
     GenSpec,
+    build_cycle,
+    build_from_descriptor,
+    build_infinity,
     build_theta,
     generate,
     infinity_branches,
@@ -148,3 +153,33 @@ def test_samplers_are_pinned():
                     digest.update(repr((out, rng.random())).encode() + b"\n")
                     count += 1
     assert (count, digest.hexdigest()) == (6918, SAMPLERS_SHA256)
+
+
+def _built_bases():
+    rng = random.Random(8)
+    for p in range(3, 31):
+        yield build_cycle(sample_cycle_weights(p, rng))
+    for p in range(3, 9):
+        for q in range(3, 9):
+            for l in range(1, 7):
+                yield build_infinity(p, l, q, *sample_infinity_weights(p, l, q, rng))
+    for p in range(2, 9):
+        for l in range(p, 9):
+            for q in range(l, 9):
+                if (p, l) != (2, 2):
+                    yield build_theta(p, l, q, *sample_theta_weights(p, l, q, rng))
+
+
+# SHA-256 of the edge list of every base above and of its reassembly from
+# its descriptor, so vertex order, edge order and orientation are pinned.
+BUILDERS_SHA256 = "500e2149425b41021a4db900df52267202e0783c6449e8c10aa539f4b44eb165"
+
+
+def test_builders_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for g in _built_bases():
+        for h in (g, build_from_descriptor(describe_base(g))):
+            digest.update(serialize_graph(h).encode() + b"\x00")
+            count += 1
+    assert (count, digest.hexdigest()) == (642, BUILDERS_SHA256)
