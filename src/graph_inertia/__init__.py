@@ -35,13 +35,7 @@ from .reduction import (
     delete_pendant_pair,
     reduce_to_core,
 )
-from .solver import (
-    Method,
-    joining_decompose,
-    solve,
-    solve_bicyclic,
-    solve_unicyclic,
-)
+from .solver import Method, solve
 from .structure import (
     BaseKind,
     describe_base,

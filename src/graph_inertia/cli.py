@@ -178,11 +178,15 @@ def _cmd_reduce(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
 
 
 def _cmd_verify(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
+    n_min = {"tree": 1, "unicyclic": 3, "bicyclic": 5}[args.klass]
+    if args.count < 1:
+        raise GraphError(f"--count must be at least 1, got {args.count}")
+    if args.n < n_min:
+        raise GraphError(f"--n must be at least {n_min} for {args.klass} graphs, got {args.n}")
     mismatches = []
     for i in range(args.count):
         seed = args.seed + i
-        n_min = {"tree": 1, "unicyclic": 3, "bicyclic": 5}[args.klass]
-        n = n_min + (seed % max(1, args.n - n_min + 1))
+        n = n_min + seed % (args.n - n_min + 1)
         regime = "force" if i % 2 else "random"
         spec = GenSpec(args.klass, n, seed, regime=regime)
         g = generate(spec)

@@ -81,12 +81,16 @@ def forest_inertia(g: WeightedGraph) -> Inertia:
     return Inertia(q, q, g.n - 2 * q)
 
 
+def _check_cycle(weights: Sequence[Fraction]) -> None:
+    if len(weights) < 3:
+        raise GraphError("a cycle needs at least 3 edges")
+
+
 def cycle_inertia(weights: Sequence[Fraction]) -> Inertia:
     """Inertia of a weighted cycle from its length and, when the length is
     divisible by 4, the comparison of its two alternating edge-weight products."""
+    _check_cycle(weights)
     n = len(weights)
-    if n < 3:
-        raise GraphError("a cycle needs at least 3 edges")
     r = n % 4
     if r == 0:
         if alternating_product(weights) == 1:
@@ -252,10 +256,7 @@ def reduce_infinity_shape(p, l, q, a, b, c):
     """
     p0 = 3 + (p - 3) % 4
     q0 = 3 + (q - 3) % 4
-    if l == 1:
-        l0 = 1
-    else:
-        l0 = 2 + (l - 2) % 4
+    l0 = 1 if l == 1 else 2 + (l - 2) % 4
     k = (p - p0) // 4
     s = (q - q0) // 4
     t = (l - l0) // 4
@@ -285,12 +286,16 @@ def _infinity_rep_pn(p, l, q, a, b, c):
     return row.outcome("any" if cond is None else cond.relation)
 
 
-def infinity_inertia(p, l, q, a, b, c) -> Inertia:
-    """Closed-form inertia of a bare infinity base on p + q + l - 2 vertices."""
+def _check_infinity(p, l, q, a, b, c) -> None:
     if p < 3 or q < 3 or l < 1:
         raise GraphError(f"infinity({p},{l},{q}) is not a valid shape")
     if (len(a), len(b), len(c)) != (p, q, l - 1):
         raise GraphError("weight sequence lengths must be (p, q, l-1)")
+
+
+def infinity_inertia(p, l, q, a, b, c) -> Inertia:
+    """Closed-form inertia of a bare infinity base on p + q + l - 2 vertices."""
+    _check_infinity(p, l, q, a, b, c)
     n = p + q + l - 2
     (p0, l0, q0, a0, b0, c0), folds = reduce_infinity_shape(p, l, q, a, b, c)
     pos, neg = _infinity_rep_pn(p0, l0, q0, a0, b0, c0)
@@ -372,13 +377,16 @@ def _theta_rep_pn(slots):
     return (4, 4)  # (3, 4, 5), the last shape a fold can leave
 
 
-def theta_inertia(p, l, q, a, b, c) -> Inertia:
-    """Closed-form inertia of a bare theta base on p + l + q - 4 vertices."""
-    sizes = (p, l, q)
-    if min(sizes) < 2 or sum(1 for s in sizes if s == 2) > 1:
+def _check_theta(p, l, q, a, b, c) -> None:
+    if min(p, l, q) < 2 or (p, l, q).count(2) > 1:
         raise GraphError(f"theta({p},{l},{q}) is not a valid shape")
     if (len(a), len(b), len(c)) != (p - 1, l - 1, q - 1):
         raise GraphError("weight sequence lengths must be (p-1, l-1, q-1)")
+
+
+def theta_inertia(p, l, q, a, b, c) -> Inertia:
+    """Closed-form inertia of a bare theta base on p + l + q - 4 vertices."""
+    _check_theta(p, l, q, a, b, c)
     n = p + l + q - 4
     slots, folds = reduce_theta_shape(p, l, q, a, b, c)
     pos, neg = _theta_rep_pn(slots)

@@ -9,7 +9,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .closed_forms import INFINITY_TABLE, alternating_product, infinity_condition
+from .closed_forms import (
+    INFINITY_TABLE,
+    _check_cycle,
+    _check_infinity,
+    _check_theta,
+    alternating_product,
+    infinity_condition,
+)
 from .core import GraphError
 from .graph import WeightedGraph
 from .structure import BaseDescriptor, BaseKind
@@ -55,8 +62,7 @@ def _chains(vertices, *chains) -> WeightedGraph:
 
 
 def build_cycle(weights: Sequence[Fraction], prefix: str = "v") -> WeightedGraph:
-    if len(weights) < 3:
-        raise GraphError("a cycle needs at least 3 edges")
+    _check_cycle(weights)
     names = [f"{prefix}{i}" for i in range(len(weights))]
     return _chains(names, ((*names, names[0]), weights))
 
@@ -74,10 +80,7 @@ def build_infinity(
     ``a``/``b`` walk each cycle starting at its junction; ``c`` walks the
     connecting path from the p-side junction.  ``l == 1`` shares one vertex.
     """
-    if p < 3 or q < 3 or l < 1:
-        raise GraphError(f"infinity({p},{l},{q}) is not a valid shape")
-    if len(a) != p or len(b) != q or len(c) != l - 1:
-        raise GraphError("weight sequence lengths must be (p, q, l-1)")
+    _check_infinity(p, l, q, a, b, c)
     us = [f"u{i}" for i in range(p)]
     vs = [f"v{i}" for i in range(q)]
     if l == 1:
@@ -97,12 +100,8 @@ def build_theta(
 ) -> WeightedGraph:
     """Two hubs joined by three internally disjoint paths with p-1, l-1 and
     q-1 edges; at most one path may be a single edge."""
-    sizes = (p, l, q)
-    if min(sizes) < 2 or sum(1 for s in sizes if s == 2) > 1:
-        raise GraphError(f"theta({p},{l},{q}) is not a valid shape")
-    if (len(a), len(b), len(c)) != (p - 1, l - 1, q - 1):
-        raise GraphError("weight sequence lengths must be (p-1, l-1, q-1)")
-    inners = [[f"{label}{i}" for i in range(1, size - 1)] for label, size in zip("abc", sizes)]
+    _check_theta(p, l, q, a, b, c)
+    inners = [[f"{label}{i}" for i in range(1, size - 1)] for label, size in zip("abc", (p, l, q))]
     chains = [(["u", *inner, "v"], ws) for inner, ws in zip(inners, (a, b, c))]
     return _chains(["u", "v", *inners[0], *inners[1], *inners[2]], *chains)
 
@@ -289,6 +288,12 @@ def _random_tree(rng, n, unit):
     return WeightedGraph(names, edges)
 
 
+_SAMPLERS = {
+    build_infinity: (infinity_branches, sample_infinity_weights),
+    build_theta: (theta_branches, sample_theta_weights),
+}
+
+
 def generate(spec: GenSpec) -> WeightedGraph:
     """Generate a graph of the requested class; a pure function of ``spec``."""
     rng = random.Random(spec.seed)
@@ -320,28 +325,23 @@ def generate(spec: GenSpec) -> WeightedGraph:
     if spec.target == "bicyclic":
         if n < 4:
             raise GraphError("a bicyclic graph needs at least 4 vertices")
+        # Draw shapes until one fits; theta(2,3,3) fits every n >= 4.
+        build, (p, l, q) = build_theta, (2, 3, 3)
         for _ in range(200):
             if rng.random() < 0.5:
-                p = rng.randint(3, 6)
-                q = rng.randint(3, 6)
-                l = rng.randint(1, 5)
-                if p + q + l - 2 > n:
-                    continue
-                p, q = min(p, q), max(p, q)
-                branches = infinity_branches(p, l, q) if force else ()
-                branch = rng.choice(branches) if branches else None
-                a, b, c = sample_infinity_weights(p, l, q, rng, branch=branch, unit=unit)
-                base = build_infinity(p, l, q, a, b, c)
+                p0, q0, l0 = rng.randint(3, 6), rng.randint(3, 6), rng.randint(1, 5)
+                if p0 + q0 + l0 - 2 <= n:
+                    build, (p, l, q) = build_infinity, (min(p0, q0), l0, max(p0, q0))
+                    break
             else:
                 sizes = sorted(rng.randint(2, 6) for _ in range(3))
-                if sum(1 for s in sizes if s == 2) > 1 or sum(sizes) - 4 > n:
-                    continue
-                p, l, q = sizes
-                branches = theta_branches(p, l, q) if force else ()
-                branch = rng.choice(branches) if branches else None
-                a, b, c = sample_theta_weights(p, l, q, rng, branch=branch, unit=unit)
-                base = build_theta(p, l, q, a, b, c)
-            return _attach_forest(rng, base, n, unit)
-        raise GraphError(f"no bicyclic base fits within n={n}")
+                if sizes.count(2) <= 1 and sum(sizes) - 4 <= n:
+                    build, (p, l, q) = build_theta, sizes
+                    break
+        branches_of, sample = _SAMPLERS[build]
+        branches = branches_of(p, l, q) if force else ()
+        branch = rng.choice(branches) if branches else None
+        base = build(p, l, q, *sample(p, l, q, rng, branch=branch, unit=unit))
+        return _attach_forest(rng, base, n, unit)
 
     raise GraphError(f"unknown generation target {spec.target!r}")

@@ -2,9 +2,12 @@ import hashlib
 import io
 import json
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+import graph_inertia
 from graph_inertia.cli import main
 from graph_inertia.graph import parse_graph, serialize_graph
 from graph_inertia.testgen import (
@@ -115,6 +118,40 @@ def test_verify_json_output_is_stable():
     code2, out2, _ = run(args)
     assert code1 == 0 and out1 == out2
     assert json.loads(out1)["matches"] == 10
+
+
+@pytest.mark.parametrize("extra", [
+    ["--count", "0"],
+    ["--count", "-2"],
+    ["--class", "tree", "--n", "0"],
+    ["--class", "unicyclic", "--n", "2"],
+    ["--class", "bicyclic", "--n", "4"],
+])
+def test_verify_rejects_a_count_or_size_below_its_minimum(extra):
+    code, out, err = run(["verify", *extra])
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_accepts_the_class_minimum():
+    code, out, _ = run(["verify", "--class", "bicyclic", "--n", "5", "--seed", "17575", "--count", "1"])
+    assert code == 0 and out == "1/1 match\n"
+
+
+def test_gen_bicyclic_at_four_vertices():
+    code, out, _ = run(["gen", "--class", "bicyclic", "--n", "4", "--seed", "7"])
+    assert code == 0
+    g = parse_graph(out)
+    assert (g.n, g.m) == (4, 5)
+
+
+def test_readme_entry_points_are_root_exports():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sentence = readme[readme.index("Key entry points"):readme.index("Everything else")]
+    names = re.findall(r"`(\w+)`", sentence)
+    assert "solve" in names and "parse_graph" in names
+    missing = [name for name in names if name != "graph_inertia" and not hasattr(graph_inertia, name)]
+    assert missing == []
 
 
 def test_table1_all_match():

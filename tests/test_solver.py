@@ -12,13 +12,12 @@ from graph_inertia import (
     WeightedGraph,
     forest_inertia,
     inertia_oracle,
-    joining_decompose,
+    is_mismatched,
     parse_graph,
     solve,
-    solve_bicyclic,
-    solve_unicyclic,
 )
 from graph_inertia.closed_forms import reduce_infinity_shape, reduce_theta_shape
+from graph_inertia.reduction import ReductionRule
 from graph_inertia.testgen import (
     GenSpec,
     build_cycle,
@@ -55,7 +54,7 @@ def test_solve_vertex_count_identity():
 def test_unicyclic_bare_cycle_type():
     rng = random.Random(0)
     c5 = build_cycle([random_weight(rng) for _ in range(5)])
-    res = solve_unicyclic(c5)
+    res = solve(c5)
     assert res.inertia == Inertia(3, 2, 0)
     assert res.methods == (Method.CYCLE_CLOSED_FORM,)
 
@@ -63,7 +62,7 @@ def test_unicyclic_bare_cycle_type():
 def test_unicyclic_type_i_example():
     # triangle with one pendant: matched root splits into two 2-vertex paths
     g = parse_graph("1 2 2\n2 3 1/2\n3 1 5\n1 4 3")
-    res = solve_unicyclic(g)
+    res = solve(g)
     assert res.inertia == Inertia(2, 2, 0)
     assert res.methods == (Method.UNICYCLIC_TYPE_I,)
     assert res.inertia == inertia_oracle(g)
@@ -73,20 +72,15 @@ def test_unicyclic_type_ii_example():
     # C4 with a 2-path hung off one vertex: every hanging tree root mismatched
     g = parse_graph("1 2 1\n2 3 1\n3 4 1\n4 1 1\n1 5 1\n5 6 1\n6 7 1")
     # hanging tree at 1 is a path with root at its end and even edge count
-    res = solve_unicyclic(g)
+    res = solve(g)
     assert res.methods[0] in (Method.UNICYCLIC_TYPE_I, Method.UNICYCLIC_TYPE_II)
     assert res.inertia == inertia_oracle(g)
-
-
-def test_unicyclic_rejects_wrong_class():
-    with pytest.raises(GraphError):
-        solve_unicyclic(parse_graph("1 2 1"))
 
 
 def test_bicyclic_bare_infinity():
     rng = random.Random(1)
     a, b, c = sample_infinity_weights(3, 1, 3, rng)
-    res = solve_bicyclic(build_infinity(3, 1, 3, a, b, c))
+    res = solve(build_infinity(3, 1, 3, a, b, c))
     assert res.inertia == Inertia(2, 3, 0)
     assert res.methods == (Method.BICYCLIC_TYPE_II,)
 
@@ -96,11 +90,27 @@ def test_bicyclic_pendant_at_hub_goes_type_i():
     a, b, c = sample_theta_weights(2, 3, 5, rng)
     base = build_theta(2, 3, 5, a, b, c)
     g = WeightedGraph(tuple(base.vertices) + ("x",), tuple(base.edges) + (("u", "x", Fraction(2)),))
-    res = solve_bicyclic(g)
+    res = solve(g)
     assert res.methods[0] is Method.BICYCLIC_TYPE_I
     assert res.inertia == inertia_oracle(g)
     # the split part is the 2-vertex tree at the hub
     assert res.inertia == Inertia(1, 1, 0) + solve(g.without(["u", "x"])).inertia
+
+
+def test_bicyclic_type_i_rest_appends_in_order():
+    # The pendant on connector vertex w1 is a matched hanging tree; splitting
+    # it off leaves two triangles, whose ComponentSplit and closed forms
+    # follow the type-I step.
+    rng = random.Random(3)
+    a, b, c = sample_infinity_weights(3, 3, 3, rng)
+    base = build_infinity(3, 3, 3, a, b, c)
+    g = WeightedGraph(tuple(base.vertices) + ("x",), tuple(base.edges) + (("w1", "x", Fraction(2)),))
+    res = solve(g)
+    assert res.methods == (Method.BICYCLIC_TYPE_I, Method.CYCLE_CLOSED_FORM, Method.CYCLE_CLOSED_FORM)
+    steps = res.trace.steps
+    assert [s.rule for s in steps] == [ReductionRule.TYPE_I_DECOMPOSE, ReductionRule.COMPONENT_SPLIT]
+    assert steps[0].removed == ("w1", "x")
+    assert res.inertia == inertia_oracle(g) == Inertia(3, 5, 0)
 
 
 @pytest.mark.parametrize("seed", range(40))
@@ -195,29 +205,17 @@ def test_joining_decompose_examples():
     rng = random.Random(4)
     p2 = parse_graph("u w 3")
     c3 = build_cycle([Fraction(1), Fraction(2), Fraction(3)]).relabel(lambda v: "r" + v)
-    decision = joining_decompose(p2, "u", c3, 1)
-    assert decision.matched
+    assert not is_mismatched(p2, "u")
     joined = _join(p2, "u", c3, 1, rng)
-    assert inertia_oracle(joined).pn == (
-        decision.tree_inertia.pos + inertia_oracle(c3).pos,
-        decision.tree_inertia.neg + inertia_oracle(c3).neg,
-    )
+    assert inertia_oracle(joined) == forest_inertia(p2) + inertia_oracle(c3)
 
-    k1 = WeightedGraph(["u"], [])
-    decision = joining_decompose(k1, "u", c3, 2)
-    assert not decision.matched
-
-
-def test_joining_decompose_validation():
-    c3 = build_cycle([Fraction(1)] * 3)
-    with pytest.raises(GraphError):
-        joining_decompose(parse_graph("u w 1"), "u", c3, 0)
-    with pytest.raises(GraphError):
-        joining_decompose(c3.relabel(lambda v: "x" + v), "xv0", c3, 1)
+    assert is_mismatched(WeightedGraph(["u"], []), "u")
 
 
 @pytest.mark.parametrize("seed", range(30))
 def test_joining_identities_against_oracle(seed):
+    # Joined at a matched u: tree + rest.  At a mismatched u:
+    # tree + (rest plus u with its joining edges).
     rng = random.Random(seed)
     t = generate(GenSpec("tree", rng.randint(1, 8), seed)).relabel(lambda v: "T" + v)
     rest = generate(
@@ -225,14 +223,14 @@ def test_joining_identities_against_oracle(seed):
     ).relabel(lambda v: "R" + v)
     u = rng.choice(list(t.vertices))
     k = rng.randint(1, rest.n)
-    decision = joining_decompose(t, u, rest, k)
     joined = _join(t, u, rest, k, rng)
     whole = inertia_oracle(joined)
-    if decision.matched:
-        part = inertia_oracle(rest)
-    else:
+    if is_mismatched(t, u):
         part = inertia_oracle(joined.induced(tuple(rest.vertices) + (u,)))
-    assert whole.pn == (decision.tree_inertia.pos + part.pos, decision.tree_inertia.neg + part.neg)
+    else:
+        part = inertia_oracle(rest)
+    tree = forest_inertia(t)
+    assert whole.pn == (tree.pos + part.pos, tree.neg + part.neg)
 
 
 # SHA-256 of ``_solve_transcript()``.  Traces are otherwise checked only by

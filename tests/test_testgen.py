@@ -4,9 +4,9 @@ from fractions import Fraction
 
 import pytest
 
-from graph_inertia import GraphClass, GraphError, classify, infinity_condition
+from graph_inertia import GraphClass, GraphError, classify, inertia_oracle, infinity_condition, solve
 from graph_inertia.graph import serialize_graph
-from graph_inertia.structure import describe_base
+from graph_inertia.structure import BaseKind, describe_base, two_core
 from graph_inertia.testgen import (
     GenSpec,
     build_cycle,
@@ -58,6 +58,17 @@ def test_generate_forest(seed):
 def test_generate_unit_regime():
     g = generate(GenSpec("bicyclic", 9, 3, regime="unit"))
     assert all(w == 1 for _, _, w in g.edges)
+
+
+@pytest.mark.parametrize("n,seed", [(4, 7), (5, 17575), (5, 17631), (5, 18854)])
+@pytest.mark.parametrize("regime", ["random", "force"])
+def test_bicyclic_falls_back_to_the_smallest_theta(n, seed, regime):
+    # 200 draws find no base that fits here; theta(2,3,3) always does.
+    g = generate(GenSpec("bicyclic", n, seed, regime=regime))
+    assert g.n == n
+    d = describe_base(two_core(g))
+    assert (d.kind, d.p, d.l, d.q) == (BaseKind.THETA, 2, 3, 3)
+    assert inertia_oracle(g) == solve(g).inertia
 
 
 def test_generate_infeasible_spec():
