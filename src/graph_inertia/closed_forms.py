@@ -7,8 +7,10 @@ every base folds onto a bounded representative whose value is a table lookup
 or a short case split.  That weight, the weight of several folds in a row and
 the balance test of a cycle of length divisible by 4 are all one
 ``alternating_product``, which the rewrite engine and the generator's
-branch-forcing samplers use too.  Every branch here is cross-checked against
-the congruence oracle by the test suite.
+branch-forcing samplers use too.  Every fold is ``fold_path_weights``, after
+``reduce_infinity_shape`` or ``reduce_theta_shape`` has checked the shape.
+Every branch here is cross-checked against the congruence oracle by the
+test suite.
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ __all__ = [
     "infinity_base_inertia",
     "theta_inertia",
     "theta_base_inertia",
-    "fold_cycle_weights",
     "fold_path_weights",
     "reduce_infinity_shape",
     "reduce_theta_shape",
@@ -127,17 +128,6 @@ def _tadpole_pn(cycle_ws: Sequence[Fraction], t: int) -> tuple[int, int]:
 
 # ---------------------------------------------------------------------------
 # five-edge run contraction (weight folding for the mod-4 reductions)
-
-
-def fold_cycle_weights(ws: Sequence[Fraction], times: int) -> tuple[Fraction, ...]:
-    """Contract ``times`` five-edge runs of a cycle, folding from the junction.
-
-    Each contraction shortens the cycle by 4 and contributes (2, 2) to the
-    caller's inertia offset.  The cycle must stay at least a triangle.
-    """
-    if times > 0 and len(ws) < 4 * times + 3:
-        raise GraphError("cycle too short to contract while staying simple")
-    return fold_path_weights(ws, times)
 
 
 def fold_path_weights(ws: Sequence[Fraction], times: int) -> tuple[Fraction, ...]:
@@ -247,6 +237,13 @@ def infinity_condition(
     return CaseCondition(lhs, rhs)
 
 
+def _check_infinity(p, l, q, a, b, c) -> None:
+    if p < 3 or q < 3 or l < 1:
+        raise GraphError(f"infinity({p},{l},{q}) is not a valid shape")
+    if (len(a), len(b), len(c)) != (p, q, l - 1):
+        raise GraphError("weight sequence lengths must be (p, q, l-1)")
+
+
 def reduce_infinity_shape(p, l, q, a, b, c):
     """Fold an infinity shape onto its representative (p, q in [3,6], l in [1,5]).
 
@@ -254,6 +251,7 @@ def reduce_infinity_shape(p, l, q, a, b, c):
     ``(2 * folds, 2 * folds)``.  A connector length l == 1 (shared junction)
     never folds; l > 1 keeps at least a direct junction-junction edge.
     """
+    _check_infinity(p, l, q, a, b, c)
     p0 = 3 + (p - 3) % 4
     q0 = 3 + (q - 3) % 4
     l0 = 1 if l == 1 else 2 + (l - 2) % 4
@@ -261,7 +259,7 @@ def reduce_infinity_shape(p, l, q, a, b, c):
     s = (q - q0) // 4
     t = (l - l0) // 4
     return (
-        (p0, l0, q0, fold_cycle_weights(a, k), fold_cycle_weights(b, s), fold_path_weights(c, t)),
+        (p0, l0, q0, fold_path_weights(a, k), fold_path_weights(b, s), fold_path_weights(c, t)),
         k + s + t,
     )
 
@@ -286,16 +284,8 @@ def _infinity_rep_pn(p, l, q, a, b, c):
     return row.outcome("any" if cond is None else cond.relation)
 
 
-def _check_infinity(p, l, q, a, b, c) -> None:
-    if p < 3 or q < 3 or l < 1:
-        raise GraphError(f"infinity({p},{l},{q}) is not a valid shape")
-    if (len(a), len(b), len(c)) != (p, q, l - 1):
-        raise GraphError("weight sequence lengths must be (p, q, l-1)")
-
-
 def infinity_inertia(p, l, q, a, b, c) -> Inertia:
     """Closed-form inertia of a bare infinity base on p + q + l - 2 vertices."""
-    _check_infinity(p, l, q, a, b, c)
     n = p + q + l - 2
     (p0, l0, q0, a0, b0, c0), folds = reduce_infinity_shape(p, l, q, a, b, c)
     pos, neg = _infinity_rep_pn(p0, l0, q0, a0, b0, c0)
@@ -314,12 +304,20 @@ def infinity_base_inertia(d: BaseDescriptor) -> Inertia:
 # theta bases
 
 
+def _check_theta(p, l, q, a, b, c) -> None:
+    if min(p, l, q) < 2 or (p, l, q).count(2) > 1:
+        raise GraphError(f"theta({p},{l},{q}) is not a valid shape")
+    if (len(a), len(b), len(c)) != (p - 1, l - 1, q - 1):
+        raise GraphError("weight sequence lengths must be (p-1, l-1, q-1)")
+
+
 def reduce_theta_shape(p, l, q, a, b, c):
     """Fold a theta shape onto its representative (slots in [2,5], or 6 when a
     second slot would otherwise hit 2 and break simplicity).
 
     Slots are returned sorted; the inertia offset is ``(2*folds, 2*folds)``.
     """
+    _check_theta(p, l, q, a, b, c)
     slots = sorted([(p, tuple(a)), (l, tuple(b)), (q, tuple(c))])
     out: list[tuple[int, tuple[Fraction, ...]]] = []
     folds = 0
@@ -377,16 +375,8 @@ def _theta_rep_pn(slots):
     return (4, 4)  # (3, 4, 5), the last shape a fold can leave
 
 
-def _check_theta(p, l, q, a, b, c) -> None:
-    if min(p, l, q) < 2 or (p, l, q).count(2) > 1:
-        raise GraphError(f"theta({p},{l},{q}) is not a valid shape")
-    if (len(a), len(b), len(c)) != (p - 1, l - 1, q - 1):
-        raise GraphError("weight sequence lengths must be (p-1, l-1, q-1)")
-
-
 def theta_inertia(p, l, q, a, b, c) -> Inertia:
     """Closed-form inertia of a bare theta base on p + l + q - 4 vertices."""
-    _check_theta(p, l, q, a, b, c)
     n = p + l + q - 4
     slots, folds = reduce_theta_shape(p, l, q, a, b, c)
     pos, neg = _theta_rep_pn(slots)

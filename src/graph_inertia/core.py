@@ -28,7 +28,8 @@ def echo(value: object) -> str:
     return text if len(text) <= 40 else f"{text[:40]}... ({len(text)} characters)"
 
 
-_RATIONAL = re.compile(r"([+-]?\d+)(?:/([1-9]\d*))?")
+# ASCII digits only: ``\d`` would also take every other Unicode decimal digit.
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([1-9][0-9]*))?")
 
 
 def parse_rational(text: str) -> Fraction:

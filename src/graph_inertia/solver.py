@@ -25,7 +25,7 @@ from .core import Inertia
 from .graph import ComponentClass, WeightedGraph, _component_class, connected_components
 from .oracle import inertia_oracle
 from .reduction import ReductionRule, ReductionStep, ReductionTrace
-from .structure import BaseKind, _peel, _tree_vertices, describe_base
+from .structure import BaseKind, _hanging_tree, _peel, describe_base
 
 __all__ = ["Method", "SolveResult", "solve"]
 
@@ -68,7 +68,8 @@ def _solve_cyclic(
     unicyclic, else through the component loop.  Type II cuts out the whole
     core; deleting a mismatched root keeps its tree's matching number, so the
     forest left outside the core matches what the peel matched.  One leaf
-    peel gives the core, the trees, their matchings and their roots."""
+    peel gives the core, the matching and the matched roots; the chosen tree
+    is walked down from its root."""
     type_i, type_ii = _CYCLIC_METHODS[kind]
     live, parent, matched = _peel(g)
     if kind is ComponentClass.UNICYCLIC and len(live) == g.n:
@@ -77,7 +78,7 @@ def _solve_cyclic(
     # ``live`` keeps g's vertex order, so this is the least matched root.
     choice = next((v for v in live if v in matched), None)
     if choice is not None:
-        tree = _tree_vertices(live, parent)[choice]
+        tree = _hanging_tree(g._adjacency(), parent, choice)
         removed = tuple(sorted(tree, key=g.vertex_index))
         q = sum(v in matched for v in tree) // 2
         methods.append(type_i)

@@ -1,5 +1,6 @@
-"""One leaf peel for forest matching, matched-root tests, the 2-core and its
-hanging trees; canonical descriptors of the core."""
+"""One leaf peel for forest matching, matched-root tests and the 2-core; one
+walk down from a core vertex for its hanging tree; canonical descriptors of
+the core."""
 
 from __future__ import annotations
 
@@ -60,20 +61,14 @@ def _peel(g: WeightedGraph) -> tuple[dict[str, int], dict[str, str | None], set[
     return live, parent, matched
 
 
-def _tree_vertices(live, parent) -> dict[str, list[str]]:
-    """The vertices of the tree hanging off each live vertex, root first.
-
-    Peeled vertices whose parents lead to no live vertex (the trees of a
-    forest component) belong to no tree.
-    """
-    root = {v: v for v in live}
-    trees = {v: [v] for v in live}
-    for v in reversed(parent):  # a parent is peeled after its children
-        r = root.get(parent[v])
-        if r is not None:
-            root[v] = r
-            trees[r].append(v)
-    return trees
+def _hanging_tree(adj, parent, root: str) -> list[str]:
+    """The vertices of the tree hanging off the live vertex ``root``, root
+    first, walked down through the neighbours peeled into each vertex.  The
+    cost is the tree's total degree."""
+    tree = [root]
+    for v in tree:
+        tree.extend(nb for nb in adj[v] if parent.get(nb) == v)
+    return tree
 
 
 def max_matching_forest(g: WeightedGraph) -> int:
@@ -314,14 +309,17 @@ def hanging_trees(g: WeightedGraph, core: WeightedGraph) -> list[HangingTree]:
 
     ``core`` must be exactly ``two_core(g)``.  Core vertices with nothing
     attached yield single-vertex trees, which are mismatched by convention.
-    The one leaf peel that finds the core also finds the trees and their
-    matched roots in O(n + m); building each tree's graph adds O(k log k)
-    for a tree of k vertices.
+    The one leaf peel that finds the core also finds the matched roots in
+    O(n + m); walking each tree down from its root and building its graph
+    adds O(k log k) for a tree of k vertices.
     """
     live, parent, matched = _peel(g)
     if not live:
         raise GraphError("graph is a forest; its 2-core is empty")
     if live.keys() != set(core.vertices):
         raise GraphError("core is not the 2-core of the graph")
-    trees = _tree_vertices(live, parent)
-    return [HangingTree(v, g.induced(trees[v]), v in matched) for v in core.vertices]
+    adj = g._adjacency()
+    return [
+        HangingTree(v, g.induced(_hanging_tree(adj, parent, v)), v in matched)
+        for v in core.vertices
+    ]

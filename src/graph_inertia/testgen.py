@@ -264,28 +264,15 @@ class GenSpec:
     regime: str = "random"
 
 
-def _attach_forest(rng, g, n_total, unit):
-    """Attach extra vertices ``t0, t1, ...`` one at a time to uniformly chosen
-    earlier vertices; no base graph uses those names."""
-    vertices = list(g.vertices)
-    edges = list(g.edges)
-    for i in range(n_total - len(vertices)):
-        name = f"t{i}"
+def _attach(rng, vertices, edges, names, unit) -> WeightedGraph:
+    """Attach each of ``names`` in turn to a uniformly chosen earlier vertex
+    by an edge of random weight, or of weight 1 when ``unit``."""
+    vertices, edges = list(vertices), list(edges)
+    for name in names:
         anchor = vertices[rng.randrange(len(vertices))]
-        w = Fraction(1) if unit else random_weight(rng)
+        edges.append((anchor, name, Fraction(1) if unit else random_weight(rng)))
         vertices.append(name)
-        edges.append((anchor, name, w))
     return WeightedGraph(vertices, edges)
-
-
-def _random_tree(rng, n, unit):
-    names = [str(i) for i in range(n)]
-    edges = []
-    for i in range(1, n):
-        parent = names[rng.randrange(i)]
-        w = Fraction(1) if unit else random_weight(rng)
-        edges.append((parent, names[i], w))
-    return WeightedGraph(names, edges)
 
 
 _SAMPLERS = {
@@ -301,17 +288,13 @@ def generate(spec: GenSpec) -> WeightedGraph:
     force = spec.regime == "force"
     n = spec.n
 
-    if spec.target == "tree":
+    if spec.target in ("tree", "forest"):
         if n < 1:
-            raise GraphError("a tree needs at least one vertex")
-        return _random_tree(rng, n, unit)
-
-    if spec.target == "forest":
-        if n < 1:
-            raise GraphError("a forest needs at least one vertex")
-        tree = _random_tree(rng, n, unit)
-        edges = [e for e in tree.edges if rng.random() >= 0.25]
-        return WeightedGraph(tree.vertices, edges)
+            raise GraphError(f"a {spec.target} needs at least one vertex")
+        tree = _attach(rng, ["0"], (), map(str, range(1, n)), unit)
+        if spec.target == "tree":
+            return tree
+        return WeightedGraph(tree.vertices, [e for e in tree.edges if rng.random() >= 0.25])
 
     if spec.target == "unicyclic":
         if n < 3:
@@ -320,9 +303,8 @@ def generate(spec: GenSpec) -> WeightedGraph:
         cycle_len = rng.choice(lengths) if lengths else rng.randint(3, n)
         branch = "eq" if force and cycle_len % 4 == 0 else None
         ws = sample_cycle_weights(cycle_len, rng, branch=branch, unit=unit)
-        return _attach_forest(rng, build_cycle(ws), n, unit)
-
-    if spec.target == "bicyclic":
+        base = build_cycle(ws)
+    elif spec.target == "bicyclic":
         if n < 4:
             raise GraphError("a bicyclic graph needs at least 4 vertices")
         # Draw shapes until one fits; theta(2,3,3) fits every n >= 4.
@@ -342,6 +324,7 @@ def generate(spec: GenSpec) -> WeightedGraph:
         branches = branches_of(p, l, q) if force else ()
         branch = rng.choice(branches) if branches else None
         base = build(p, l, q, *sample(p, l, q, rng, branch=branch, unit=unit))
-        return _attach_forest(rng, base, n, unit)
-
-    raise GraphError(f"unknown generation target {spec.target!r}")
+    else:
+        raise GraphError(f"unknown generation target {spec.target!r}")
+    # The hung vertices are t0, t1, ...; no base graph uses those names.
+    return _attach(rng, base.vertices, base.edges, [f"t{i}" for i in range(n - base.n)], unit)

@@ -1,15 +1,21 @@
 import hashlib
 import io
 import json
+import os
 import random
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import graph_inertia
+from graph_inertia import Inertia, cli
 from graph_inertia.cli import main
 from graph_inertia.graph import parse_graph, serialize_graph
+from graph_inertia.reduction import ReductionTrace
+from graph_inertia.solver import SolveResult
 from graph_inertia.testgen import (
     GenSpec,
     build_cycle,
@@ -145,13 +151,71 @@ def test_gen_bicyclic_at_four_vertices():
     assert (g.n, g.m) == (4, 5)
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def test_readme_entry_points_are_root_exports():
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
     sentence = readme[readme.index("Key entry points"):readme.index("Everything else")]
     names = re.findall(r"`(\w+)`", sentence)
     assert "solve" in names and "parse_graph" in names
     missing = [name for name in names if name != "graph_inertia" and not hasattr(graph_inertia, name)]
     assert missing == []
+
+
+def test_readme_quick_start_prints_what_it_promises(capsys):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    promised = re.search(r"print\(solve\(g\)\.inertia\) +# (.*)", block)[1]
+    assert promised == "(i+=1, i-=2, i0=0)"
+    exec(block, {})
+    assert capsys.readouterr().out == promised + "\n"
+
+
+def _wrong_solve(g):
+    """Every vertex a zero eigenvalue: wrong for any graph with an edge."""
+    return SolveResult(Inertia(0, 0, g.n), (), ReductionTrace(()))
+
+
+def test_inertia_mismatch_exits_3(monkeypatch):
+    monkeypatch.setattr(cli, "solve", _wrong_solve)
+    code, out, _ = run(["inertia", "--method", "both", "-"], C3)
+    assert code == 3
+    assert out.splitlines()[-1] == "MISMATCH"
+    code, out, _ = run(["inertia", "--method", "both", "--output", "json", "-"], C3)
+    assert code == 3
+    assert json.loads(out)["match"] is False
+
+
+def test_verify_mismatch_exits_3(monkeypatch):
+    monkeypatch.setattr(cli, "solve", _wrong_solve)
+    args = ["verify", "--class", "unicyclic", "--count", "3"]
+    code, out, _ = run(args)
+    assert code == 3
+    assert out == "0/3 match\nmismatch seed=0\nmismatch seed=1\nmismatch seed=2\n"
+    code, out, _ = run([*args, "--output", "json"])
+    assert code == 3
+    assert json.loads(out) == {"count": 3, "matches": 0, "mismatch_seeds": [0, 1, 2]}
+
+
+def test_table1_mismatch_exits_3(monkeypatch):
+    monkeypatch.setattr(cli, "inertia_oracle", lambda g: Inertia(0, 0, g.n))
+    code, out, _ = run(["table1"])
+    assert code == 3
+    assert out.splitlines()[-1] == "MISMATCHES FOUND"
+
+
+def test_cli_runs_as_a_process():
+    argv = [sys.executable, "-m", "graph_inertia.cli", "inertia", "-"]
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    ok = subprocess.run(argv, input=C3.encode(), capture_output=True, env=env, timeout=60)
+    assert ok.returncode == 0
+    assert ok.stdout.decode() == "structural: i+=1 i-=2 i0=0 [CycleClosedForm]\n"
+    assert ok.stderr == b""
+    bad = subprocess.run(argv, input=b"1 2 \xff", capture_output=True, env=env, timeout=60)
+    assert (bad.returncode, bad.stdout) == (2, b"")
+    assert bad.stderr.decode().startswith("error: invalid UTF-8 at byte 4: ")
+    assert bad.stderr.count(b"\n") == 1
 
 
 def test_table1_all_match():

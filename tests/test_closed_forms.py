@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -23,7 +24,6 @@ from graph_inertia.closed_forms import (
     INFINITY_TABLE,
     CaseCondition,
     alternating_product,
-    fold_cycle_weights,
     fold_path_weights,
     reduce_infinity_shape,
     reduce_theta_shape,
@@ -177,6 +177,9 @@ def test_infinity_validation():
         infinity_inertia(2, 1, 3, [1, 1], [1, 1, 1], [])
     with pytest.raises(GraphError):
         infinity_inertia(3, 2, 3, [1, 1, 1], [1, 1, 1], [])
+    cycle = describe_base(build_cycle([Fraction(1)] * 5))
+    with pytest.raises(GraphError, match="descriptor is cycle, not infinity"):
+        infinity_base_inertia(cycle)
 
 
 # ---------------------------------------------------------------- theta
@@ -279,6 +282,9 @@ def test_theta_validation():
         theta_inertia(2, 2, 3, [1], [1], [1, 1])
     with pytest.raises(GraphError):
         theta_inertia(3, 3, 3, [1], [1, 1], [1, 1])
+    infinity = describe_base(build_infinity(3, 1, 3, *[[Fraction(1)] * 3] * 2, ()))
+    with pytest.raises(GraphError, match="descriptor is infinity, not theta"):
+        theta_base_inertia(infinity)
 
 
 # ---------------------------------------------------------------- folding helpers
@@ -286,12 +292,22 @@ def test_theta_validation():
 
 def test_fold_helpers():
     ws = [Fraction(x) for x in (1, 2, 3, 4, 5, 6, 7, 8)]
-    folded = fold_cycle_weights(ws, 1)
+    folded = fold_path_weights(ws, 1)
     assert folded[0] == Fraction(15, 8)
     assert folded[1:] == (6, 7, 8)
-    with pytest.raises(GraphError):
-        fold_cycle_weights([Fraction(1)] * 6, 1)
     assert fold_path_weights([Fraction(1)] * 5, 1) == (Fraction(1),)
+    with pytest.raises(GraphError, match="path too short to contract"):
+        fold_path_weights([Fraction(1)] * 8, 2)
+
+
+def test_folds_check_their_shape():
+    ones = [Fraction(1)] * 8
+    # Eight a-weights for a 7-cycle once folded into a "(3,1,3)" with four.
+    with pytest.raises(GraphError, match=re.escape("weight sequence lengths must be (p, q, l-1)")):
+        reduce_infinity_shape(7, 1, 3, ones, ones[:3], ())
+    # Two single-edge paths are parallel edges.
+    with pytest.raises(GraphError, match=re.escape("theta(2,2,3) is not a valid shape")):
+        reduce_theta_shape(2, 2, 3, ones[:1], ones[:1], ones[:2])
 
 
 def _taken_branch(monkeypatch, p, l, q, a, b, c):

@@ -56,6 +56,13 @@ def test_parse_rejects_float_weight():
         parse_graph("1 2 0.5")
 
 
+def test_parse_rejects_non_ascii_digits():
+    with pytest.raises(ParseError, match="line 1"):
+        parse_graph("1 2 \u0663")
+    with pytest.raises(ParseError, match="not an integer or integer ratio"):
+        parse_graph(json.dumps({"edges": [["1", "2", "\u0663"]]}), "json")
+
+
 @pytest.mark.parametrize(
     "text, accepted",
     [
@@ -70,6 +77,9 @@ def test_parse_rejects_float_weight():
         pytest.param("", False, id="empty"),
         pytest.param("1/-2", False, id="negative-denominator"),
         pytest.param("+", False, id="sign-only"),
+        pytest.param("\u0663", False, id="arabic-indic-digit"),
+        pytest.param("\uff11\uff12", False, id="fullwidth-digits"),
+        pytest.param("3/1\u0663", False, id="arabic-indic-denominator-tail"),
     ],
 )
 def test_parse_rational_grammar(text, accepted):
@@ -100,6 +110,29 @@ def test_constructor_invariants():
         WeightedGraph(["a", "a"], [])
     with pytest.raises(GraphError):
         WeightedGraph(["a", "b"], [("a", "b", 0)])
+    with pytest.raises(GraphError, match="self-loop at vertex 'a'"):
+        WeightedGraph(["a"], [("a", "a", 1)])
+    with pytest.raises(GraphError, match="edge endpoint 'b' is not a declared vertex"):
+        WeightedGraph(["a"], [("b", "a", 1)])
+
+
+def test_lookups_refuse_what_the_graph_lacks():
+    g = parse_graph("a b 1\nb c 2")
+    with pytest.raises(GraphError, match="unknown vertex 'z'"):
+        g.vertex_index("z")
+    with pytest.raises(GraphError, match="no edge 'a'-'c'"):
+        g.weight("a", "c")
+    with pytest.raises(GraphError, match=r"union of non-disjoint graphs \(shared: \['b'\]\)"):
+        g.union(parse_graph("b d 1"))
+
+
+def test_equal_graphs_hash_equal_and_differ_from_other_types():
+    g = parse_graph("a b 1\nb c 2")
+    flipped = WeightedGraph(["a", "b", "c"], [("c", "b", 2), ("b", "a", 1)])
+    assert g == flipped and hash(g) == hash(flipped)
+    assert len({g, flipped, parse_graph("a b 1\nb c 3")}) == 2
+    assert g.__eq__("a b 1") is NotImplemented
+    assert g != "a b 1"
 
 
 def test_adjacency_matrix_single_edge():

@@ -53,6 +53,13 @@ def test_swap_symmetric_offdiagonal_fixed_point():
     assert ecmo_swap(m, 0, 1) == m
 
 
+def test_matrix_must_be_square_and_symmetric():
+    with pytest.raises(GraphError, match="matrix is not square"):
+        SymRationalMatrix.from_rows([[1, 2]])
+    with pytest.raises(GraphError, match=r"matrix is not symmetric at \(1,0\)"):
+        SymRationalMatrix.from_rows([[0, 1], [2, 0]])
+
+
 def test_swap_index_errors():
     with pytest.raises(GraphError):
         ecmo_swap(diag(1, 2), 0, 5)

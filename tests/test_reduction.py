@@ -129,6 +129,8 @@ def test_contract_refusals():
     c6 = build_cycle([Fraction(1)] * 6)
     with pytest.raises(GraphError, match="parallel"):
         contract_degree2_path(c6, ("v0", "v1", "v2", "v3", "v4", "v5"))
+    with pytest.raises(GraphError, match="contraction path must list six vertices"):
+        contract_degree2_path(c6, ("v0", "v1", "v2", "v3", "v4"))
     branched = parse_graph("a b 1\nb c 1\nc d 1\nd e 1\ne f 1\nc x 1")
     with pytest.raises(GraphError, match="degree"):
         contract_degree2_path(branched, ("a", "b", "c", "d", "e", "f"))

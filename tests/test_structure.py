@@ -28,7 +28,7 @@ from graph_inertia.testgen import (
     sample_theta_weights,
 )
 
-from graph_inertia.structure import _peel, _tree_vertices
+from graph_inertia.structure import _hanging_tree, _peel
 
 from reference import brute_force_matching, leaf_deletion_matching, least_cycle_reading
 
@@ -216,6 +216,10 @@ def test_describe_base_rejects_junk():
     )
     with pytest.raises(GraphError):
         describe_base(k4)
+    triangle = build_cycle([Fraction(1)] * 3)
+    for core in (WeightedGraph([], []), triangle.union(triangle.relabel(lambda v: "w" + v))):
+        with pytest.raises(GraphError, match="core must be connected and non-empty"):
+            describe_base(core)
 
 
 def test_describe_base_is_canonical_under_relabeling():
@@ -279,7 +283,7 @@ def test_hanging_forest_walk_matches_the_definitions(cls, n, regime):
         g = generate(GenSpec(cls, n, seed, regime=regime))
         core = two_core(g)
         live, parent, matched = _peel(g)
-        walked = _tree_vertices(live, parent)
+        walked = {r: _hanging_tree(g._adjacency(), parent, r) for r in live}
         trees = hanging_trees(g, core)
         assert list(walked) == [t.root for t in trees] == list(core.vertices)
         total = 0
@@ -352,6 +356,8 @@ def test_hanging_trees_requires_real_core(seed=0):
     g = generate(GenSpec("unicyclic", 8, seed))
     with pytest.raises(GraphError):
         hanging_trees(g, build_cycle([Fraction(1)] * 3).relabel(lambda v: "q" + v))
+    with pytest.raises(GraphError, match="graph is a forest; its 2-core is empty"):
+        hanging_trees(path(4), WeightedGraph([], []))
 
 
 def _shuffled(g: WeightedGraph, rng: random.Random) -> WeightedGraph:

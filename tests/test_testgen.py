@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -78,6 +79,17 @@ def test_generate_infeasible_spec():
         generate(GenSpec("bicyclic", 3, 0))
     with pytest.raises(GraphError):
         generate(GenSpec("hypercube", 8, 0))
+    for target in ("tree", "forest"):
+        with pytest.raises(GraphError, match=f"a {target} needs at least one vertex"):
+            generate(GenSpec(target, 0, 0))
+
+
+def test_samplers_refuse_a_branch_the_shape_lacks():
+    rng = random.Random(0)
+    with pytest.raises(GraphError, match=re.escape("infinity(3,1,3) has no weight-condition branches")):
+        sample_infinity_weights(3, 1, 3, rng, branch="eq")
+    with pytest.raises(GraphError, match=re.escape("theta(2, 3, 5) has no branch 'eq'")):
+        sample_theta_weights(2, 3, 5, rng, branch="eq")
 
 
 def test_cycle_weight_forcing():
