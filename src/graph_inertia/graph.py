@@ -27,6 +27,25 @@ __all__ = [
 Edge = tuple[str, str, Fraction]
 
 
+def _exact_weight(u, v, w) -> Fraction:
+    """The weight ``w`` of edge u-v as the grammar takes it: a ``Fraction``,
+    an ``int`` (not a ``bool``) or a rational string.  Floats are inexact and
+    are refused with everything else."""
+    if isinstance(w, Fraction):
+        return w
+    if isinstance(w, int) and not isinstance(w, bool):
+        return Fraction(w)
+    if isinstance(w, str):
+        try:
+            return parse_rational(w)
+        except ValueError as exc:
+            raise GraphError(f"edge {echo(u)}-{echo(v)}: {exc}") from None
+    raise GraphError(
+        f"edge {echo(u)}-{echo(v)} has weight {echo(w)}: "
+        "must be a Fraction, an int or a rational string"
+    )
+
+
 class WeightedGraph:
     """Simple undirected graph with exact, strictly positive rational weights.
 
@@ -54,7 +73,7 @@ class WeightedGraph:
         adj: dict[str, dict[str, int]] = {v: {} for v in vs}
         out: list[Edge] = []
         for u, v, w in edges:
-            w = Fraction(w)
+            w = _exact_weight(u, v, w)
             if u == v:
                 raise GraphError(f"self-loop at vertex {echo(u)}")
             if u not in adj:
@@ -73,7 +92,12 @@ class WeightedGraph:
         self._adj = adj
 
     @classmethod
-    def _trusted(cls, vertices: tuple[str, ...], edges: tuple[Edge, ...]) -> "WeightedGraph":
+    def _trusted(
+        cls,
+        vertices: tuple[str, ...],
+        edges: tuple[Edge, ...],
+        adj: dict[str, dict[str, int]] | None = None,
+    ) -> "WeightedGraph":
         """Build from parts already known to be valid, without re-validating.
 
         The parts must pass every check the constructor makes: distinct,
@@ -81,14 +105,17 @@ class WeightedGraph:
         with ``Fraction`` weights above zero whose endpoints all lie in
         ``vertices``.  A subsequence of a validated graph's edges qualifies,
         and so does the edge-list parser's output, which makes those checks
-        itself to report them with line numbers.
+        itself to report them with line numbers.  ``adj``, when given, must
+        be what this would build: vertex -> {neighbour: edge position}, in
+        ``vertices`` order and each in edge order; it is kept, not copied.
         """
         g = cls.__new__(cls)
         g._vertices = vertices
         g._index = {v: i for i, v in enumerate(vertices)}
-        adj: dict[str, dict[str, int]] = {v: {} for v in vertices}
-        for i, (u, v, _) in enumerate(edges):
-            adj[u][v] = adj[v][u] = i
+        if adj is None:
+            adj = {v: {} for v in vertices}
+            for i, (u, v, _) in enumerate(edges):
+                adj[u][v] = adj[v][u] = i
         g._edges = edges
         g._adj = adj
         return g
@@ -215,9 +242,12 @@ class GraphFormat(str, Enum):
 
 
 def _parse_edgelist(text: str) -> WeightedGraph:
-    # Vertex -> {neighbour: edge position}, in first-appearance order.
+    # Vertex -> {neighbour: edge position}, in first-appearance order; the
+    # graph keeps it.
     adj: dict[str, dict[str, int]] = {}
     edges: list[Edge] = []
+    # Each distinct weight text is parsed and checked once, at its first line.
+    weights: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -230,12 +260,15 @@ def _parse_edgelist(text: str) -> WeightedGraph:
         if len(parts) != 3:
             raise ParseError(f"expected '<u> <v> <weight>', got {echo(line)}", lineno)
         u, v, wtext = parts
-        try:
-            w = parse_rational(wtext)
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from None
-        if w <= 0:
-            raise ParseError(f"non-positive weight {w}", lineno)
+        w = weights.get(wtext)
+        if w is None:
+            try:
+                w = parse_rational(wtext)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            if w <= 0:
+                raise ParseError(f"non-positive weight {w}", lineno)
+            weights[wtext] = w
         if u == v:
             raise ParseError(f"self-loop at vertex {echo(u)}", lineno)
         u_adj = adj.setdefault(u, {})
@@ -243,7 +276,7 @@ def _parse_edgelist(text: str) -> WeightedGraph:
             raise ParseError(f"duplicate edge {echo(u)}-{echo(v)}", lineno)
         u_adj[v] = adj.setdefault(v, {})[u] = len(edges)
         edges.append((u, v, w))
-    return WeightedGraph._trusted(tuple(adj), tuple(edges))
+    return WeightedGraph._trusted(tuple(adj), tuple(edges), adj)
 
 
 def _parse_json(text: str) -> WeightedGraph:
@@ -369,20 +402,23 @@ class Classification:
     components: tuple[ComponentClass, ...]
 
 
-def _component_vertices(g: WeightedGraph) -> list[list[str]]:
-    """Vertex lists of the components, ordered by first vertex appearance,
-    found in one O(n + m) pass without building any graph."""
+def _component_vertices(g: WeightedGraph, starts=None, within=None) -> list[list[str]]:
+    """Vertex lists of the components of ``g``, or of its subgraph on
+    ``within``, that hold a vertex of ``starts`` (default: every vertex, in
+    ``g``'s order), in the order their first such vertex comes, each walked
+    breadth-first from it.  One pass over the components' vertices and
+    edges, building no graph."""
     adj = g._adjacency()
     seen: set[str] = set()
     out = []
-    for start in g.vertices:
+    for start in g.vertices if starts is None else starts:
         if start in seen:
             continue
         seen.add(start)
         comp = [start]
         for x in comp:  # comp grows while it is scanned: breadth-first order
             for nb in adj[x]:
-                if nb not in seen:
+                if nb not in seen and (within is None or nb in within):
                     seen.add(nb)
                     comp.append(nb)
         out.append(comp)

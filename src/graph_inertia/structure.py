@@ -1,6 +1,7 @@
-"""One leaf peel for forest matching, matched-root tests and the 2-core; one
-walk down from a core vertex for its hanging tree; canonical descriptors of
-the core."""
+"""One leaf peel for forest matching, matched-root tests and the 2-core,
+which a cut at a core vertex continues instead of peeling again; one walk
+down from a core vertex for its hanging tree; canonical descriptors of the
+core."""
 
 from __future__ import annotations
 
@@ -39,9 +40,15 @@ def _peel(g: WeightedGraph) -> tuple[dict[str, int], dict[str, str | None], set[
     """
     adj = g._adjacency()
     live = {v: len(adj[v]) for v in g.vertices}
-    stack = [v for v, d in live.items() if d <= 1]
     parent: dict[str, str | None] = {}
     matched: set[str] = set()
+    _continue_peel(adj, live, parent, matched, [v for v, d in live.items() if d <= 1])
+    return live, parent, matched
+
+
+def _continue_peel(adj, live, parent, matched, stack: list[str]) -> None:
+    """Run the peel of ``_peel`` from the vertices on ``stack``, updating its
+    three results in place."""
     while stack:
         v = stack.pop()
         del live[v]
@@ -58,7 +65,22 @@ def _peel(g: WeightedGraph) -> tuple[dict[str, int], dict[str, str | None], set[
                     matched.add(nb)
                 break
         parent[v] = up
-    return live, parent, matched
+
+
+def _cut(adj, live, parent, matched, root: str) -> None:
+    """Delete the live vertex ``root`` with the tree hanging off it, which no
+    later walk enters, and continue the peel on what is left.  Whether a
+    root is matched does not depend on the peel order, and a matched root
+    stays matched whatever is later peeled into it, so this finds what a
+    fresh peel without the tree would, and every parent stays valid."""
+    del live[root]
+    stack = []
+    for nb in adj[root]:
+        if nb in live:
+            live[nb] -= 1
+            if live[nb] == 1:
+                stack.append(nb)
+    _continue_peel(adj, live, parent, matched, stack)
 
 
 def _hanging_tree(adj, parent, root: str) -> list[str]:

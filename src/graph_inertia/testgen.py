@@ -266,14 +266,17 @@ class GenSpec:
 
 def _attach(rng, vertices, edges, names, unit) -> WeightedGraph:
     """Attach each of ``names`` in turn to a uniformly chosen earlier vertex
-    by an edge of random weight, or of weight 1 when ``unit``."""
+    by an edge of random weight, or of weight 1 when ``unit``.  The names
+    are new and the weights positive, so the graph is built unchecked."""
     vertices, edges = list(vertices), list(edges)
     for name in names:
         anchor = vertices[rng.randrange(len(vertices))]
         edges.append((anchor, name, Fraction(1) if unit else random_weight(rng)))
         vertices.append(name)
-    return WeightedGraph(vertices, edges)
+    return WeightedGraph._trusted(tuple(vertices), tuple(edges))
 
+
+_REGIMES = ("random", "unit", "force")
 
 _SAMPLERS = {
     build_infinity: (infinity_branches, sample_infinity_weights),
@@ -283,6 +286,8 @@ _SAMPLERS = {
 
 def generate(spec: GenSpec) -> WeightedGraph:
     """Generate a graph of the requested class; a pure function of ``spec``."""
+    if spec.regime not in _REGIMES:
+        raise GraphError(f"unknown generation regime {spec.regime!r}")
     rng = random.Random(spec.seed)
     unit = spec.regime == "unit"
     force = spec.regime == "force"
@@ -294,7 +299,9 @@ def generate(spec: GenSpec) -> WeightedGraph:
         tree = _attach(rng, ["0"], (), map(str, range(1, n)), unit)
         if spec.target == "tree":
             return tree
-        return WeightedGraph(tree.vertices, [e for e in tree.edges if rng.random() >= 0.25])
+        return WeightedGraph._trusted(
+            tree.vertices, tuple(e for e in tree.edges if rng.random() >= 0.25)
+        )
 
     if spec.target == "unicyclic":
         if n < 3:

@@ -382,3 +382,17 @@ def test_criterion_11_rewrite_engine_at_scale():
             rest = inertia_oracle(reduced)
             pos, neg = trace.offset
             assert inertia_oracle(g) == Inertia(rest.pos + pos, rest.neg + neg, rest.zero), name
+
+
+def test_criterion_12_solve_at_scale():
+    # solve peels the input once and continues that peel after each cut, so
+    # n = 10^5 takes well under a second; peeling afresh after every cut
+    # took 1.6-2.0 s on the bicyclic graph.
+    with criterion(12, "structural solve at n = 10^5", 60):
+        for cls in ("tree", "unicyclic", "bicyclic"):
+            g = generate(GenSpec(cls, 100_000, 1012))
+            start = time.perf_counter()
+            got = solve(g)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 1.0, f"{cls}: solve took {elapsed:.2f}s"
+            assert got.inertia == inertia_oracle(g), cls

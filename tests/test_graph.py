@@ -116,6 +116,45 @@ def test_constructor_invariants():
         WeightedGraph(["a"], [("b", "a", 1)])
 
 
+def test_constructor_takes_only_the_grammars_weights():
+    accepted = {Fraction(3, 4): Fraction(3, 4), 2: Fraction(2), "3/4": Fraction(3, 4), "-0/5": None}
+    for w, want in accepted.items():
+        if want is None:
+            with pytest.raises(GraphError, match="non-positive weight 0"):
+                WeightedGraph(["a", "b"], [("a", "b", w)])
+            continue
+        ((_, _, got),) = WeightedGraph(["a", "b"], [("a", "b", w)]).edges
+        assert type(got) is Fraction and got == want
+    for w in (0.1, 2.0, float("inf"), True, None, b"1", [1]):
+        with pytest.raises(GraphError, match="must be a Fraction, an int or a rational string"):
+            WeightedGraph(["a", "b"], [("a", "b", w)])
+    for w in ("1e-3", "0.5", "1/0", ""):
+        with pytest.raises(GraphError, match="not an integer or integer ratio"):
+            WeightedGraph(["a", "b"], [("a", "b", w)])
+
+
+def test_parse_reports_a_bad_weight_at_its_own_line_after_many_good_ones():
+    good = [f"v{i} v{i + 1} {('3/4', '2', '5/3')[i % 3]}" for i in range(300)]
+    for bad, message in (("3/0", "not an integer or integer ratio"), ("-3/4", "non-positive weight")):
+        with pytest.raises(ParseError, match=message) as err:
+            parse_graph("\n".join([*good, f"x y {bad}", *good]))
+        assert err.value.line == 301
+
+
+def test_parse_gives_equal_weights_for_a_repeated_text():
+    g = parse_graph("a b 2/4\nb c 2/4\nc d 1/2\nd e 2/4")
+    assert [w for _, _, w in g.edges] == [Fraction(1, 2)] * 4
+    assert all(type(w) is Fraction for _, _, w in g.edges)
+
+
+def test_parse_rejects_a_non_positive_weight_on_first_sight():
+    for text, line in (("a b 0\nb c 0", 1), ("a b 1\nb c -1\nc d -1", 2), ("a b 1\nb c 0/7", 2)):
+        for _ in range(2):  # nothing is remembered between calls
+            with pytest.raises(ParseError, match="non-positive weight") as err:
+                parse_graph(text)
+            assert err.value.line == line
+
+
 def test_lookups_refuse_what_the_graph_lacks():
     g = parse_graph("a b 1\nb c 2")
     with pytest.raises(GraphError, match="unknown vertex 'z'"):

@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import random
@@ -15,9 +16,11 @@ from graph_inertia import (
     is_mismatched,
     parse_graph,
     solve,
+    solver,
+    structure,
 )
 from graph_inertia.closed_forms import reduce_infinity_shape, reduce_theta_shape
-from graph_inertia.reduction import ReductionRule
+from graph_inertia.reduction import ReductionRule, ReductionStep
 from graph_inertia.testgen import (
     GenSpec,
     build_cycle,
@@ -148,6 +151,58 @@ def test_solve_unsupported_uses_oracle_fallback():
     res = solve(k4)
     assert res.methods == (Method.ORACLE_FALLBACK,)
     assert res.inertia == inertia_oracle(k4)
+
+
+def _generated_components(seed):
+    """2-4 generated components with disjoint ids, K4 among them when
+    ``seed`` is divisible by 5."""
+    rng = random.Random(seed)
+    parts = []
+    for i in range(rng.randint(2, 4)):
+        if i == 1 and seed % 5 == 0:
+            part = parse_graph("1 2 1\n1 3 2\n1 4 3\n2 3 1/2\n2 4 5\n3 4 1")
+        else:
+            cls = rng.choice(["tree", "unicyclic", "bicyclic"])
+            regime = rng.choice(["random", "unit", "force"])
+            part = generate(GenSpec(cls, rng.randint(4, 16), rng.randrange(10**6), regime=regime))
+        parts.append(part.relabel(lambda v, i=i: f"c{i}.{v}"))
+    return parts
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_solve_on_disjoint_unions(seed):
+    parts = _generated_components(seed)
+    g = functools.reduce(WeightedGraph.union, parts)
+    res = solve(g)
+    assert res.inertia == inertia_oracle(g)
+    # One split step, then each component's methods and steps in order.
+    alone = [solve(part) for part in parts]
+    assert res.methods == tuple(m for r in alone for m in r.methods)
+    split = ReductionStep(ReductionRule.COMPONENT_SPLIT)
+    assert res.trace.steps == (split, *(s for r in alone for s in r.trace.steps))
+
+
+def test_solve_peels_once(monkeypatch):
+    # A bicyclic type-I graph whose rest splits into a tree and a unicyclic
+    # graph, one whose rest stays whole, and a union.
+    cases = [generate(GenSpec("bicyclic", 14, 3)), generate(GenSpec("bicyclic", 14, 2))]
+    cases.append(functools.reduce(WeightedGraph.union, _generated_components(10)))
+    expected = [solve(g) for g in cases]
+    assert [m.value for m in expected[0].methods] == ["BicyclicTypeI", "Forest", "UnicyclicTypeI"]
+    assert [m.value for m in expected[1].methods] == ["BicyclicTypeI", "UnicyclicTypeI"]
+    peels = []
+
+    def counting_peel(g):
+        peels.append(g.n)
+        return real_peel(g)
+
+    real_peel = structure._peel
+    monkeypatch.setattr(structure, "_peel", counting_peel)
+    monkeypatch.setattr(solver, "_peel", counting_peel)
+    for g, want in zip(cases, expected):
+        peels.clear()
+        assert solve(g) == want
+        assert peels == [g.n]
 
 
 def _bare_base_shapes():

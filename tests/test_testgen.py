@@ -5,7 +5,15 @@ from fractions import Fraction
 
 import pytest
 
-from graph_inertia import GraphClass, GraphError, classify, inertia_oracle, infinity_condition, solve
+from graph_inertia import (
+    GraphClass,
+    GraphError,
+    WeightedGraph,
+    classify,
+    inertia_oracle,
+    infinity_condition,
+    solve,
+)
 from graph_inertia.graph import serialize_graph
 from graph_inertia.structure import BaseKind, describe_base, two_core
 from graph_inertia.testgen import (
@@ -82,6 +90,23 @@ def test_generate_infeasible_spec():
     for target in ("tree", "forest"):
         with pytest.raises(GraphError, match=f"a {target} needs at least one vertex"):
             generate(GenSpec(target, 0, 0))
+
+
+def test_generate_refuses_an_unknown_regime():
+    for target in ("tree", "forest", "unicyclic", "bicyclic"):
+        with pytest.raises(GraphError, match="unknown generation regime 'bogus'"):
+            generate(GenSpec(target, 6, 0, regime="bogus"))
+
+
+@pytest.mark.parametrize("target", ["tree", "forest", "unicyclic", "bicyclic"])
+def test_generated_graphs_pass_the_constructors_checks(target):
+    # generate builds its graphs unchecked; the constructor rebuilds each the same.
+    for regime in ("random", "unit", "force"):
+        for seed in range(5):
+            g = generate(GenSpec(target, 5 + 7 * seed, seed, regime=regime))
+            built = WeightedGraph(g.vertices, g.edges)
+            assert built == g and built.edges == g.edges
+            assert all(built.neighbors(v) == g.neighbors(v) for v in g.vertices)
 
 
 def test_samplers_refuse_a_branch_the_shape_lacks():
