@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 parse error, 3 verification mismatch.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import BinaryIO, Sequence, TextIO
@@ -22,7 +23,7 @@ from .graph import (
     serialize_graph,
 )
 from .oracle import inertia_oracle
-from .reduction import reduce_to_core
+from .reduction import ReductionTrace, reduce_to_core
 from .solver import solve
 from .structure import describe_base, two_core
 from .testgen import (
@@ -40,7 +41,10 @@ EXIT_PARSE = 2
 EXIT_MISMATCH = 3
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    # Built once per process: parse_args only reads the parser, so every
+    # call to main sees the same parser a fresh build would give.
     parser = argparse.ArgumentParser(
         prog="graph-inertia",
         description="Exact inertia of weighted trees, unicyclic and bicyclic graphs.",
@@ -148,27 +152,52 @@ def _cmd_classify(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
     return EXIT_OK
 
 
+# The string escape json.dumps uses by default (ensure_ascii).
+_q = json.encoder.encode_basestring_ascii
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    """JSON texts ``items`` as a list laid out like ``json.dumps(..., indent=2)``;
+    ``pad`` is a newline and the indent of the closing bracket."""
+    if not items:
+        return "[]"
+    sep = pad + "  "
+    return "[" + sep + ("," + sep).join(items) + pad + "]"
+
+
+def _edges_json(edges, pad: str) -> str:
+    return _json_array([_json_array([_q(u), _q(v), _q(str(w))], pad + "  ") for u, v, w in edges], pad)
+
+
+def _reduce_json(reduced: WeightedGraph, trace: ReductionTrace) -> str:
+    """The reduce report as ``json.dumps(payload, indent=2)`` prints it, written
+    directly: that call runs CPython's pure-Python encoder, which costs more
+    than the parse and the rewrites together on long traces."""
+    steps = []
+    for s in trace.steps:
+        removed = _json_array([_q(v) for v in s.removed], "\n      ")
+        added = _edges_json(s.added, "\n      ")
+        pos, neg = s.offset
+        steps.append(
+            f'{{\n      "rule": {_q(s.rule.value)},\n      "removed": {removed},\n'
+            f'      "added": {added},\n      "offset": [\n        {pos},\n        {neg}\n      ]\n    }}'
+        )
+    pos, neg = trace.offset
+    steps_text = _json_array(steps, "\n  ")
+    vertices = _json_array([_q(v) for v in reduced.vertices], "\n    ")
+    edges = _edges_json(reduced.edges, "\n    ")
+    return (
+        f'{{\n  "steps": {steps_text},\n'
+        f'  "offset": [\n    {pos},\n    {neg}\n  ],\n'
+        f'  "result": {{\n    "vertices": {vertices},\n    "edges": {edges}\n  }}\n}}'
+    )
+
+
 def _cmd_reduce(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
     g = _read_graph(args, stdin)
     reduced, trace = reduce_to_core(g)
     if args.output == "json":
-        payload = {
-            "steps": [
-                {
-                    "rule": s.rule.value,
-                    "removed": list(s.removed),
-                    "added": [[u, v, str(w)] for u, v, w in s.added],
-                    "offset": list(s.offset),
-                }
-                for s in trace.steps
-            ],
-            "offset": list(trace.offset),
-            "result": {
-                "vertices": list(reduced.vertices),
-                "edges": [[u, v, str(w)] for u, v, w in reduced.edges],
-            },
-        }
-        print(json.dumps(payload, indent=2), file=out)
+        print(_reduce_json(reduced, trace), file=out)
     else:
         if trace.steps:
             print(trace.serialize(), file=out)

@@ -63,14 +63,17 @@ def alternating_product(ws: Sequence[Fraction]) -> Fraction:
     On five weights it is the contracted edge weight ``w1*w3*w5/(w2*w4)``; a
     cycle of length divisible by 4 has a zero eigenvalue iff it equals 1.
     """
-    num = Fraction(1)
-    den = Fraction(1)
+    # Numerators and denominators multiply as ints, crossed over on the odd
+    # positions, with one gcd at the end instead of one per weight.
+    num = den = 1
     for i, w in enumerate(ws):
-        if i % 2 == 0:
-            num *= w
+        if i % 2:
+            num *= w.denominator
+            den *= w.numerator
         else:
-            den *= w
-    return num / den
+            num *= w.numerator
+            den *= w.denominator
+    return Fraction(num, den)
 
 
 def forest_inertia(g: WeightedGraph) -> Inertia:

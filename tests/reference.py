@@ -1,9 +1,10 @@
 """Independent test-side oracles, kept deliberately separate from the package:
 subset-search and leaf-deletion matching, characteristic-polynomial sign
 counting, the plain definitions of induced subgraphs and least cycle
-readings, and the rescanning rewrite engine, which the package's linear-time
-versions must reproduce; and the three elementary congruence operations,
-whose invariance the tests check the diagonalization against."""
+readings, the Fraction-by-Fraction alternating product, the rescanning
+rewrite engine and the ``reduce --output json`` payload, which the package's
+faster versions must reproduce; and the three elementary congruence
+operations, whose invariance the tests check the diagonalization against."""
 
 from __future__ import annotations
 
@@ -83,6 +84,19 @@ def least_cycle_reading(order: list, weight_of) -> tuple:
             ws = tuple(weight_of(rotated[i], rotated[(i + 1) % n]) for i in range(n))
             out.append((ws, tuple(rotated)))
     return min(out)
+
+
+def alternating_product_by_fractions(ws) -> Fraction:
+    """Product of the even-position weights over the odd-position ones, one
+    ``Fraction`` product at a time."""
+    num = Fraction(1)
+    den = Fraction(1)
+    for i, w in enumerate(ws):
+        if i % 2 == 0:
+            num *= w
+        else:
+            den *= w
+    return num / den
 
 
 def _check_index(m: SymRationalMatrix, i: int) -> None:
@@ -221,3 +235,24 @@ def reduce_by_rescan(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
         cur, step = contract_degree2_path(cur, run)
         steps.append(step)
     return cur, ReductionTrace(tuple(steps))
+
+
+def reduce_payload(reduced: WeightedGraph, trace: ReductionTrace) -> dict:
+    """What ``reduce --output json`` reports, as the object whose
+    ``json.dumps(..., indent=2)`` it prints."""
+    return {
+        "steps": [
+            {
+                "rule": s.rule.value,
+                "removed": list(s.removed),
+                "added": [[u, v, str(w)] for u, v, w in s.added],
+                "offset": list(s.offset),
+            }
+            for s in trace.steps
+        ],
+        "offset": list(trace.offset),
+        "result": {
+            "vertices": list(reduced.vertices),
+            "edges": [[u, v, str(w)] for u, v, w in reduced.edges],
+        },
+    }

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -6,15 +7,18 @@ import random
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graph_inertia
-from graph_inertia import Inertia, cli
+from graph_inertia import Inertia, WeightedGraph, cli
 from graph_inertia.cli import main
 from graph_inertia.graph import parse_graph, serialize_graph
-from graph_inertia.reduction import ReductionTrace
+from graph_inertia.reduction import ReductionTrace, reduce_to_core
 from graph_inertia.solver import SolveResult
 from graph_inertia.testgen import (
     GenSpec,
@@ -27,6 +31,7 @@ from graph_inertia.testgen import (
     sample_theta_weights,
 )
 
+from reference import reduce_payload
 from test_acceptance import _hang_two_vertex_paths
 
 
@@ -96,6 +101,100 @@ def test_reduce_json():
     assert payload["result"]["vertices"] == ["c"]
 
 
+# Vertex ids that need escaping or that an edge list cannot hold: a quote, a
+# backslash, the comment and header marks, a slash, a non-ASCII letter, an
+# astral character (a surrogate pair in ASCII JSON) and a control character.
+_ODD_IDS = ['"', "\\", "#", "/", "vertices:x", "\u00e9", "\U0001f600", "\x01"]
+
+
+def _relabelled(g, names):
+    name = dict(zip(g.vertices, names))
+    return WeightedGraph([name[v] for v in g.vertices], [(name[u], name[v], w) for u, v, w in g.edges])
+
+
+def _reduce_json_matches_the_reference(text, fmt):
+    code, out, err = run(["reduce", "--format", fmt, "--output", "json", "-"], text)
+    reduced, trace = reduce_to_core(parse_graph(text, fmt))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(reduce_payload(reduced, trace), indent=2) + "\n"
+    return out
+
+
+def _odd_cycle():
+    """A 13-cycle on the odd ids and five plain ones, with weights a/b."""
+    names = _ODD_IDS + [f"c{i}" for i in range(5)]
+    ws = [Fraction(2 + i % 3, 3 + i % 4) for i in range(len(names))]
+    return build_cycle(ws), names
+
+
+@pytest.mark.parametrize("case", ["empty", "header-only", "peels-away", "contracts"])
+def test_reduce_json_bytes_equal_json_dumps(case):
+    if case == "empty":
+        out = _reduce_json_matches_the_reference("", "edgelist")
+        assert '"steps": []' in out and '"vertices": []' in out and '"edges": []' in out
+    elif case == "header-only":
+        out = _reduce_json_matches_the_reference("vertices: a b c\n", "edgelist")
+        assert '"steps": []' in out and '"edges": []' in out and '"vertices": [\n' in out
+    elif case == "peels-away":
+        path = WeightedGraph(_ODD_IDS, [(u, v, "3/7") for u, v in zip(_ODD_IDS, _ODD_IDS[1:])])
+        out = _reduce_json_matches_the_reference(serialize_graph(path, "json"), "json")
+        assert '"vertices": []' in out and "\\ud83d\\ude00" in out and "\\u0001" in out
+    else:
+        cycle, names = _odd_cycle()
+        out = _reduce_json_matches_the_reference(serialize_graph(_relabelled(cycle, names), "json"), "json")
+        steps = json.loads(out)["steps"]
+        assert any(s["rule"] == "PathContract" and "/" in s["added"][0][2] for s in steps)
+
+
+_IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4).filter(
+    lambda v: not any(ch.isspace() for ch in v)
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from(("tree", "forest", "unicyclic", "bicyclic")),
+    st.integers(5, 40),
+    st.integers(0, 10**6),
+    st.sampled_from(("random", "unit", "force")),
+    st.data(),
+)
+def test_reduce_json_bytes_on_relabelled_graphs(cls, n, seed, regime, data):
+    g = generate(GenSpec(cls, n, seed, regime=regime))
+    names = data.draw(st.lists(_IDS, min_size=g.n, max_size=g.n, unique=True))
+    _reduce_json_matches_the_reference(serialize_graph(_relabelled(g, names), "json"), "json")
+
+
+_PARSER_CALLS = [
+    (["inertia", "--method", "both", "--output", "json", "-"], C3),
+    (["inertia", "--method", "nonsense", "-"], C3),
+    (["--help"], ""),
+    (["inertia", "-"], C3),
+    (["reduce", "--output", "json", "-"], "a b 1\nb c 2\n"),
+]
+
+
+def _parser_transcript(capsys):
+    """Exit code and every byte written, argparse's own output included."""
+    got = []
+    for argv, text in _PARSER_CALLS:
+        code, out, err = run(argv, text)
+        printed = capsys.readouterr()
+        got.append((code, out, err, printed.out, printed.err))
+    return got
+
+
+def test_cached_parser_keeps_no_state(monkeypatch, capsys):
+    cli._build_parser.cache_clear()
+    cached = _parser_transcript(capsys)
+    info = cli._build_parser.cache_info()
+    assert (info.misses, info.hits) == (1, len(_PARSER_CALLS) - 1)
+    assert [t[0] for t in cached] == [0, 1, 0, 0, 0]
+    assert cached[3][1] == "structural: i+=1 i-=2 i0=0 [CycleClosedForm]\n"
+    monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+    assert _parser_transcript(capsys) == cached
+
+
 def test_gen_deterministic_and_parseable():
     args = ["gen", "--class", "unicyclic", "--n", "9", "--seed", "5"]
     code1, out1, _ = run(args)
@@ -160,6 +259,30 @@ def test_readme_entry_points_are_root_exports():
     names = re.findall(r"`(\w+)`", sentence)
     assert "solve" in names and "parse_graph" in names
     missing = [name for name in names if name != "graph_inertia" and not hasattr(graph_inertia, name)]
+    assert missing == []
+
+
+def test_readme_synopsis_lists_every_long_option():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    synopsis = {}
+    for line in block.splitlines():
+        if line.startswith("graph-inertia "):
+            command = line.split()[1]
+            synopsis[command] = line
+        else:
+            synopsis[command] += line
+    parser = cli._build_parser.__wrapped__()
+    (commands,) = (a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(synopsis) == sorted(commands)
+    missing = [
+        (name, option)
+        for name, sub in commands.items()
+        for action in sub._actions
+        for option in action.option_strings
+        if option.startswith("--") and option != "--help"
+        and not re.search(re.escape(option) + r"(?![\w-])", synopsis[name])
+    ]
     assert missing == []
 
 

@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from graph_inertia import (
     GraphError,
@@ -40,6 +42,8 @@ from graph_inertia.testgen import (
     sample_theta_weights,
     theta_branches,
 )
+
+from reference import alternating_product_by_fractions
 
 
 def test_forest_inertia_examples():
@@ -298,6 +302,22 @@ def test_fold_helpers():
     assert fold_path_weights([Fraction(1)] * 5, 1) == (Fraction(1),)
     with pytest.raises(GraphError, match="path too short to contract"):
         fold_path_weights([Fraction(1)] * 8, 2)
+
+
+@given(st.lists(st.fractions(min_value=Fraction(1, 10**6), max_value=10**6), max_size=40))
+def test_alternating_product_equals_the_fraction_by_fraction_product(ws):
+    assert alternating_product(ws) == alternating_product_by_fractions(ws)
+
+
+@pytest.mark.parametrize("ws, expected", [
+    ((), Fraction(1)),
+    ((Fraction(3, 7),), Fraction(3, 7)),
+    ((Fraction(4),), Fraction(4)),
+    ((Fraction(2, 3), Fraction(4, 9)), Fraction(3, 2)),
+])
+def test_alternating_product_on_short_sequences(ws, expected):
+    assert alternating_product(ws) == alternating_product_by_fractions(ws) == expected
+    assert type(alternating_product(ws)) is Fraction
 
 
 def test_folds_check_their_shape():
