@@ -13,14 +13,16 @@ Elimination runs on a dict-of-dicts copy of the weighted adjacency and
 always takes a live vertex of least degree, which keeps fill-in bounded on
 graphs of small treewidth (Fürer, Hoppen & Trevisan, ICALP 2020); trees,
 unicyclic and bicyclic graphs cost about linear time.  The paper's
-pendant-pair rule is the 2x2 pivot on a leaf, whose update is zero.  All
-arithmetic is exact; the dense ECMO routine ``matrix.congruent_diagonalize``
-stays as the reference the tests compare against.
+pendant-pair rule is the 2x2 pivot on a leaf, whose update is zero: it is
+counted and unlinked with no arithmetic.  Moving a vertex between degree
+buckets allocates nothing once its bucket exists.  All arithmetic is exact;
+the dense ECMO routine ``matrix.congruent_diagonalize`` stays as the
+reference the tests compare against.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from fractions import Fraction
 
 from .core import Inertia
@@ -42,10 +44,11 @@ def inertia_oracle(g: WeightedGraph) -> Inertia:
     diag: dict[str, Fraction] = {}  # the nonzero diagonal entries
     degree = {v: len(row) for v, row in adj.items()}
     # OrderedDict pops its oldest key in O(1); a plain dict would rescan the
-    # slots of every key already popped.
-    buckets: dict[int, OrderedDict[str, None]] = {}
+    # slots of every key already popped.  A degree's bucket is made the first
+    # time a vertex moves into it.
+    buckets: defaultdict[int, OrderedDict[str, None]] = defaultdict(OrderedDict)
     for v in g.vertices:
-        buckets.setdefault(degree[v], OrderedDict())[v] = None
+        buckets[degree[v]][v] = None
     pos = neg = zero = low = 0
     while adj:
         while not buckets.get(low):
@@ -60,7 +63,8 @@ def inertia_oracle(g: WeightedGraph) -> Inertia:
             else:
                 neg += 1
             touched = row
-            s = {y: w / (2 * d) for y, w in row.items()}
+            if row:
+                _subtract_rank2(adj, diag, row, {y: w / (2 * d) for y, w in row.items()})
         elif not row:
             zero += 1
             continue
@@ -75,19 +79,26 @@ def inertia_oracle(g: WeightedGraph) -> Inertia:
             c = diag.pop(u, 0)
             pos += 1
             neg += 1
-            touched = {**row, **rowu}
-            s = {y: w / b for y, w in rowu.items()}
-            if c:
-                for y, w in row.items():
-                    s[y] = s.get(y, 0) - c * w / (2 * b * b)
-        _subtract_rank2(adj, diag, row, s)
+            if row:
+                touched = {**row, **rowu}
+                s = {y: w / b for y, w in rowu.items()}
+                if c:
+                    k = c / (2 * b * b)
+                    for y, w in row.items():
+                        s[y] = s.get(y, 0) - k * w
+                _subtract_rank2(adj, diag, row, s)
+            else:
+                # Pendant pivot: p = 0, so the update is zero and u's
+                # diagonal, which only ever multiplies p, goes unused.
+                touched = rowu
         for x in touched:
             new = len(adj[x])
             if new != degree[x]:
                 del buckets[degree[x]][x]
-                buckets.setdefault(new, OrderedDict())[x] = None
+                buckets[new][x] = None
                 degree[x] = new
-                low = min(low, new)
+                if new < low:
+                    low = new
     return Inertia(pos, neg, zero)
 
 

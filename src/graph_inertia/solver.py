@@ -171,8 +171,13 @@ def solve(g: WeightedGraph) -> SolveResult:
         rest = [v for v in core if v in live]
         return solve_split(split(order, rest, set(tree), peeled), None)
 
-    cores = split(g.vertices, list(live), set(), 0)
-    closed, size = solve_split(cores, g.vertices if len(cores) == 1 else None)
+    try:
+        cores = split(g.vertices, list(live), set(), 0)
+        closed, size = solve_split(cores, g.vertices if len(cores) == 1 else None)
+    finally:
+        # The two call each other through closure cells; emptying the cells
+        # frees the peel's state when solve returns, not at the next gc pass.
+        del solve_split, solve_cyclic
     q = len(matched) // 2
     inertia = closed + Inertia(q, q, g.n - size - 2 * q)
     return SolveResult(inertia, tuple(methods), ReductionTrace(tuple(steps)))

@@ -269,6 +269,9 @@ def _least_cycle_reading(order: list[str], forward: tuple) -> tuple[tuple, tuple
     return ws[s:] + ws[:s], tuple(seq[s:] + seq[:s])
 
 
+_DISCONNECTED = "core must be connected and non-empty"
+
+
 def describe_base(core: WeightedGraph) -> BaseDescriptor:
     """Canonical descriptor of a 2-core (a cycle or a double-cycle base).
 
@@ -276,26 +279,38 @@ def describe_base(core: WeightedGraph) -> BaseDescriptor:
     settled by picking the lexicographically smallest realization, so equal
     cores always yield identical descriptors.
     """
-    if core.n == 0 or len(_component_vertices(core)) != 1:
-        raise GraphError("core must be connected and non-empty")
+    # A disconnected core is reported as such even when it breaks another
+    # rule too; where the thread walk cannot tell, a component walk does.
+    if core.n == 0:
+        raise GraphError(_DISCONNECTED)
     adj = core._adjacency()
     if any(len(nbs) < 2 for nbs in adj.values()):
+        if len(_component_vertices(core)) != 1:
+            raise GraphError(_DISCONNECTED)
         raise GraphError("core has a vertex of degree < 2; not a 2-core")
 
     if core.m == core.n:
-        # All degrees are exactly 2: one loop from the first vertex.
+        # All degrees are exactly 2: one loop from the first vertex, which
+        # meets every vertex iff the core is connected.
         ((h, _, inner, ws),) = _walk_threads(core, core.vertices[:1])
+        if 1 + len(inner) != core.n:
+            raise GraphError(_DISCONNECTED)
         ws, vs = _least_cycle_reading([h, *inner], ws)
         return BaseDescriptor(BaseKind.CYCLE, core.n, 0, 0, ws, (), (), vs, (), ())
 
     if core.m != core.n + 1:
+        if len(_component_vertices(core)) != 1:
+            raise GraphError(_DISCONNECTED)
         raise GraphError("core matches neither a cycle nor a double-cycle base")
 
     # The degrees add up to 2n + 2 and none is below 2, so there is one hub
-    # of degree 4 or two of degree 3: two loops and at most one link
-    # between them, or three links.
+    # of degree 4 or two of degree 3, in one component: two loops and at
+    # most one link between them, or three links.  Any other component is
+    # a cycle, which the threads from the hubs miss.
     hubs = [v for v, nbs in adj.items() if len(nbs) > 2]
     threads = _walk_threads(core, hubs)
+    if len(hubs) + sum(len(t[2]) for t in threads) != core.n:
+        raise GraphError(_DISCONNECTED)
     loops = [t for t in threads if t[0] == t[1]]
     links = [t for t in threads if t[0] != t[1]]
     candidates = []

@@ -239,6 +239,22 @@ def test_sparse_oracle_matches_dense_on_fixed_families():
                 (x, y, Fraction(1 + i + j, 2)) for i, x in enumerate(left) for j, y in enumerate(right)
             ]
             cases.append(WeightedGraph(left + right, edges))
+    # The elimination takes v6 as a zero-diagonal leaf after its partner v2
+    # has a filled-in diagonal; stars and paths take only pendant pivots
+    # whose partner's diagonal is zero.
+    names = [f"v{i}" for i in range(8)]
+    edges = [
+        ("v0", "v1", 3), ("v0", "v3", 3), ("v0", "v5", 3), ("v1", "v2", 1), ("v1", "v4", 3),
+        ("v2", "v4", 1), ("v2", "v6", 3), ("v3", "v7", 3), ("v5", "v6", 2),
+    ]
+    cases.append(WeightedGraph(names, edges))
+    for k in range(1, 7):
+        leaves = [f"l{i}" for i in range(k)]
+        spokes = [("c", x, Fraction(i + 1, 2)) for i, x in enumerate(leaves)]
+        cases.append(WeightedGraph(["c"] + leaves, spokes))
+    for n in range(1, 10):
+        names = [f"p{i}" for i in range(n)]
+        cases.append(WeightedGraph(names, [(names[i], names[i + 1], i + 1) for i in range(n - 1)]))
     for g in cases:
         assert inertia_oracle(g) == dense_inertia(g), g
     assert inertia_oracle(cases[0]) == Inertia(0, 0, 0)

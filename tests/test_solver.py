@@ -1,4 +1,5 @@
 import functools
+import gc
 import hashlib
 import itertools
 import random
@@ -203,6 +204,38 @@ def test_solve_peels_once(monkeypatch):
         peels.clear()
         assert solve(g) == want
         assert peels == [g.n]
+
+
+def test_solve_leaves_no_reference_cycle():
+    # With the collector off, anything solve leaves for it to free would show
+    # up in the next collect: the peel's state must go when solve returns.
+    k4 = WeightedGraph(
+        ["1", "2", "3", "4"],
+        [("1", "2", 1), ("1", "3", 1), ("1", "4", 1), ("2", "3", 1), ("2", "4", 1), ("3", "4", 1)],
+    )
+    cases = {
+        (Method.FOREST,): generate(GenSpec("tree", 20, 1)),
+        (Method.UNICYCLIC_TYPE_I,): parse_graph("1 2 2\n2 3 1/2\n3 1 5\n1 4 3"),
+        (Method.UNICYCLIC_TYPE_II,): parse_graph("1 2 1\n2 3 1\n3 4 1\n4 1 1\n1 5 1\n5 6 1"),
+        (Method.BICYCLIC_TYPE_I, Method.FOREST, Method.UNICYCLIC_TYPE_I): generate(
+            GenSpec("bicyclic", 14, 3)
+        ),
+        (Method.CYCLE_CLOSED_FORM,): build_cycle([Fraction(1), Fraction(2), Fraction(3)]),
+        (Method.FOREST, Method.CYCLE_CLOSED_FORM): parse_graph("1 2 1\n2 3 1").union(
+            build_cycle([Fraction(1)] * 3).relabel(lambda v: "c" + v)
+        ),
+        (Method.ORACLE_FALLBACK,): k4,
+    }
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        gc.collect()
+        for methods, g in cases.items():
+            assert solve(g).methods == methods
+            assert gc.collect() == 0, methods
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _bare_base_shapes():

@@ -217,7 +217,24 @@ def test_describe_base_rejects_junk():
     with pytest.raises(GraphError):
         describe_base(k4)
     triangle = build_cycle([Fraction(1)] * 3)
-    for core in (WeightedGraph([], []), triangle.union(triangle.relabel(lambda v: "w" + v))):
+    # Disconnected cores that break no other rule, and ones that also break
+    # the degree or edge-count rule, all get the connectivity message.
+    rng = random.Random(6)
+    theta = build_theta(2, 3, 3, *sample_theta_weights(2, 3, 3, rng))
+    infinity = build_infinity(3, 1, 4, *sample_infinity_weights(3, 1, 4, rng))
+
+    def beside(g, h):
+        return g.union(h.relabel(lambda v: "w" + v))
+
+    cores = [
+        WeightedGraph([], []),
+        beside(triangle, triangle),
+        beside(theta, triangle),
+        beside(infinity, build_cycle([Fraction(2)] * 4)),
+        beside(triangle, path(3)),
+        beside(theta, theta),
+    ]
+    for core in cores:
         with pytest.raises(GraphError, match="core must be connected and non-empty"):
             describe_base(core)
 
