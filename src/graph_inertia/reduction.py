@@ -4,7 +4,7 @@ Two local rewrites drive everything: deleting a pendant vertex together with
 its neighbor costs exactly (1, 1) on the (positive, negative) pair, and
 contracting a five-edge run whose four interior vertices have degree 2 into a
 single edge of weight ``w1*w3*w5/(w2*w4)`` costs exactly (2, 2).  That weight
-is the closed forms' own one-run fold, ``fold_path_weights(ws, 1)``.
+is ``alternating_product(ws)``, the product every closed-form fold takes.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from .closed_forms import fold_path_weights
+from .closed_forms import alternating_product
 from .core import GraphError
 from .graph import WeightedGraph
 
@@ -105,7 +105,7 @@ def contract_degree2_path(
             raise GraphError(f"interior vertex {x!r} has degree {g.degree(x)}, expected 2")
     if g.has_edge(path[0], path[5]):
         raise GraphError("contraction refused: the new edge would parallel an existing one")
-    added = ((path[0], path[5], fold_path_weights(ws, 1)[0]),)
+    added = ((path[0], path[5], alternating_product(ws)),)
     rest = g.without(path[1:5])
     step = ReductionStep(ReductionRule.PATH_CONTRACT, removed=path[1:5], added=added, offset=(2, 2))
     return WeightedGraph._trusted(rest.vertices, rest.edges + added), step
@@ -199,7 +199,7 @@ def reduce_to_core(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
         del adj[x0][run[1]], adj[x5][run[4]]
         for x in run[1:5]:
             del adj[x]
-        added = (x0, x5, fold_path_weights(ws, 1)[0])
+        added = (x0, x5, alternating_product(ws))
         adj[x0][x5] = adj[x5][x0] = len(edges)
         edges.append(added)
         steps.append(

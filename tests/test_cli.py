@@ -367,6 +367,15 @@ def test_parse_error_exit_code_and_message():
 
 
 @pytest.mark.parametrize(
+    "text, v", [('{"vertices": ["a b"]}', "'a b'"), ('{"edges": [["", "b", 1]]}', "''")]
+)
+def test_json_vertex_ids_must_be_non_empty_without_whitespace(text, v):
+    code, out, err = run(["inertia", "--format", "json", "-"], text)
+    assert (code, out) == (2, "")
+    assert err == f"error: vertex id must be a non-empty string without whitespace: {v}\n"
+
+
+@pytest.mark.parametrize(
     "weight",
     ["1e400", "7" * 5000, "true", "0.1"],
     ids=["float-overflow", "5000-digit-int", "bool", "float"],

@@ -116,6 +116,15 @@ def test_constructor_invariants():
         WeightedGraph(["a"], [("b", "a", 1)])
 
 
+@pytest.mark.parametrize("v", ["", "a b", "a\tb", 7, None], ids=repr)
+def test_constructor_refuses_bad_vertex_ids(v):
+    with pytest.raises(
+        GraphError, match=r"^vertex id must be a non-empty string without whitespace: "
+    ) as err:
+        WeightedGraph(["a", v], [])
+    assert str(err.value).endswith(repr(v))
+
+
 def test_constructor_takes_only_the_grammars_weights():
     accepted = {Fraction(3, 4): Fraction(3, 4), 2: Fraction(2), "3/4": Fraction(3, 4), "-0/5": None}
     for w, want in accepted.items():

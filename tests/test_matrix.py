@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -15,6 +16,7 @@ from graph_inertia import (
     connected_components,
     inertia_oracle,
 )
+from graph_inertia import oracle
 from graph_inertia.testgen import GenSpec, build_cycle, generate, random_weight
 
 from reference import ecmo_add, ecmo_scale, ecmo_swap, inertia_by_sign_counting
@@ -200,6 +202,41 @@ def test_sparse_oracle_matches_dense_on_generated_graphs(cls, regime):
     for n in range(lo, 31):
         g = generate(GenSpec(cls, n, 700 + n, regime=regime))
         assert inertia_oracle(g) == dense_inertia(g), (cls, regime, n)
+
+
+# SHA-256 of the vertices the oracle pivots on, in elimination order, over
+# the graphs of ``test_oracle_pivots_in_least_degree_order``.
+ORACLE_PIVOT_ORDER_SHA256 = "ee95604ac41c79c5d69628195365b151c67e8d2901774579c6b5dc4e2d077ada"
+
+
+def test_oracle_pivots_in_least_degree_order(monkeypatch):
+    # The inertia does not depend on the pivot order, so only a pin notices
+    # when stale degrees stop the elimination taking least-degree pivots,
+    # which lets fill-in grow.  Generated graphs take mostly 2x2 pivots;
+    # fill-in on complete graphs makes 1x1 pivots with non-empty rows.
+    graphs = {
+        f"{cls} {regime} {seed}": generate(GenSpec(cls, 40, 900 + seed, regime=regime))
+        for cls in ["tree", "forest", "unicyclic", "bicyclic"]
+        for regime in ["random", "unit", "force"]
+        for seed in range(3)
+    }
+    for n in range(5, 9):
+        names = [f"k{i}" for i in range(n)]
+        edges = [(x, y, 1 + i * j % 3) for i, x in enumerate(names) for j, y in enumerate(names) if i < j]
+        graphs[f"K{n}"] = WeightedGraph(names, edges)
+    detached = []
+    real_detach = oracle._detach
+
+    def recording_detach(adj, v):
+        detached.append(v)
+        return real_detach(adj, v)
+
+    monkeypatch.setattr(oracle, "_detach", recording_detach)
+    for name, g in graphs.items():
+        detached.append(f"# {name}")
+        inertia_oracle(g)
+    digest = hashlib.sha256("\n".join(detached).encode()).hexdigest()
+    assert digest == ORACLE_PIVOT_ORDER_SHA256
 
 
 @st.composite
