@@ -40,7 +40,6 @@ from .structure import (
     BaseKind,
     describe_base,
     hanging_trees,
-    is_mismatched,
     max_matching_forest,
     two_core,
 )

@@ -111,7 +111,7 @@ class WeightedGraph:
         """
         g = cls.__new__(cls)
         g._vertices = vertices
-        g._index = {v: i for i, v in enumerate(vertices)}
+        g._index = dict(zip(vertices, range(len(vertices))))
         if adj is None:
             adj = {v: {} for v in vertices}
             for i, (u, v, _) in enumerate(edges):
@@ -246,18 +246,25 @@ def _parse_edgelist(text: str) -> WeightedGraph:
     # graph keeps it.
     adj: dict[str, dict[str, int]] = {}
     edges: list[Edge] = []
+    add_edge = edges.append
     # Each distinct weight text is parsed and checked once, at its first line.
     weights: dict[str, Fraction] = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+    lines = text.splitlines()
+    if "#" in text:
+        lines = [line.split("#", 1)[0] for line in lines]
+    # Each line is split once; a line's first token starts where its
+    # stripped text does, so it alone tells the header.
+    for lineno, parts in enumerate(map(str.split, lines), 1):
+        if not parts:
             continue
-        if line.startswith("vertices:"):
-            for tok in line[len("vertices:"):].split():
-                adj.setdefault(tok, {})
+        if parts[0].startswith("vertices:"):
+            parts[0] = parts[0][len("vertices:"):]
+            for tok in parts:
+                if tok and tok not in adj:
+                    adj[tok] = {}
             continue
-        parts = line.split()
         if len(parts) != 3:
+            line = lines[lineno - 1].strip()
             raise ParseError(f"expected '<u> <v> <weight>', got {echo(line)}", lineno)
         u, v, wtext = parts
         w = weights.get(wtext)
@@ -266,16 +273,21 @@ def _parse_edgelist(text: str) -> WeightedGraph:
                 w = parse_rational(wtext)
             except ValueError as exc:
                 raise ParseError(str(exc), lineno) from None
-            if w <= 0:
+            if w.numerator <= 0:
                 raise ParseError(f"non-positive weight {w}", lineno)
             weights[wtext] = w
         if u == v:
             raise ParseError(f"self-loop at vertex {echo(u)}", lineno)
-        u_adj = adj.setdefault(u, {})
-        if v in u_adj:
+        u_adj = adj.get(u)
+        if u_adj is None:
+            u_adj = adj[u] = {}
+        elif v in u_adj:
             raise ParseError(f"duplicate edge {echo(u)}-{echo(v)}", lineno)
-        u_adj[v] = adj.setdefault(v, {})[u] = len(edges)
-        edges.append((u, v, w))
+        v_adj = adj.get(v)
+        if v_adj is None:
+            v_adj = adj[v] = {}
+        u_adj[v] = v_adj[u] = len(edges)
+        add_edge((u, v, w))
     return WeightedGraph._trusted(tuple(adj), tuple(edges), adj)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cmp_to_key
 
 from .core import GraphError
 from .graph import WeightedGraph, _component_vertices
@@ -17,7 +18,6 @@ __all__ = [
     "BaseDescriptor",
     "HangingTree",
     "max_matching_forest",
-    "is_mismatched",
     "two_core",
     "describe_base",
     "hanging_trees",
@@ -38,8 +38,8 @@ def _peel(g: WeightedGraph) -> tuple[dict[str, int], dict[str, str | None], set[
     unmatched iff some maximum matching of the tree misses the root, i.e. iff
     the root is mismatched.  The live vertices are the 2-core.
     """
-    adj = g._adjacency()
-    live = {v: len(adj[v]) for v in g.vertices}
+    adj = g._adjacency()  # in vertex order, like g.vertices
+    live = dict(zip(adj, map(len, adj.values())))
     parent: dict[str, str | None] = {}
     matched: set[str] = set()
     _continue_peel(adj, live, parent, matched, [v for v, d in live.items() if d <= 1])
@@ -49,8 +49,9 @@ def _peel(g: WeightedGraph) -> tuple[dict[str, int], dict[str, str | None], set[
 def _continue_peel(adj, live, parent, matched, stack: list[str]) -> None:
     """Run the peel of ``_peel`` from the vertices on ``stack``, updating its
     three results in place."""
+    pop, push = stack.pop, stack.append
     while stack:
-        v = stack.pop()
+        v = pop()
         del live[v]
         up = None
         for nb in adj[v]:
@@ -59,7 +60,7 @@ def _continue_peel(adj, live, parent, matched, stack: list[str]) -> None:
                 d = live[nb] - 1
                 live[nb] = d
                 if d == 1:
-                    stack.append(nb)
+                    push(nb)
                 if v not in matched and nb not in matched:
                     matched.add(v)
                     matched.add(nb)
@@ -103,18 +104,6 @@ def max_matching_forest(g: WeightedGraph) -> int:
     if live:
         raise GraphError("input contains a cycle; matching requires a forest")
     return len(matched) // 2
-
-
-def is_mismatched(t: WeightedGraph, v: str) -> bool:
-    """True iff deleting v does not decrease the matching number of the tree.
-
-    A single-vertex tree counts as mismatched.
-    """
-    if t.m != t.n - 1 or len(_component_vertices(t)) != 1:
-        raise GraphError("is_mismatched requires a tree")
-    if not t.has_vertex(v):
-        raise GraphError(f"vertex {v!r} not in tree")
-    return max_matching_forest(t.without((v,))) == max_matching_forest(t)
 
 
 def two_core(g: WeightedGraph) -> WeightedGraph:
@@ -199,7 +188,11 @@ def _walk_threads(core: WeightedGraph, hubs) -> list[tuple]:
             prev, cur = h, nb
             while cur not in hubs:
                 inner.append(cur)
-                prev, (cur, i) = cur, next(x for x in adj[cur].items() if x[0] != prev)
+                # cur has degree 2: go on to the neighbour it was not entered from.
+                (nxt, i), other = adj[cur].items()
+                if nxt == prev:
+                    nxt, i = other
+                prev, cur = cur, nxt
                 weights.append(edges[i][2])
             used.add(i)
             threads.append((h, cur, tuple(inner), tuple(weights)))
@@ -234,6 +227,14 @@ def _least_rotation(ws: list) -> tuple[int, int]:
     return min(i, j), (abs(i - j) if k == p else p)
 
 
+# Orders reduced (numerator, denominator) pairs by value.  Denominators are
+# positive, so x0/y0 < x1/y1 iff x0*y1 < x1*y0: two products per comparison,
+# where a Fraction key normalises a new Fraction per pair, and a key on a
+# common denominator multiplies each numerator by a number that grows with
+# the count of distinct denominators.
+_BY_VALUE = cmp_to_key(lambda x, y: x[0] * y[1] - y[0] * x[1])
+
+
 def _least_cycle_reading(order: list[str], forward: tuple) -> tuple[tuple, tuple[str, ...]]:
     """The least ``(weights, vertices)`` reading of a cycle over every start
     and both directions, in O(p) after ranking the distinct weights.
@@ -247,9 +248,9 @@ def _least_cycle_reading(order: list[str], forward: tuple) -> tuple[tuple, tuple
     vertices settle every weight tie.
     """
     p = len(order)
-    # (numerator, denominator) pairs hash and compare in C, Fractions do not.
+    # (numerator, denominator) pairs hash in C, Fractions do not.
     ratios = [w.as_integer_ratio() for w in forward]
-    rank = {r: i for i, r in enumerate(sorted(set(ratios), key=lambda r: Fraction(*r)))}
+    rank = {r: i for i, r in enumerate(sorted(set(ratios), key=_BY_VALUE))}
     ranks = [rank[r] for r in ratios]
     # Walking back from order[0], edge j is forward edge p - 1 - j.
     directions = (

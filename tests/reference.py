@@ -1,5 +1,6 @@
 """Independent test-side oracles, kept deliberately separate from the package:
-subset-search and leaf-deletion matching, characteristic-polynomial sign
+the line-by-line edge-list parser, subset-search and leaf-deletion matching,
+the matched-root test by its definition, characteristic-polynomial sign
 counting, the plain definitions of induced subgraphs and least cycle
 readings, the Fraction-by-Fraction alternating product, the rescanning
 rewrite engine and the ``reduce --output json`` payload, which the package's
@@ -13,12 +14,54 @@ from fractions import Fraction
 from graph_inertia import (
     GraphError,
     Inertia,
+    ParseError,
     SymRationalMatrix,
     WeightedGraph,
+    connected_components,
     contract_degree2_path,
     delete_pendant_pair,
+    max_matching_forest,
 )
+from graph_inertia.core import echo, parse_rational
 from graph_inertia.reduction import ReductionTrace
+
+
+def parse_edgelist_by_line(text: str) -> WeightedGraph:
+    """``parse_graph(text)`` for edge-list text, one stripped line at a time:
+    the same checks in the same order, with the same messages and line
+    numbers."""
+    adj: dict[str, dict[str, int]] = {}
+    edges = []
+    weights: dict[str, Fraction] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("vertices:"):
+            for tok in line[len("vertices:"):].split():
+                adj.setdefault(tok, {})
+            continue
+        parts = line.split()
+        if len(parts) != 3:
+            raise ParseError(f"expected '<u> <v> <weight>', got {echo(line)}", lineno)
+        u, v, wtext = parts
+        w = weights.get(wtext)
+        if w is None:
+            try:
+                w = parse_rational(wtext)
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from None
+            if w <= 0:
+                raise ParseError(f"non-positive weight {w}", lineno)
+            weights[wtext] = w
+        if u == v:
+            raise ParseError(f"self-loop at vertex {echo(u)}", lineno)
+        u_adj = adj.setdefault(u, {})
+        if v in u_adj:
+            raise ParseError(f"duplicate edge {echo(u)}-{echo(v)}", lineno)
+        u_adj[v] = adj.setdefault(v, {})[u] = len(edges)
+        edges.append((u, v, w))
+    return WeightedGraph(tuple(adj), edges)
 
 
 def brute_force_matching(g: WeightedGraph) -> int:
@@ -63,6 +106,18 @@ def leaf_deletion_matching(g: WeightedGraph) -> int:
                     leaves.append(nb)
     assert all(degree[v] == 0 for v in alive), "input has a cycle"
     return matched
+
+
+def is_mismatched(t: WeightedGraph, v: str) -> bool:
+    """True iff deleting v does not decrease the matching number of the tree.
+
+    A single-vertex tree counts as mismatched.
+    """
+    if t.m != t.n - 1 or len(connected_components(t)) != 1:
+        raise GraphError("is_mismatched requires a tree")
+    if not t.has_vertex(v):
+        raise GraphError(f"vertex {v!r} not in tree")
+    return max_matching_forest(t.without((v,))) == max_matching_forest(t)
 
 
 def induced_by_filter(g: WeightedGraph, keep) -> WeightedGraph:

@@ -21,7 +21,9 @@ from graph_inertia import (
     delete_pendant_pair,
     forest_inertia,
     inertia_oracle,
+    parse_graph,
     reduce_to_core,
+    serialize_graph,
     solve,
 )
 from graph_inertia.closed_forms import (
@@ -30,7 +32,6 @@ from graph_inertia.closed_forms import (
     reduce_infinity_shape,
     reduce_theta_shape,
 )
-from graph_inertia.structure import is_mismatched
 from graph_inertia.testgen import (
     GenSpec,
     build_cycle,
@@ -43,7 +44,7 @@ from graph_inertia.testgen import (
     sample_theta_weights,
 )
 
-from reference import brute_force_matching, ecmo_add, ecmo_scale, ecmo_swap
+from reference import brute_force_matching, ecmo_add, ecmo_scale, ecmo_swap, is_mismatched
 
 
 @contextmanager
@@ -387,10 +388,17 @@ def test_criterion_11_rewrite_engine_at_scale():
 def test_criterion_12_solve_at_scale():
     # solve peels the input once and continues that peel after each cut, so
     # n = 10^5 takes well under a second; peeling afresh after every cut
-    # took 1.6-2.0 s on the bicyclic graph.
+    # took 1.6-2.0 s on the bicyclic graph.  The edge-list parser reads the
+    # same graphs back in 0.3-0.5 s.
     with criterion(12, "structural solve at n = 10^5", 60):
         for cls in ("tree", "unicyclic", "bicyclic"):
             g = generate(GenSpec(cls, 100_000, 1012))
+            text = serialize_graph(g)
+            start = time.perf_counter()
+            back = parse_graph(text)
+            elapsed = time.perf_counter() - start
+            assert elapsed < 1.0, f"{cls}: parse_graph took {elapsed:.2f}s"
+            assert back == g, cls
             start = time.perf_counter()
             got = solve(g)
             elapsed = time.perf_counter() - start

@@ -2,7 +2,7 @@ import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_inertia import (
@@ -19,7 +19,7 @@ from graph_inertia import (
 from graph_inertia.core import parse_rational
 from graph_inertia.testgen import GenSpec, build_cycle, build_theta, generate
 
-from reference import induced_by_filter
+from reference import induced_by_filter, parse_edgelist_by_line
 
 
 def test_parse_single_edge():
@@ -286,6 +286,62 @@ def test_parse_graph_on_any_text_or_bytes(data, fmt):
 @given(_JSON_VALUES | _JSON_GRAPHS)
 def test_parse_graph_on_any_json_value(obj):
     _parses_or_raises_parse_error(json.dumps(obj), "json")
+
+
+# Few ids and weight texts, so repeats, self-loops and duplicate edges are common.
+_IDS = st.sampled_from(["a", "b", "c", "d", "é", "x1"])
+_WEIGHT_TEXTS = st.sampled_from(["1", "2", "1/2", "2/4", "07", "-0/5", "0", "-1", "1.5", "3/0", "w"])
+_SPACES = st.sampled_from([" ", "  ", "\t", "\x1f", "\u3000"])
+_BREAKS = st.sampled_from(["\n", "\r\n", "\r", "\x1c", "\x1e", "\x85", "\u2028", "\u2029", "\x0b"])
+
+
+@st.composite
+def _edgelist_lines(draw):
+    kind = draw(st.sampled_from(["edge", "edge", "edge", "header", "blank", "tokens"]))
+    sep = draw(_SPACES)
+    if kind == "edge":
+        tokens = [draw(_IDS), draw(_IDS), draw(_WEIGHT_TEXTS)]
+    elif kind == "header":
+        ids = draw(st.lists(_IDS, max_size=4))
+        # "vertices:a" glues the first id to the mark; "vertices: a b" has
+        # three tokens, like an edge.
+        tokens = ["vertices:" + ids[0], *ids[1:]] if ids and draw(st.booleans()) else ["vertices:", *ids]
+    elif kind == "blank":
+        tokens = []
+    else:
+        tokens = draw(st.lists(_IDS | _WEIGHT_TEXTS | st.just("vertices:"), max_size=5))
+    line = draw(st.sampled_from(["", " ", "\t "])) + sep.join(tokens) + draw(st.sampled_from(["", " ", "\t"]))
+    if draw(st.integers(0, 4)) == 0:
+        cut = draw(st.integers(0, len(line)))
+        line = line[:cut] + "#" + line[cut:]
+    return line
+
+
+@st.composite
+def _edgelist_texts(draw):
+    lines = draw(st.lists(_edgelist_lines(), max_size=12))
+    if draw(st.booleans()):
+        # A long run of good lines first, so an error comes late.
+        k = draw(st.integers(1, 200))
+        lines = [f"p{i} p{i + 1} {('3/4', '2', '5/3')[i % 3]}" for i in range(k)] + lines
+    breaks = draw(st.lists(_BREAKS, min_size=len(lines), max_size=len(lines)))
+    return "".join(line + br for line, br in zip(lines, breaks))
+
+
+@given(_edgelist_texts())
+@settings(max_examples=400, deadline=None)
+def test_parse_graph_matches_the_line_by_line_parser(text):
+    try:
+        want = parse_edgelist_by_line(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_graph(text)
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        return
+    got = parse_graph(text)
+    assert got.vertices == want.vertices
+    assert got.edges == want.edges
+    assert [got.neighbors(v) for v in got.vertices] == [want.neighbors(v) for v in want.vertices]
 
 
 def test_classify_examples():

@@ -17,7 +17,14 @@ from graph_inertia import (
     inertia_oracle,
 )
 from graph_inertia import oracle
-from graph_inertia.testgen import GenSpec, build_cycle, generate, random_weight
+from graph_inertia.testgen import (
+    GenSpec,
+    build_cycle,
+    build_infinity,
+    build_theta,
+    generate,
+    random_weight,
+)
 
 from reference import ecmo_add, ecmo_scale, ecmo_swap, inertia_by_sign_counting
 
@@ -225,18 +232,53 @@ def test_oracle_pivots_in_least_degree_order(monkeypatch):
         edges = [(x, y, 1 + i * j % 3) for i, x in enumerate(names) for j, y in enumerate(names) if i < j]
         graphs[f"K{n}"] = WeightedGraph(names, edges)
     detached = []
+    for name, order in _detach_order(monkeypatch, graphs).items():
+        detached += [f"# {name}", *order]
+    digest = hashlib.sha256("\n".join(detached).encode()).hexdigest()
+    assert digest == ORACLE_PIVOT_ORDER_SHA256
+
+
+def _detach_order(monkeypatch, graphs: dict) -> dict:
+    """Name -> the vertices ``oracle._detach`` receives while the oracle
+    runs on that graph, in call order."""
+    order = {}
     real_detach = oracle._detach
 
     def recording_detach(adj, v):
-        detached.append(v)
+        order[name].append(v)
         return real_detach(adj, v)
 
     monkeypatch.setattr(oracle, "_detach", recording_detach)
     for name, g in graphs.items():
-        detached.append(f"# {name}")
+        order[name] = []
         inertia_oracle(g)
-    digest = hashlib.sha256("\n".join(detached).encode()).hexdigest()
-    assert digest == ORACLE_PIVOT_ORDER_SHA256
+    return order
+
+
+def _unit_base(build, p, l, q):
+    sizes = (p, q, l - 1) if build is build_infinity else (p - 1, l - 1, q - 1)
+    return build(p, l, q, *([Fraction(1)] * k for k in sizes))
+
+
+def test_oracle_pairs_a_zero_pivot_with_a_least_degree_partner(monkeypatch):
+    # On these graphs a 2x2 pivot's partner of least degree differs from its
+    # first neighbour, and taking the first neighbour changes the order.
+    graphs = {
+        "theta(2,4,5)": _unit_base(build_theta, 2, 4, 5),
+        "theta(4,4,4)": _unit_base(build_theta, 4, 4, 4),
+        "infinity(3,1,3)": _unit_base(build_infinity, 3, 1, 3),
+        "infinity(3,2,4)": _unit_base(build_infinity, 3, 2, 4),
+        **{f"bicyclic {seed}": generate(GenSpec("bicyclic", 12, seed, regime="unit")) for seed in (3, 9, 10)},
+    }
+    assert _detach_order(monkeypatch, graphs) == {
+        "theta(2,4,5)": "b1 b2 u c1 v c3 c2".split(),
+        "theta(4,4,4)": "a1 a2 b1 b2 c1 u c2 v".split(),
+        "infinity(3,1,3)": "u1 u2 v1 u0 v2".split(),
+        "infinity(3,2,4)": "u1 u2 u0 v1 v0 v2 v3".split(),
+        "bicyclic 3": "u1 u2 u3 u0 w1 w2 w3 v1 v0 v2 v3 v4".split(),
+        "bicyclic 9": "t1 t0 u1 u2 u3 u4 u0 v1 v0 v2 v3 v4".split(),
+        "bicyclic 10": "a1 a2 a3 v b1 b2 b3 c1 u c2 c3 c4".split(),
+    }
 
 
 @st.composite

@@ -14,7 +14,6 @@ from graph_inertia import (
     WeightedGraph,
     forest_inertia,
     inertia_oracle,
-    is_mismatched,
     parse_graph,
     solve,
     solver,
@@ -33,6 +32,7 @@ from graph_inertia.testgen import (
     sample_theta_weights,
 )
 
+from reference import is_mismatched
 from test_cli import _pinned_inputs
 
 
