@@ -23,7 +23,7 @@ from .graph import (
     serialize_graph,
 )
 from .oracle import inertia_oracle
-from .reduction import ReductionTrace, reduce_to_core
+from .reduction import ReductionRule, ReductionTrace, reduce_to_core
 from .solver import solve
 from .structure import describe_base, two_core
 from .testgen import (
@@ -174,14 +174,24 @@ def _reduce_json(reduced: WeightedGraph, trace: ReductionTrace) -> str:
     directly: that call runs CPython's pure-Python encoder, which costs more
     than the parse and the rewrites together on long traces."""
     steps = []
+    pendant_pair = ReductionRule.PENDANT_PAIR
     for s in trace.steps:
-        removed = _json_array([_q(v) for v in s.removed], "\n      ")
-        added = _edges_json(s.added, "\n      ")
-        pos, neg = s.offset
-        steps.append(
-            f'{{\n      "rule": {_q(s.rule.value)},\n      "removed": {removed},\n'
-            f'      "added": {added},\n      "offset": [\n        {pos},\n        {neg}\n      ]\n    }}'
-        )
+        if s.rule is pendant_pair:
+            # Every pendant pair removes two vertices, adds no edge and
+            # costs (1, 1), so only its two ids vary.
+            v, u = s.removed
+            steps.append(
+                f'{{\n      "rule": "PendantPair",\n      "removed": [\n        {_q(v)},\n        {_q(u)}\n'
+                f'      ],\n      "added": [],\n      "offset": [\n        1,\n        1\n      ]\n    }}'
+            )
+        else:
+            removed = _json_array([_q(v) for v in s.removed], "\n      ")
+            added = _edges_json(s.added, "\n      ")
+            pos, neg = s.offset
+            steps.append(
+                f'{{\n      "rule": {_q(s.rule.value)},\n      "removed": {removed},\n'
+                f'      "added": {added},\n      "offset": [\n        {pos},\n        {neg}\n      ]\n    }}'
+            )
     pos, neg = trace.offset
     steps_text = _json_array(steps, "\n  ")
     vertices = _json_array([_q(v) for v in reduced.vertices], "\n    ")

@@ -65,8 +65,11 @@ class ReductionTrace:
 
     @property
     def offset(self) -> tuple[int, int]:
-        pos = sum(s.offset[0] for s in self.steps)
-        neg = sum(s.offset[1] for s in self.steps)
+        pos = neg = 0
+        for s in self.steps:
+            p, q = s.offset
+            pos += p
+            neg += q
         return (pos, neg)
 
     def serialize(self) -> str:
@@ -146,27 +149,33 @@ def reduce_to_core(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
     (``delete_pendant_pair``, ``contract_degree2_path``) would give.
     """
     vs = g.vertices
-    rank = {v: i for i, v in enumerate(vs)}
-    adj = {v: dict(nbrs) for v, nbrs in g._adjacency().items()}
+    index = g._index
+    adj = {v: nbrs.copy() for v, nbrs in g._adjacency().items()}
     edges: list[tuple[str, str, Fraction] | None] = list(g.edges)  # None: deleted
     steps: list[ReductionStep] = []
+    heappop, heappush = heapq.heappop, heapq.heappush
+    pendant_pair = ReductionRule.PENDANT_PAIR
 
     # Degrees only fall while pendant pairs go, so a vertex reaches degree 1
-    # at most once and a stale heap entry never becomes valid again.
-    pendants = [i for i, v in enumerate(vs) if len(adj[v]) == 1]
+    # at most once and a stale heap entry never becomes valid again.  The
+    # heap holds vertex positions; ``adj`` lists the vertices in that order.
+    pendants = [i for i, nbrs in enumerate(adj.values()) if len(nbrs) == 1]
     while pendants:
-        v = vs[heapq.heappop(pendants)]
-        if v not in adj or len(adj[v]) != 1:
+        v = vs[heappop(pendants)]
+        nbrs = adj.get(v)
+        if nbrs is None or len(nbrs) != 1:
             continue
-        ((u, pos),) = adj.pop(v).items()
+        del adj[v]
+        ((u, pos),) = nbrs.items()
         edges[pos] = None
         del adj[u][v]
         for nb, pos in adj.pop(u).items():
-            del adj[nb][u]
+            nbrs = adj[nb]
+            del nbrs[u]
             edges[pos] = None
-            if len(adj[nb]) == 1:
-                heapq.heappush(pendants, rank[nb])
-        steps.append(ReductionStep(ReductionRule.PENDANT_PAIR, removed=(v, u), offset=(1, 1)))
+            if len(nbrs) == 1:
+                heappush(pendants, index[nb])
+        steps.append(ReductionStep(pendant_pair, (v, u), (), (1, 1)))
 
     # Contractions take x1 in one sweep of the stored order.  A contraction
     # keeps every surviving degree (x0 trades x1 for x5, x5 trades x4 for
@@ -202,11 +211,7 @@ def reduce_to_core(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
         added = (x0, x5, alternating_product(ws))
         adj[x0][x5] = adj[x5][x0] = len(edges)
         edges.append(added)
-        steps.append(
-            ReductionStep(
-                ReductionRule.PATH_CONTRACT, removed=tuple(run[1:5]), added=(added,), offset=(2, 2)
-            )
-        )
+        steps.append(ReductionStep(ReductionRule.PATH_CONTRACT, tuple(run[1:5]), (added,), (2, 2)))
 
     reduced = WeightedGraph._trusted(
         tuple(v for v in vs if v in adj), tuple(e for e in edges if e is not None)

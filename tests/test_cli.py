@@ -127,7 +127,7 @@ def _odd_cycle():
     return build_cycle(ws), names
 
 
-@pytest.mark.parametrize("case", ["empty", "header-only", "peels-away", "contracts"])
+@pytest.mark.parametrize("case", ["empty", "header-only", "peels-away", "contracts", "mixed"])
 def test_reduce_json_bytes_equal_json_dumps(case):
     if case == "empty":
         out = _reduce_json_matches_the_reference("", "edgelist")
@@ -139,11 +139,22 @@ def test_reduce_json_bytes_equal_json_dumps(case):
         path = WeightedGraph(_ODD_IDS, [(u, v, "3/7") for u, v in zip(_ODD_IDS, _ODD_IDS[1:])])
         out = _reduce_json_matches_the_reference(serialize_graph(path, "json"), "json")
         assert '"vertices": []' in out and "\\ud83d\\ude00" in out and "\\u0001" in out
-    else:
+    elif case == "contracts":
         cycle, names = _odd_cycle()
         out = _reduce_json_matches_the_reference(serialize_graph(_relabelled(cycle, names), "json"), "json")
         steps = json.loads(out)["steps"]
         assert any(s["rule"] == "PathContract" and "/" in s["added"][0][2] for s in steps)
+    else:
+        # The reduce-cli shape: a base that folds, a two-vertex path hanging
+        # off every base vertex, so pendant pairs and contractions share one
+        # trace, with escaped ids in both.
+        cycle, _ = _odd_cycle()
+        g = _hang_two_vertex_paths(cycle, random.Random(16))
+        names = _ODD_IDS + [f"p{i}" for i in range(g.n - len(_ODD_IDS))]
+        out = _reduce_json_matches_the_reference(serialize_graph(_relabelled(g, names), "json"), "json")
+        steps = json.loads(out)["steps"]
+        rules = {s["rule"] for s in steps if set(s["removed"]) & set(_ODD_IDS)}
+        assert rules == {"PendantPair", "PathContract"}
 
 
 _IDS = st.text(st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=4).filter(

@@ -16,6 +16,7 @@ from graph_inertia import (
     max_matching_forest,
     parse_graph,
     reduce_to_core,
+    solve,
 )
 from graph_inertia.testgen import (
     GenSpec,
@@ -204,6 +205,37 @@ def test_reduce_steps_match_oracle(seed):
     cls = rng.choice(["tree", "unicyclic", "bicyclic"])
     g = generate(GenSpec(cls, rng.randint(6, 13), seed))
     _replay_and_check(g)
+
+
+def _graph_state(g):
+    """What a call could change in place: the vertices, the edges, each
+    neighbour dict with its order, and the vertex -> position map."""
+    return (
+        g.vertices,
+        g.edges,
+        [(v, list(nbrs.items())) for v, nbrs in g._adjacency().items()],
+        list(g._index.items()),
+    )
+
+
+@pytest.mark.parametrize("family", ["tree", "forest", "unicyclic", "bicyclic", "long bases"])
+def test_calls_leave_their_input_untouched(family):
+    # reduce_to_core copies the graph's adjacency and keys its heap on the
+    # graph's own vertex index, and solve walks that same adjacency: graphs
+    # are immutable and shared, so no call may write to either.
+    if family == "long bases":
+        graphs = list(_long_type_ii_bases(random.Random(1009)).values())
+    else:
+        graphs = [
+            generate(GenSpec(family, n, 7 * n + i, regime=regime))
+            for i, regime in enumerate(("random", "unit", "force"))
+            for n in (11, 80, 300)
+        ]
+    for g in graphs:
+        before = _graph_state(g)
+        for call in (reduce_to_core, solve, inertia_oracle):
+            call(g)
+            assert _graph_state(g) == before, call.__name__
 
 
 def test_reduce_strictly_shrinks():
