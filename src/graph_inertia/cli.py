@@ -2,11 +2,13 @@
 reproduce the double-cycle case table.
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 verification mismatch.
+``main`` writes only to the streams it is given, argparse's output included.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -51,7 +53,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, with_method=False):
+    def add_io(p, run, with_method=False):
+        p.set_defaults(run=run)
         p.add_argument("input", nargs="?", default="-", help="input file, or - for stdin")
         p.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
         p.add_argument("--output", choices=("human", "json"), default="human")
@@ -59,11 +62,12 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--method", choices=("structural", "oracle", "both"), default="structural")
             p.add_argument("--dump-matrix", action="store_true")
 
-    add_io(sub.add_parser("inertia", help="compute (i+, i-, i0)"), with_method=True)
-    add_io(sub.add_parser("classify", help="report the graph class and base shape"))
-    add_io(sub.add_parser("reduce", help="run the rewrite engine and print its trace"))
+    add_io(sub.add_parser("inertia", help="compute (i+, i-, i0)"), _cmd_inertia, with_method=True)
+    add_io(sub.add_parser("classify", help="report the graph class and base shape"), _cmd_classify)
+    add_io(sub.add_parser("reduce", help="run the rewrite engine and print its trace"), _cmd_reduce)
 
     verify = sub.add_parser("verify", help="compare solver and oracle on random graphs")
+    verify.set_defaults(run=_cmd_verify)
     verify.add_argument("--class", dest="klass", choices=("tree", "unicyclic", "bicyclic"), default="tree")
     verify.add_argument("--count", type=int, default=100)
     verify.add_argument("--n", type=int, default=10, help="maximum vertex count")
@@ -71,12 +75,14 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--output", choices=("human", "json"), default="human")
 
     gen = sub.add_parser("gen", help="generate a random graph")
+    gen.set_defaults(run=_cmd_gen)
     gen.add_argument("--class", dest="klass", choices=("tree", "forest", "unicyclic", "bicyclic"), default="tree")
     gen.add_argument("--n", type=int, default=8)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
 
     table = sub.add_parser("table1", help="reproduce the double-cycle case table")
+    table.set_defaults(run=_cmd_table1)
     table.add_argument("--seed", type=int, default=0)
     table.add_argument("--output", choices=("human", "json"), default="human")
     return parser
@@ -100,55 +106,49 @@ def _fmt(i: Inertia) -> str:
     return f"i+={i.pos} i-={i.neg} i0={i.zero}"
 
 
+def _report(args, out: TextIO, payload: dict, lines: list[str]) -> None:
+    """Print ``payload`` as JSON or ``lines`` as text, as ``--output`` asks."""
+    if args.output == "json":
+        print(json.dumps(payload, indent=2), file=out)
+    else:
+        print("\n".join(lines), file=out)
+
+
 def _cmd_inertia(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
     g = _read_graph(args, stdin)
     payload: dict = {}
     lines = []
     if args.dump_matrix:
-        dump = adjacency_matrix(g).dump()
-        payload["matrix"] = dump.splitlines()
-        lines.extend(dump.splitlines())
+        payload["matrix"] = adjacency_matrix(g).dump().splitlines()
+        lines.extend(payload["matrix"])
     structural = oracle = None
     if args.method in ("structural", "both"):
         result = solve(g)
         structural = result.inertia
-        tags = ",".join(m.value for m in result.methods)
-        payload["structural"] = {**_inertia_json(structural), "methods": [m.value for m in result.methods]}
-        lines.append(f"structural: {_fmt(structural)} [{tags}]")
+        methods = [m.value for m in result.methods]
+        payload["structural"] = {**_inertia_json(structural), "methods": methods}
+        lines.append(f"structural: {_fmt(structural)} [{','.join(methods)}]")
     if args.method in ("oracle", "both"):
         oracle = inertia_oracle(g)
         payload["oracle"] = _inertia_json(oracle)
         lines.append(f"oracle: {_fmt(oracle)}")
-    code = EXIT_OK
+    ok = args.method != "both" or structural == oracle
     if args.method == "both":
-        ok = structural == oracle
         payload["match"] = ok
         lines.append("match" if ok else "MISMATCH")
-        if not ok:
-            code = EXIT_MISMATCH
-    if args.output == "json":
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        print("\n".join(lines), file=out)
-    return code
+    _report(args, out, payload, lines)
+    return EXIT_OK if ok else EXIT_MISMATCH
 
 
 def _cmd_classify(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
     g = _read_graph(args, stdin)
     cls = classify(g)
-    base = None
+    payload = {"class": cls.overall.value, "components": [k.value for k in cls.components]}
+    line = cls.overall.value
     if cls.overall in (GraphClass.UNICYCLIC, GraphClass.BICYCLIC):
-        base = str(describe_base(two_core(g)))
-    if args.output == "json":
-        payload = {
-            "class": cls.overall.value,
-            "components": [k.value for k in cls.components],
-        }
-        if base:
-            payload["base"] = base
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        print(cls.overall.value + (f" {base}" if base else ""), file=out)
+        payload["base"] = str(describe_base(two_core(g)))
+        line += f" {payload['base']}"
+    _report(args, out, payload, [line])
     return EXIT_OK
 
 
@@ -231,13 +231,10 @@ def _cmd_verify(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
         g = generate(spec)
         if solve(g).inertia != inertia_oracle(g):
             mismatches.append(seed)
-    if args.output == "json":
-        payload = {"count": args.count, "matches": args.count - len(mismatches), "mismatch_seeds": mismatches}
-        print(json.dumps(payload, indent=2), file=out)
-    else:
-        print(f"{args.count - len(mismatches)}/{args.count} match", file=out)
-        for seed in mismatches:
-            print(f"mismatch seed={seed}", file=out)
+    matches = args.count - len(mismatches)
+    payload = {"count": args.count, "matches": matches, "mismatch_seeds": mismatches}
+    lines = [f"{matches}/{args.count} match", *(f"mismatch seed={seed}" for seed in mismatches)]
+    _report(args, out, payload, lines)
     return EXIT_MISMATCH if mismatches else EXIT_OK
 
 
@@ -268,11 +265,7 @@ def _cmd_table1(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
                     "shape": f"infinity({p},{l},{q})",
                     "branch": key,
                     "condition": row.condition_text,
-                    "witness": {
-                        "a": [str(x) for x in a],
-                        "b": [str(x) for x in b],
-                        "c": [str(x) for x in c],
-                    },
+                    "witness": {k: [str(x) for x in ws] for k, ws in zip("abc", (a, b, c))},
                     "condition_sides": None if cond is None else [str(cond.lhs), str(cond.rhs)],
                     "closed_form": list(closed.pn),
                     "oracle": list(oracle.pn),
@@ -280,28 +273,15 @@ def _cmd_table1(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
                     "match": match,
                 }
             )
-    if args.output == "json":
-        print(json.dumps({"rows": rows, "all_match": all_match}, indent=2), file=out)
-    else:
-        for r in rows:
-            print(
-                f"{r['shape']:<16} branch={r['branch']:<4} closed={tuple(r['closed_form'])} "
-                f"oracle={tuple(r['oracle'])} table={tuple(r['table'])} "
-                f"{'match' if r['match'] else 'MISMATCH'}",
-                file=out,
-            )
-        print("all match" if all_match else "MISMATCHES FOUND", file=out)
+    lines = [
+        f"{r['shape']:<16} branch={r['branch']:<4} closed={tuple(r['closed_form'])} "
+        f"oracle={tuple(r['oracle'])} table={tuple(r['table'])} "
+        f"{'match' if r['match'] else 'MISMATCH'}"
+        for r in rows
+    ]
+    lines.append("all match" if all_match else "MISMATCHES FOUND")
+    _report(args, out, {"rows": rows, "all_match": all_match}, lines)
     return EXIT_OK if all_match else EXIT_MISMATCH
-
-
-_COMMANDS = {
-    "inertia": _cmd_inertia,
-    "classify": _cmd_classify,
-    "reduce": _cmd_reduce,
-    "verify": _cmd_verify,
-    "gen": _cmd_gen,
-    "table1": _cmd_table1,
-}
 
 
 def main(
@@ -313,12 +293,13 @@ def main(
     out = stdout or sys.stdout
     err = stderr or sys.stderr
     try:
-        args = _build_parser().parse_args(argv)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_OK if exc.code == 0 else EXIT_USAGE
     try:
-        # The subcommand is required, so argparse lets only these names through.
-        return _COMMANDS[args.command](args, out, stdin)
+        # The subcommand is required, so every parse sets its handler.
+        return args.run(args, out, stdin)
     except ParseError as exc:
         print(f"error: {exc}", file=err)
         return EXIT_PARSE

@@ -116,6 +116,14 @@ def _cycle_pn(ws: Sequence[Fraction]) -> tuple[int, int]:
     return cycle_inertia(tuple(ws)).pn
 
 
+def _folded_inertia(n: int, rep_pn: tuple[int, int], folds: int) -> Inertia:
+    """Inertia of an n-vertex base from its representative's (i+, i-) and its
+    fold count: each fold adds (2, 2), and the rest of the n are zeros."""
+    pos = rep_pn[0] + 2 * folds
+    neg = rep_pn[1] + 2 * folds
+    return Inertia(pos, neg, n - pos - neg)
+
+
 def _tadpole_pn(cycle_ws: Sequence[Fraction], t: int) -> tuple[int, int]:
     """Cycle with a pendant path of ``t`` edges at one vertex.
 
@@ -290,11 +298,8 @@ def _infinity_rep_pn(p, l, q, a, b, c):
 def infinity_inertia(p, l, q, a, b, c) -> Inertia:
     """Closed-form inertia of a bare infinity base on p + q + l - 2 vertices."""
     n = p + q + l - 2
-    (p0, l0, q0, a0, b0, c0), folds = reduce_infinity_shape(p, l, q, a, b, c)
-    pos, neg = _infinity_rep_pn(p0, l0, q0, a0, b0, c0)
-    pos += 2 * folds
-    neg += 2 * folds
-    return Inertia(pos, neg, n - pos - neg)
+    rep, folds = reduce_infinity_shape(p, l, q, a, b, c)
+    return _folded_inertia(n, _infinity_rep_pn(*rep), folds)
 
 
 def infinity_base_inertia(d: BaseDescriptor) -> Inertia:
@@ -382,10 +387,7 @@ def theta_inertia(p, l, q, a, b, c) -> Inertia:
     """Closed-form inertia of a bare theta base on p + l + q - 4 vertices."""
     n = p + l + q - 4
     slots, folds = reduce_theta_shape(p, l, q, a, b, c)
-    pos, neg = _theta_rep_pn(slots)
-    pos += 2 * folds
-    neg += 2 * folds
-    return Inertia(pos, neg, n - pos - neg)
+    return _folded_inertia(n, _theta_rep_pn(slots), folds)
 
 
 def theta_base_inertia(d: BaseDescriptor) -> Inertia:

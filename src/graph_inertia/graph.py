@@ -13,7 +13,6 @@ from .matrix import SymRationalMatrix
 
 __all__ = [
     "WeightedGraph",
-    "GraphFormat",
     "GraphClass",
     "ComponentClass",
     "Classification",
@@ -236,11 +235,6 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.m})"
 
 
-class GraphFormat(str, Enum):
-    EDGELIST = "edgelist"
-    JSON = "json"
-
-
 def _parse_edgelist(text: str) -> WeightedGraph:
     # Vertex -> {neighbour: edge position}, in first-appearance order; the
     # graph keeps it.
@@ -338,31 +332,38 @@ def _parse_json(text: str) -> WeightedGraph:
         raise ParseError(str(exc)) from None
 
 
-def parse_graph(text: str | bytes, fmt: GraphFormat | str = GraphFormat.EDGELIST) -> WeightedGraph:
+def _check_format(fmt: str) -> None:
+    if fmt not in ("edgelist", "json"):
+        raise GraphError(f"unknown graph format {echo(fmt)}")
+
+
+def parse_graph(text: str | bytes, fmt: str = "edgelist") -> WeightedGraph:
     """Parse a graph from edge-list or json text; weights are exact rationals.
 
-    Bytes are decoded as UTF-8; bytes that are not UTF-8 are a parse error.
+    Bytes are decoded as UTF-8, and one leading byte-order mark is dropped;
+    bytes that are not UTF-8 are a parse error.
     """
+    _check_format(fmt)
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ParseError(f"invalid UTF-8 at byte {exc.start}: {exc.reason}") from None
-    fmt = GraphFormat(fmt)
-    if fmt is GraphFormat.EDGELIST:
+        text = text.removeprefix("\ufeff")
+    if fmt == "edgelist":
         return _parse_edgelist(text)
     return _parse_json(text)
 
 
-def serialize_graph(g: WeightedGraph, fmt: GraphFormat | str = GraphFormat.EDGELIST) -> str:
+def serialize_graph(g: WeightedGraph, fmt: str = "edgelist") -> str:
     """Serialize so that ``parse_graph(serialize_graph(g), fmt) == g``.
 
     An edge list cannot hold a vertex id that contains the comment mark
     ``#`` or starts with ``vertices:``, the header mark; such a graph raises
     ``GraphError`` there and can be written as json.
     """
-    fmt = GraphFormat(fmt)
-    if fmt is GraphFormat.EDGELIST:
+    _check_format(fmt)
+    if fmt == "edgelist":
         for v in g.vertices:
             if "#" in v or v.startswith("vertices:"):
                 raise GraphError(f"vertex id {echo(v)} cannot be written as an edge list")

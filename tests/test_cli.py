@@ -467,6 +467,27 @@ def test_invalid_utf8_is_a_parse_error(tmp_path):
         assert len(err.getvalue().encode("utf-8")) < 200
 
 
+def test_byte_order_mark_does_not_change_the_output(tmp_path):
+    # The mark must not join the first vertex id: a triangle stays a triangle.
+    plain, marked = tmp_path / "c3.txt", tmp_path / "c3-bom.txt"
+    plain.write_text(C3)
+    marked.write_bytes(b"\xef\xbb\xbf" + C3.encode())
+    for argv in (["inertia", "--method", "both"], ["classify"], ["reduce", "--output", "json"]):
+        assert run([*argv, str(marked)]) == run([*argv, str(plain)])
+    assert run(["inertia", "--method", "both", str(marked)])[1].count("i+=1 i-=2 i0=0") == 2
+    assert run(["classify", str(marked)])[1] == "unicyclic cycle(3)\n"
+
+
+def test_argparse_writes_to_the_streams_main_is_given(capsys):
+    code, out, err = run(["--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: graph-inertia")
+    code, out, err = run(["inertia", "--method", "nonsense", "-"], C3)
+    assert (code, out) == (1, "")
+    assert "invalid choice: 'nonsense'" in err
+    assert capsys.readouterr() == ("", "")
+
+
 def test_missing_file_is_usage_error(tmp_path):
     code, _, err = run(["inertia", str(tmp_path / "nope.txt")])
     assert code == 1

@@ -249,6 +249,36 @@ def test_parse_bytes_as_utf8():
         parse_graph(b"1 2 \xff")
 
 
+@pytest.mark.parametrize(
+    "text, fmt",
+    [("1 2 1\n2 3 1\n3 1 1\n", "edgelist"), ('{"edges": [["1", "2", 1], ["2", "3", 1], ["3", "1", 1]]}', "json")],
+)
+def test_parse_drops_one_byte_order_mark_from_bytes(text, fmt):
+    # A BOM would otherwise join the first vertex id, or stop the json decoder.
+    plain = parse_graph(text, fmt)
+    assert parse_graph(b"\xef\xbb\xbf" + text.encode(), fmt) == plain
+    assert plain.vertices == ("1", "2", "3")
+
+
+def test_byte_order_mark_rule_keeps_offsets_lines_and_str_input():
+    # Only one mark goes, and only from bytes: a str keeps it in the first id.
+    assert parse_graph(b"\xef\xbb\xbf" * 2 + b"1 2 1").vertices == ("\ufeff1", "2")
+    assert parse_graph("\ufeff1 2 1").vertices == ("\ufeff1", "2")
+    with pytest.raises(ParseError, match="invalid UTF-8 at byte 7"):
+        parse_graph(b"\xef\xbb\xbf1 2 \xff")
+    with pytest.raises(ParseError, match="line 2"):
+        parse_graph(b"\xef\xbb\xbf1 2 1\n2 3 0\n")
+
+
+def test_unknown_format_names_itself():
+    g = parse_graph("a b 1")
+    for call in (lambda: parse_graph("a b 1", "xml"), lambda: serialize_graph(g, "xml")):
+        with pytest.raises(ValueError, match="unknown graph format 'xml'") as exc:
+            call()
+        # A caller's mistake, not bad input: GraphError, not ParseError.
+        assert type(exc.value) is GraphError
+
+
 @pytest.mark.parametrize("v", ["a#b", "#", "vertices:x", "vertices:"])
 def test_edgelist_refuses_ids_it_cannot_write(v):
     g = WeightedGraph([v, "b"], [(v, "b", 1)])
