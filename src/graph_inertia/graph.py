@@ -45,6 +45,38 @@ def _exact_weight(u, v, w) -> Fraction:
     )
 
 
+def _checked_index(vertices: Iterable) -> dict[str, int]:
+    """Vertex id -> position for ``vertices``, each a distinct non-empty
+    string without whitespace."""
+    index: dict[str, int] = {}
+    for v in vertices:
+        if not isinstance(v, str) or not v or any(ch.isspace() for ch in v):
+            raise GraphError(f"vertex id must be a non-empty string without whitespace: {echo(v)}")
+        if v in index:
+            raise GraphError(f"duplicate vertex id {echo(v)}")
+        index[v] = len(index)
+    return index
+
+
+def _link(index: dict[str, int], adj: list[dict[int, int]], u, v, w: Fraction, pos: int) -> None:
+    """Record edge u-v of weight ``w`` at edge position ``pos`` in ``adj``,
+    refusing a loop, an undeclared endpoint, a weight not above zero and a
+    repeated edge, in that order."""
+    if u == v:
+        raise GraphError(f"self-loop at vertex {echo(u)}")
+    i = index.get(u)
+    if i is None:
+        raise GraphError(f"edge endpoint {echo(u)} is not a declared vertex")
+    j = index.get(v)
+    if j is None:
+        raise GraphError(f"edge endpoint {echo(v)} is not a declared vertex")
+    if w <= 0:
+        raise GraphError(f"edge {echo(u)}-{echo(v)} has non-positive weight {w}")
+    if j in adj[i]:
+        raise GraphError(f"duplicate edge {echo(u)}-{echo(v)}")
+    adj[i][j] = adj[j][i] = pos
+
+
 class WeightedGraph:
     """Simple undirected graph with exact, strictly positive rational weights.
 
@@ -52,38 +84,23 @@ class WeightedGraph:
     first-appearance order); that order fixes adjacency-matrix rows, so
     equal inputs always produce identical matrices.  Instances are
     immutable and safe to share between threads.
+
+    Inside, a vertex is its position in that order: ``_index`` maps an id to
+    its position, and ``_adj[i]`` maps the position of each neighbour of
+    vertex i to the position of their edge in ``edges``, in edge order,
+    which is the order ``neighbors`` reports.
     """
 
     __slots__ = ("_vertices", "_index", "_edges", "_adj")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple] = ()) -> None:
         vs = tuple(vertices)
-        index: dict[str, int] = {}
-        for v in vs:
-            if not isinstance(v, str) or not v or any(ch.isspace() for ch in v):
-                raise GraphError(
-                    f"vertex id must be a non-empty string without whitespace: {echo(v)}"
-                )
-            if v in index:
-                raise GraphError(f"duplicate vertex id {echo(v)}")
-            index[v] = len(index)
-        # adj[u][v] is the position in ``edges`` of edge u-v; each inner dict
-        # keeps edge-insertion order, which is the order ``neighbors`` reports.
-        adj: dict[str, dict[str, int]] = {v: {} for v in vs}
+        index = _checked_index(vs)
+        adj: list[dict[int, int]] = [{} for _ in vs]
         out: list[Edge] = []
         for u, v, w in edges:
             w = _exact_weight(u, v, w)
-            if u == v:
-                raise GraphError(f"self-loop at vertex {echo(u)}")
-            if u not in adj:
-                raise GraphError(f"edge endpoint {echo(u)} is not a declared vertex")
-            if v not in adj:
-                raise GraphError(f"edge endpoint {echo(v)} is not a declared vertex")
-            if w <= 0:
-                raise GraphError(f"edge {echo(u)}-{echo(v)} has non-positive weight {w}")
-            if v in adj[u]:
-                raise GraphError(f"duplicate edge {echo(u)}-{echo(v)}")
-            adj[u][v] = adj[v][u] = len(out)
+            _link(index, adj, u, v, w, len(out))
             out.append((u, v, w))
         self._vertices = vs
         self._index = index
@@ -95,7 +112,8 @@ class WeightedGraph:
         cls,
         vertices: tuple[str, ...],
         edges: tuple[Edge, ...],
-        adj: dict[str, dict[str, int]] | None = None,
+        adj: list[dict[int, int]] | None = None,
+        index: dict[str, int] | None = None,
     ) -> "WeightedGraph":
         """Build from parts already known to be valid, without re-validating.
 
@@ -103,18 +121,21 @@ class WeightedGraph:
         non-empty vertex ids without whitespace, and distinct non-loop edges
         with ``Fraction`` weights above zero whose endpoints all lie in
         ``vertices``.  A subsequence of a validated graph's edges qualifies,
-        and so does the edge-list parser's output, which makes those checks
-        itself to report them with line numbers.  ``adj``, when given, must
-        be what this would build: vertex -> {neighbour: edge position}, in
-        ``vertices`` order and each in edge order; it is kept, not copied.
+        and so does a parser's output, which makes those checks itself.
+        ``adj`` and ``index``, when given, must be what this would build
+        (the class docstring says what they hold); they are kept, not
+        copied.
         """
         g = cls.__new__(cls)
         g._vertices = vertices
-        g._index = dict(zip(vertices, range(len(vertices))))
+        if index is None:
+            index = dict(zip(vertices, range(len(vertices))))
         if adj is None:
-            adj = {v: {} for v in vertices}
-            for i, (u, v, _) in enumerate(edges):
-                adj[u][v] = adj[v][u] = i
+            adj = [{} for _ in vertices]
+            for pos, (u, v, _) in enumerate(edges):
+                i, j = index[u], index[v]
+                adj[i][j] = adj[j][i] = pos
+        g._index = index
         g._edges = edges
         g._adj = adj
         return g
@@ -142,33 +163,33 @@ class WeightedGraph:
         try:
             return self._index[v]
         except KeyError:
-            raise GraphError(f"unknown vertex {v!r}") from None
+            raise GraphError(f"unknown vertex {echo(v)}") from None
 
     def degree(self, v: str) -> int:
-        self.vertex_index(v)
-        return len(self._adj[v])
+        return len(self._adj[self.vertex_index(v)])
 
     def neighbors(self, v: str) -> tuple[tuple[str, Fraction], ...]:
         """Neighbors of v with weights, in edge-insertion order."""
-        self.vertex_index(v)
-        edges = self._edges
-        return tuple([(nb, edges[i][2]) for nb, i in self._adj[v].items()])
+        vs, edges = self._vertices, self._edges
+        return tuple([(vs[j], edges[pos][2]) for j, pos in self._adj[self.vertex_index(v)].items()])
 
-    def _adjacency(self) -> dict[str, dict[str, int]]:
-        """Vertex -> {neighbor: edge position}, each in ``neighbors`` order.
+    def _adjacency(self) -> list[dict[int, int]]:
+        """Position -> {neighbour position: edge position}, each in
+        ``neighbors`` order.
 
-        The graph's own index, handed out for the linear-time walks inside
-        the package; callers must not mutate it.
+        The graph's own adjacency, handed out for the linear-time walks
+        inside the package; callers must not mutate it.
         """
         return self._adj
 
     def has_edge(self, u: str, v: str) -> bool:
-        return u in self._adj and v in self._adj[u]
+        i, j = self._index.get(u), self._index.get(v)
+        return i is not None and j in self._adj[i]
 
     def weight(self, u: str, v: str) -> Fraction:
         if not self.has_edge(u, v):
-            raise GraphError(f"no edge {u!r}-{v!r}")
-        return self._edges[self._adj[u][v]][2]
+            raise GraphError(f"no edge {echo(u)}-{echo(v)}")
+        return self._edges[self._adj[self._index[u]][self._index[v]]][2]
 
     def induced(self, keep: Iterable[str]) -> "WeightedGraph":
         """Induced weighted subgraph on ``keep``.
@@ -179,17 +200,23 @@ class WeightedGraph:
         Keeping every vertex returns ``self``; graphs are immutable, so the
         two are interchangeable.
         """
-        keepset = set(keep)
+        keep = tuple(keep)
         index = self._index
-        unknown = [v for v in keepset if v not in index]
-        if unknown:
-            raise GraphError(f"unknown vertices {sorted(unknown)!r}")
-        if len(keepset) == len(self._vertices):
+        kept = {index.get(v, -1) for v in keep}
+        if -1 in kept:
+            unknown = {v for v in keep if v not in index}
+            raise GraphError(f"unknown vertices {echo(sorted(unknown))}")
+        return self._induced_at(sorted(kept))
+
+    def _induced_at(self, kept: list[int]) -> "WeightedGraph":
+        """``induced`` on the vertices at the ascending positions ``kept``."""
+        if len(kept) == len(self._vertices):
             return self
-        adj, edges = self._adj, self._edges
-        positions = sorted({i for v in keepset for nb, i in adj[v].items() if nb in keepset})
+        adj, vs, edges = self._adj, self._vertices, self._edges
+        inside = set(kept)
+        positions = sorted({pos for i in kept for j, pos in adj[i].items() if j in inside})
         return WeightedGraph._trusted(
-            tuple(sorted(keepset, key=index.__getitem__)), tuple(edges[i] for i in positions)
+            tuple([vs[i] for i in kept]), tuple([edges[pos] for pos in positions])
         )
 
     def without(self, drop: Iterable[str]) -> "WeightedGraph":
@@ -197,18 +224,25 @@ class WeightedGraph:
 
         Ids in ``drop`` that are not vertices are ignored.
         """
-        dropset = set(drop)
-        vs = tuple(v for v in self._vertices if v not in dropset)
-        if len(vs) == len(self._vertices):
+        index = self._index
+        gone = {index[v] for v in drop if v in index}
+        if not gone:
             return self
-        es = tuple(e for e in self._edges if e[0] not in dropset and e[1] not in dropset)
-        return WeightedGraph._trusted(vs, es)
+        adj, edges = self._adj, self._edges
+        dead = bytearray(len(edges))
+        for i in gone:
+            for pos in adj[i].values():
+                dead[pos] = 1
+        return WeightedGraph._trusted(
+            tuple([v for i, v in enumerate(self._vertices) if i not in gone]),
+            tuple([e for e, d in zip(edges, dead) if not d]),
+        )
 
     def union(self, other: "WeightedGraph") -> "WeightedGraph":
         """Disjoint union; vertex sets must not overlap."""
         overlap = set(self._vertices) & set(other._vertices)
         if overlap:
-            raise GraphError(f"union of non-disjoint graphs (shared: {sorted(overlap)!r})")
+            raise GraphError(f"union of non-disjoint graphs (shared: {echo(sorted(overlap))})")
         return WeightedGraph(self._vertices + other._vertices, self._edges + other._edges)
 
     def relabel(self, fn: Callable[[str], str]) -> "WeightedGraph":
@@ -236,9 +270,11 @@ class WeightedGraph:
 
 
 def _parse_edgelist(text: str) -> WeightedGraph:
-    # Vertex -> {neighbour: edge position}, in first-appearance order; the
-    # graph keeps it.
-    adj: dict[str, dict[str, int]] = {}
+    # Vertex id -> position, in first-appearance order, and position ->
+    # {neighbour position: edge position}; the graph keeps both.
+    index: dict[str, int] = {}
+    adj: list[dict[int, int]] = []
+    new_vertex = adj.append
     edges: list[Edge] = []
     add_edge = edges.append
     # Each distinct weight text is parsed and checked once, at its first line.
@@ -254,8 +290,9 @@ def _parse_edgelist(text: str) -> WeightedGraph:
         if parts[0].startswith("vertices:"):
             parts[0] = parts[0][len("vertices:"):]
             for tok in parts:
-                if tok and tok not in adj:
-                    adj[tok] = {}
+                if tok and tok not in index:
+                    index[tok] = len(adj)
+                    new_vertex({})
             continue
         if len(parts) != 3:
             line = lines[lineno - 1].strip()
@@ -272,17 +309,19 @@ def _parse_edgelist(text: str) -> WeightedGraph:
             weights[wtext] = w
         if u == v:
             raise ParseError(f"self-loop at vertex {echo(u)}", lineno)
-        u_adj = adj.get(u)
-        if u_adj is None:
-            u_adj = adj[u] = {}
-        elif v in u_adj:
+        i = index.get(u)
+        j = index.get(v)
+        if i is None:
+            i = index[u] = len(adj)
+            new_vertex({})
+        elif j is not None and j in adj[i]:
             raise ParseError(f"duplicate edge {echo(u)}-{echo(v)}", lineno)
-        v_adj = adj.get(v)
-        if v_adj is None:
-            v_adj = adj[v] = {}
-        u_adj[v] = v_adj[u] = len(edges)
+        if j is None:
+            j = index[v] = len(adj)
+            new_vertex({})
+        adj[i][j] = adj[j][i] = len(edges)
         add_edge((u, v, w))
-    return WeightedGraph._trusted(tuple(adj), tuple(edges), adj)
+    return WeightedGraph._trusted(tuple(index), tuple(edges), adj, index)
 
 
 def _parse_json(text: str) -> WeightedGraph:
@@ -302,9 +341,7 @@ def _parse_json(text: str) -> WeightedGraph:
         raise ParseError('"vertices" must be a list of strings')
     if not isinstance(raw_edges, list):
         raise ParseError('"edges" must be a list')
-    seen: dict[str, None] = {}
-    for v in vertices:
-        seen.setdefault(v)
+    seen: dict[str, None] = dict.fromkeys(vertices)
     edges: list[Edge] = []
     for item in raw_edges:
         if not (isinstance(item, list) and len(item) == 3):
@@ -326,10 +363,16 @@ def _parse_json(text: str) -> WeightedGraph:
         seen.setdefault(u)
         seen.setdefault(v)
         edges.append((u, v, w))
+    # The constructor's checks, each made once, after every shape check and
+    # in the constructor's order: the ids first, then each edge.
     try:
-        return WeightedGraph(tuple(seen), edges)
+        index = _checked_index(seen)
+        adj: list[dict[int, int]] = [{} for _ in index]
+        for pos, (u, v, w) in enumerate(edges):
+            _link(index, adj, u, v, w, pos)
     except GraphError as exc:
         raise ParseError(str(exc)) from None
+    return WeightedGraph._trusted(tuple(index), tuple(edges), adj, index)
 
 
 def _check_format(fmt: str) -> None:
@@ -382,12 +425,11 @@ def serialize_graph(g: WeightedGraph, fmt: str = "edgelist") -> str:
 
 def adjacency_matrix(g: WeightedGraph) -> SymRationalMatrix:
     """Weighted adjacency matrix; row i corresponds to ``g.vertices[i]``."""
-    n = g.n
+    n, edges = g.n, g.edges
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for u, v, w in g.edges:
-        i, j = g.vertex_index(u), g.vertex_index(v)
-        rows[i][j] = w
-        rows[j][i] = w
+    for row, nbrs in zip(rows, g._adjacency()):
+        for j, pos in nbrs.items():
+            row[j] = edges[pos][2]
     return SymRationalMatrix(tuple(tuple(r) for r in rows))
 
 
@@ -415,23 +457,24 @@ class Classification:
     components: tuple[ComponentClass, ...]
 
 
-def _component_vertices(g: WeightedGraph, starts=None, within=None) -> list[list[str]]:
-    """Vertex lists of the components of ``g``, or of its subgraph on
-    ``within``, that hold a vertex of ``starts`` (default: every vertex, in
+def _component_vertices(g: WeightedGraph, starts=None, within=None) -> list[list[int]]:
+    """Vertex positions of the components of ``g``, or of its subgraph on
+    the positions whose ``within`` entry is not negative (the peel's live
+    degrees), that hold a position of ``starts`` (default: every vertex, in
     ``g``'s order), in the order their first such vertex comes, each walked
     breadth-first from it.  One pass over the components' vertices and
     edges, building no graph."""
     adj = g._adjacency()
-    seen: set[str] = set()
+    seen: set[int] = set()
     out = []
-    for start in g.vertices if starts is None else starts:
+    for start in range(len(adj)) if starts is None else starts:
         if start in seen:
             continue
         seen.add(start)
         comp = [start]
         for x in comp:  # comp grows while it is scanned: breadth-first order
             for nb in adj[x]:
-                if nb not in seen and (within is None or nb in within):
+                if nb not in seen and (within is None or within[nb] >= 0):
                     seen.add(nb)
                     comp.append(nb)
         out.append(comp)
@@ -443,7 +486,7 @@ def connected_components(g: WeightedGraph) -> list[WeightedGraph]:
 
     A connected graph is its own single component.
     """
-    return [g.induced(c) for c in _component_vertices(g)]
+    return [g._induced_at(sorted(c)) for c in _component_vertices(g)]
 
 
 def _component_class(n: int, m: int) -> ComponentClass:
@@ -460,8 +503,9 @@ def _component_class(n: int, m: int) -> ComponentClass:
 
 def classify(g: WeightedGraph) -> Classification:
     """Per-component class by edge/vertex count, joined into a whole-graph class."""
+    adj = g._adjacency()
     kinds = tuple(
-        _component_class(len(c), sum(g.degree(v) for v in c) // 2) for c in _component_vertices(g)
+        _component_class(len(c), sum(len(adj[v]) for v in c) // 2) for c in _component_vertices(g)
     )
     if any(k is ComponentClass.UNSUPPORTED for k in kinds):
         overall = GraphClass.UNSUPPORTED

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .closed_forms import alternating_product
-from .core import GraphError
+from .core import GraphError, echo
 from .graph import WeightedGraph
 
 __all__ = [
@@ -79,7 +79,7 @@ class ReductionTrace:
 def delete_pendant_pair(g: WeightedGraph, v: str) -> tuple[WeightedGraph, ReductionStep]:
     """Remove a pendant vertex and its unique neighbor; offset (1, 1)."""
     if g.degree(v) != 1:
-        raise GraphError(f"vertex {v!r} is not pendant (degree {g.degree(v)})")
+        raise GraphError(f"vertex {echo(v)} is not pendant (degree {g.degree(v)})")
     u = g.neighbors(v)[0][0]
     step = ReductionStep(ReductionRule.PENDANT_PAIR, removed=(v, u), offset=(1, 1))
     return g.without((v, u)), step
@@ -105,7 +105,7 @@ def contract_degree2_path(
     ws = [g.weight(path[i], path[i + 1]) for i in range(5)]
     for x in path[1:5]:
         if g.degree(x) != 2:
-            raise GraphError(f"interior vertex {x!r} has degree {g.degree(x)}, expected 2")
+            raise GraphError(f"interior vertex {echo(x)} has degree {g.degree(x)}, expected 2")
     if g.has_edge(path[0], path[5]):
         raise GraphError("contraction refused: the new edge would parallel an existing one")
     added = ((path[0], path[5], alternating_product(ws)),)
@@ -114,9 +114,9 @@ def contract_degree2_path(
     return WeightedGraph._trusted(rest.vertices, rest.edges + added), step
 
 
-def _run_from(adj: dict[str, dict[str, int]], x1: str) -> list[str] | None:
+def _run_from(adj: list[dict[int, int] | None], x1: int) -> list[int] | None:
     """The first contractible run x0..x5 through degree-2 ``x1``, trying its
-    neighbours as x0 in neighbour order, or None."""
+    neighbours as x0 in neighbour order, or None; vertices are positions."""
     for x0 in adj[x1]:
         run = [x0, x1]
         prev, cur = x0, x1
@@ -149,8 +149,8 @@ def reduce_to_core(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
     (``delete_pendant_pair``, ``contract_degree2_path``) would give.
     """
     vs = g.vertices
-    index = g._index
-    adj = {v: nbrs.copy() for v, nbrs in g._adjacency().items()}
+    # A copy of the adjacency by vertex position; None marks a deleted vertex.
+    adj: list[dict[int, int] | None] = [nbrs.copy() for nbrs in g._adjacency()]
     edges: list[tuple[str, str, Fraction] | None] = list(g.edges)  # None: deleted
     steps: list[ReductionStep] = []
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -158,24 +158,26 @@ def reduce_to_core(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
 
     # Degrees only fall while pendant pairs go, so a vertex reaches degree 1
     # at most once and a stale heap entry never becomes valid again.  The
-    # heap holds vertex positions; ``adj`` lists the vertices in that order.
-    pendants = [i for i, nbrs in enumerate(adj.values()) if len(nbrs) == 1]
+    # heap holds vertex positions, so it pops in stored vertex order.
+    pendants = [v for v, nbrs in enumerate(adj) if len(nbrs) == 1]
     while pendants:
-        v = vs[heappop(pendants)]
-        nbrs = adj.get(v)
+        v = heappop(pendants)
+        nbrs = adj[v]
         if nbrs is None or len(nbrs) != 1:
             continue
-        del adj[v]
+        adj[v] = None
         ((u, pos),) = nbrs.items()
         edges[pos] = None
-        del adj[u][v]
-        for nb, pos in adj.pop(u).items():
+        u_nbrs = adj[u]
+        adj[u] = None
+        del u_nbrs[v]
+        for nb, pos in u_nbrs.items():
             nbrs = adj[nb]
             del nbrs[u]
             edges[pos] = None
             if len(nbrs) == 1:
-                heappush(pendants, index[nb])
-        steps.append(ReductionStep(pendant_pair, (v, u), (), (1, 1)))
+                heappush(pendants, nb)
+        steps.append(ReductionStep(pendant_pair, (vs[v], vs[u]), (), (1, 1)))
 
     # Contractions take x1 in one sweep of the stored order.  A contraction
     # keeps every surviving degree (x0 trades x1 for x5, x5 trades x4 for
@@ -193,8 +195,8 @@ def reduce_to_core(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
     # vertex without a run never gains one, and a vertex the sweep has passed
     # needs no second look: the sweep finds the same first run as a scan from
     # the first vertex after every step.
-    for x1 in vs:
-        if x1 not in adj or len(adj[x1]) != 2:
+    for x1, nbrs in enumerate(adj):
+        if nbrs is None or len(nbrs) != 2:
             continue
         run = _run_from(adj, x1)
         if run is None:
@@ -207,13 +209,15 @@ def reduce_to_core(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
         x0, x5 = run[0], run[5]
         del adj[x0][run[1]], adj[x5][run[4]]
         for x in run[1:5]:
-            del adj[x]
-        added = (x0, x5, alternating_product(ws))
+            adj[x] = None
+        added = (vs[x0], vs[x5], alternating_product(ws))
         adj[x0][x5] = adj[x5][x0] = len(edges)
         edges.append(added)
-        steps.append(ReductionStep(ReductionRule.PATH_CONTRACT, tuple(run[1:5]), (added,), (2, 2)))
+        removed = tuple([vs[x] for x in run[1:5]])
+        steps.append(ReductionStep(ReductionRule.PATH_CONTRACT, removed, (added,), (2, 2)))
 
     reduced = WeightedGraph._trusted(
-        tuple(v for v in vs if v in adj), tuple(e for e in edges if e is not None)
+        tuple([v for v, nbrs in zip(vs, adj) if nbrs is not None]),
+        tuple([e for e in edges if e is not None]),
     )
     return reduced, ReductionTrace(tuple(steps))

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
 
 from .closed_forms import cycle_inertia, infinity_base_inertia, theta_base_inertia
 from .core import Inertia
 from .graph import ComponentClass, WeightedGraph, _component_class, _component_vertices
 from .oracle import inertia_oracle
 from .reduction import ReductionRule, ReductionStep, ReductionTrace
-from .structure import BaseKind, _cut, _hanging_tree, _peel, describe_base
+from .structure import BaseKind, _cut, _hanging_tree, _live, _peel, describe_base
 
 __all__ = ["Method", "SolveResult", "solve"]
 
@@ -79,33 +78,33 @@ def solve(g: WeightedGraph) -> SolveResult:
     unicyclic and bicyclic components cost O(n + m) apart from sorting the
     removed vertex sets and the closed forms' rational arithmetic.
     """
-    adj, index = g._adjacency(), g.vertex_index
-    live, parent, matched = _peel(g)
+    adj, vs = g._adjacency(), g.vertices
+    live, parent, tops, matched = _peel(g)
     methods: list[Method] = []
     steps: list[ReductionStep] = []
 
-    def split(order, core: list[str], skip: set[str], peeled: int) -> list[list[str]]:
-        """The components of ``order`` minus ``skip`` as their live vertices
+    def split(scan, core: list[int], skip: set[int], peeled: int) -> list[list[int]]:
+        """The components of ``scan`` minus ``skip`` as their live vertices
         (none for a tree), ordered by their first vertex; the loop below
         solves them in this order, before anything it had still to solve.
-        ``order`` is whole components of ``g`` in ``g``'s order (None: the
+        ``scan`` is whole components of ``g`` in ``g``'s order (None: the
         component of ``skip``), ``core`` their live vertices, and the rest
-        of them peeled from peel position ``peeled`` on.  A tree ends its
-        peel at a vertex without a parent, any other component keeps a
-        connected core, and every peeled vertex's parents lead to one of
-        those."""
-        tops = [v for v, up in islice(parent.items(), peeled, None) if up is None]
-        comps = _component_vertices(g, core, within=live) + [[] for _ in tops]
+        of them peeled, their trees ending at ``tops[peeled:]``.  A tree
+        ends its peel at a vertex without a parent, any other component
+        keeps a connected core, and every peeled vertex's parents lead to
+        one of those.  Vertices are positions throughout."""
+        ends = tops[peeled:]
+        comps = _component_vertices(g, core, within=live) + [[] for _ in ends]
         if len(comps) < 2:
             return comps
         steps.append(ReductionStep(ReductionRule.COMPONENT_SPLIT))
-        if order is None:
+        if scan is None:
             (whole,) = _component_vertices(g, [next(iter(skip))])
-            order = sorted(whole, key=index)
+            scan = sorted(whole)
         comp_of = {v: i for i, c in enumerate(comps) for v in c}
-        comp_of.update((v, i) for i, v in enumerate(tops, len(comps) - len(tops)))
+        comp_of.update((v, i) for i, v in enumerate(ends, len(comps) - len(ends)))
         met: dict[int, None] = {}
-        for v in order:
+        for v in scan:
             if v in skip:
                 continue
             path = []
@@ -122,9 +121,9 @@ def solve(g: WeightedGraph) -> SolveResult:
     # Peeling takes a vertex and an edge at a time from a component with a
     # cycle, so its core has the component's m - n.  The pieces of a split
     # are trees or unicyclic, so only a component of ``g`` itself is split
-    # again, and one ``order`` serves every split.
-    stack = split(g.vertices, list(live), set(), 0)
-    order = g.vertices if len(stack) == 1 else None
+    # again, and one ``scan`` serves every split.
+    stack = split(range(g.n), _live(live), set(), 0)
+    scan = range(g.n) if len(stack) == 1 else None
     stack.reverse()
     closed = Inertia(0, 0, 0)
     while stack:
@@ -132,22 +131,24 @@ def solve(g: WeightedGraph) -> SolveResult:
         if not core:
             methods.append(Method.FOREST)
             continue
-        kind = _component_class(len(core), sum(live[v] for v in core) // 2)
+        kind = _component_class(len(core), sum(map(live.__getitem__, core)) // 2)
         if kind is ComponentClass.UNSUPPORTED:
             methods.append(Method.ORACLE_FALLBACK)
             (comp,) = _component_vertices(g, core[:1])
-            closed += inertia_oracle(g.induced(comp))
-            matched.difference_update(comp)
+            closed += inertia_oracle(g._induced_at(sorted(comp)))
+            for v in comp:
+                matched[v] = 0
             continue
         type_i, type_ii = _CYCLIC_METHODS[kind]
-        roots = [v for v in core if v in matched]
+        roots = [v for v in core if matched[v]]
         if not roots:
-            core_graph = g.induced(core)
+            core_graph = g._induced_at(sorted(core))
             d = describe_base(core_graph)
             base = _BASE_CLOSED_FORMS[d.kind](d)
             closed += base
+            # A vertex peeled next to a live one has it as its parent.
             if kind is ComponentClass.UNICYCLIC and not any(
-                nb in parent for v in core for nb in adj[v]
+                parent[nb] == v for v in core for nb in adj[v]
             ):
                 methods.append(Method.CYCLE_CLOSED_FORM)
             else:
@@ -158,17 +159,17 @@ def solve(g: WeightedGraph) -> SolveResult:
                     )
                 )
             continue
-        root = min(roots, key=index)
+        root = min(roots)
         tree = _hanging_tree(adj, parent, root)
-        q = sum(v in matched for v in tree) // 2
-        removed = tuple(sorted(tree, key=index))
+        q = sum(map(matched.__getitem__, tree)) // 2
+        removed = tuple([vs[v] for v in sorted(tree)])
         methods.append(type_i)
         steps.append(ReductionStep(ReductionRule.TYPE_I_DECOMPOSE, removed=removed, offset=(q, q)))
-        peeled = len(parent)
-        _cut(adj, live, parent, matched, root)
+        peeled = len(tops)
+        _cut(adj, live, parent, tops, matched, root)
         if kind is ComponentClass.BICYCLIC:
-            rest = [v for v in core if v in live]
-            stack += split(order, rest, set(tree), peeled)[::-1]
-    q = len(matched) // 2
+            rest = [v for v in core if live[v] >= 0]
+            stack += split(scan, rest, set(tree), peeled)[::-1]
+    q = matched.count(1) // 2
     inertia = closed + Inertia(q, q, g.n - sum(closed.as_tuple()) - 2 * q)
     return SolveResult(inertia, tuple(methods), ReductionTrace(tuple(steps)))

@@ -24,74 +24,83 @@ __all__ = [
 ]
 
 
-def _peel(g: WeightedGraph) -> tuple[dict[str, int], dict[str, str | None], set[str]]:
+def _peel(g: WeightedGraph) -> tuple[list[int], list[int], list[int], bytearray]:
     """Peel vertices of degree <= 1, leaves first, until none is left,
     matching greedily on the way (Jacobs and Trevisan's leaves-first walk).
-    One O(n + m) pass.
+    One O(n + m) pass over vertex positions.
 
-    Returns the live vertices with their live degrees, the parent of each
-    peeled vertex in peel order (its last live neighbour, or None), and the
-    matched vertices: a peeled vertex is matched to its parent when both are
+    Returns, by position, each vertex's live degree (-1 once it is peeled
+    or cut) and each peeled vertex's parent (its last live neighbour, or
+    -1); the peeled vertices left without a parent, in peel order; and
+    matched flags: a peeled vertex is matched to its parent when both are
     still free.  Matching a leaf to its neighbour is the pendant-pair rule,
     so the matching is maximum on every tree that peels away.  Every tree
     hanging off a live vertex is matched bottom-up, which leaves its root
-    unmatched iff some maximum matching of the tree misses the root, i.e. iff
-    the root is mismatched.  The live vertices are the 2-core.
+    unmatched iff some maximum matching of the tree misses the root, i.e.
+    iff the root is mismatched.  The live vertices are the 2-core.
     """
-    adj = g._adjacency()  # in vertex order, like g.vertices
-    live = dict(zip(adj, map(len, adj.values())))
-    parent: dict[str, str | None] = {}
-    matched: set[str] = set()
-    _continue_peel(adj, live, parent, matched, [v for v, d in live.items() if d <= 1])
-    return live, parent, matched
+    adj = g._adjacency()
+    live = list(map(len, adj))
+    parent = [-1] * len(adj)
+    tops: list[int] = []
+    matched = bytearray(len(adj))
+    _continue_peel(adj, live, parent, tops, matched, [v for v, d in enumerate(live) if d <= 1])
+    return live, parent, tops, matched
 
 
-def _continue_peel(adj, live, parent, matched, stack: list[str]) -> None:
+def _continue_peel(adj, live, parent, tops, matched, stack: list[int]) -> None:
     """Run the peel of ``_peel`` from the vertices on ``stack``, updating its
-    three results in place."""
-    pop, push = stack.pop, stack.append
+    four results in place.  A live neighbour of a vertex being peeled still
+    counts that vertex, so its live degree is above zero."""
+    pop, push, top = stack.pop, stack.append, tops.append
     while stack:
         v = pop()
-        del live[v]
-        up = None
+        live[v] = -1
         for nb in adj[v]:
-            if nb in live:
-                up = nb
-                d = live[nb] - 1
-                live[nb] = d
-                if d == 1:
+            d = live[nb]
+            if d > 0:
+                live[nb] = d - 1
+                if d == 2:
                     push(nb)
-                if v not in matched and nb not in matched:
-                    matched.add(v)
-                    matched.add(nb)
+                if not (matched[v] or matched[nb]):
+                    matched[v] = matched[nb] = 1
+                parent[v] = nb
                 break
-        parent[v] = up
+        else:
+            top(v)
 
 
-def _cut(adj, live, parent, matched, root: str) -> None:
+def _cut(adj, live, parent, tops, matched, root: int) -> None:
     """Delete the live vertex ``root`` with the tree hanging off it, which no
     later walk enters, and continue the peel on what is left.  Whether a
     root is matched does not depend on the peel order, and a matched root
     stays matched whatever is later peeled into it, so this finds what a
-    fresh peel without the tree would, and every parent stays valid."""
-    del live[root]
+    fresh peel without the tree would, and every parent stays valid.  The
+    root is not peeled, so it keeps no parent and is not a top."""
+    live[root] = -1
     stack = []
     for nb in adj[root]:
-        if nb in live:
-            live[nb] -= 1
-            if live[nb] == 1:
+        d = live[nb]
+        if d > 0:
+            live[nb] = d - 1
+            if d == 2:
                 stack.append(nb)
-    _continue_peel(adj, live, parent, matched, stack)
+    _continue_peel(adj, live, parent, tops, matched, stack)
 
 
-def _hanging_tree(adj, parent, root: str) -> list[str]:
-    """The vertices of the tree hanging off the live vertex ``root``, root
+def _hanging_tree(adj, parent, root: int) -> list[int]:
+    """The positions of the tree hanging off the live vertex ``root``, root
     first, walked down through the neighbours peeled into each vertex.  The
     cost is the tree's total degree."""
     tree = [root]
     for v in tree:
-        tree.extend(nb for nb in adj[v] if parent.get(nb) == v)
+        tree.extend(nb for nb in adj[v] if parent[nb] == v)
     return tree
+
+
+def _live(live: list[int]) -> list[int]:
+    """The positions still live after a peel, in vertex order."""
+    return [v for v, d in enumerate(live) if d >= 0]
 
 
 def max_matching_forest(g: WeightedGraph) -> int:
@@ -100,10 +109,10 @@ def max_matching_forest(g: WeightedGraph) -> int:
 
     Cyclic input is rejected.
     """
-    live, _, matched = _peel(g)
-    if live:
+    live, _, _, matched = _peel(g)
+    if _live(live):
         raise GraphError("input contains a cycle; matching requires a forest")
-    return len(matched) // 2
+    return matched.count(1) // 2
 
 
 def two_core(g: WeightedGraph) -> WeightedGraph:
@@ -113,10 +122,10 @@ def two_core(g: WeightedGraph) -> WeightedGraph:
     bicyclic graph it is the embedded double-cycle base.  Forests peel away
     completely, which is an error.
     """
-    live = _peel(g)[0]
-    if not live:
+    core = _live(_peel(g)[0])
+    if not core:
         raise GraphError("graph is a forest; its 2-core is empty")
-    return g.induced(live)
+    return g._induced_at(core)
 
 
 class BaseKind(Enum):
@@ -171,19 +180,20 @@ class HangingTree:
     matched_at_root: bool
 
 
-def _walk_threads(core: WeightedGraph, hubs) -> list[tuple]:
-    """The maximal chains of degree-2 vertices between ``hubs``, each as
-    ``(start, end, inner vertices, edge weights)``, walked from the first hub
-    in ``hubs`` order and then in neighbour order.  Only a chain's last edge
-    can be met again from a hub, so it alone is marked, by edge position."""
-    adj, edges = core._adjacency(), core.edges
+def _walk_threads(core: WeightedGraph, hubs: list[int]) -> list[tuple]:
+    """The maximal chains of degree-2 vertices between the positions
+    ``hubs``, each as ``(start, end, inner vertices, edge weights)`` with
+    vertex ids, walked from the first hub in ``hubs`` order and then in
+    neighbour order.  Only a chain's last edge can be met again from a hub,
+    so it alone is marked, by edge position."""
+    adj, edges, vs = core._adjacency(), core.edges, core.vertices
     used: set[int] = set()
     threads = []
     for h in hubs:
         for nb, i in adj[h].items():
             if i in used:
                 continue
-            inner: list[str] = []
+            inner: list[int] = []
             weights = [edges[i][2]]
             prev, cur = h, nb
             while cur not in hubs:
@@ -195,7 +205,7 @@ def _walk_threads(core: WeightedGraph, hubs) -> list[tuple]:
                 prev, cur = cur, nxt
                 weights.append(edges[i][2])
             used.add(i)
-            threads.append((h, cur, tuple(inner), tuple(weights)))
+            threads.append((vs[h], vs[cur], tuple(map(vs.__getitem__, inner)), tuple(weights)))
     return threads
 
 
@@ -285,7 +295,7 @@ def describe_base(core: WeightedGraph) -> BaseDescriptor:
     if core.n == 0:
         raise GraphError(_DISCONNECTED)
     adj = core._adjacency()
-    if any(len(nbs) < 2 for nbs in adj.values()):
+    if min(map(len, adj)) < 2:
         if len(_component_vertices(core)) != 1:
             raise GraphError(_DISCONNECTED)
         raise GraphError("core has a vertex of degree < 2; not a 2-core")
@@ -293,7 +303,7 @@ def describe_base(core: WeightedGraph) -> BaseDescriptor:
     if core.m == core.n:
         # All degrees are exactly 2: one loop from the first vertex, which
         # meets every vertex iff the core is connected.
-        ((h, _, inner, ws),) = _walk_threads(core, core.vertices[:1])
+        ((h, _, inner, ws),) = _walk_threads(core, [0])
         if 1 + len(inner) != core.n:
             raise GraphError(_DISCONNECTED)
         ws, vs = _least_cycle_reading([h, *inner], ws)
@@ -308,7 +318,7 @@ def describe_base(core: WeightedGraph) -> BaseDescriptor:
     # of degree 4 or two of degree 3, in one component: two loops and at
     # most one link between them, or three links.  Any other component is
     # a cycle, which the threads from the hubs miss.
-    hubs = [v for v, nbs in adj.items() if len(nbs) > 2]
+    hubs = [v for v, nbs in enumerate(adj) if len(nbs) > 2]
     threads = _walk_threads(core, hubs)
     if len(hubs) + sum(len(t[2]) for t in threads) != core.n:
         raise GraphError(_DISCONNECTED)
@@ -331,7 +341,9 @@ def describe_base(core: WeightedGraph) -> BaseDescriptor:
                 candidates.append((p, l, q, a_ws, b_ws, c_ws, a_vs, b_vs, c_vs))
     else:
         kind = BaseKind.THETA
-        for u, v in (hubs, hubs[::-1]):
+        # Every link is walked from the first hub to the second.
+        u, v = links[0][:2]
+        for u, v in ((u, v), (v, u)):
             (p, a_ws, a_vs), (l, b_ws, b_vs), (q, c_ws, c_vs) = sorted(
                 (len(ws) + 1, ws, (u, *inner, v))
                 if s == u
@@ -351,13 +363,16 @@ def hanging_trees(g: WeightedGraph, core: WeightedGraph) -> list[HangingTree]:
     O(n + m); walking each tree down from its root and building its graph
     adds O(k log k) for a tree of k vertices.
     """
-    live, parent, matched = _peel(g)
-    if not live:
+    live, parent, _, matched = _peel(g)
+    rest = _live(live)
+    if not rest:
         raise GraphError("graph is a forest; its 2-core is empty")
-    if live.keys() != set(core.vertices):
+    index = g._index
+    roots = [index[v] for v in core.vertices if v in index]
+    if len(roots) != core.n or sorted(roots) != rest:
         raise GraphError("core is not the 2-core of the graph")
     adj = g._adjacency()
     return [
-        HangingTree(v, g.induced(_hanging_tree(adj, parent, v)), v in matched)
-        for v in core.vertices
+        HangingTree(v, g._induced_at(sorted(_hanging_tree(adj, parent, r))), bool(matched[r]))
+        for v, r in zip(core.vertices, roots)
     ]

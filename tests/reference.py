@@ -1,5 +1,6 @@
 """Independent test-side oracles, kept deliberately separate from the package:
-the line-by-line edge-list parser, subset-search and leaf-deletion matching,
+the line-by-line edge-list parser, the json parser that ends in the
+validating constructor, subset-search and leaf-deletion matching,
 the matched-root test by its definition, characteristic-polynomial sign
 counting, the plain definitions of induced subgraphs and least cycle
 readings, the Fraction-by-Fraction alternating product, the rescanning
@@ -9,6 +10,7 @@ operations, whose invariance the tests check the diagonalization against."""
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from graph_inertia import (
@@ -63,6 +65,54 @@ def parse_edgelist_by_line(text: str) -> WeightedGraph:
         edges.append((u, v, w))
     return WeightedGraph(tuple(adj), edges)
 
+
+
+def parse_json_by_constructor(text: str) -> WeightedGraph:
+    """``parse_graph(text, "json")`` by the json checks followed by the whole
+    validating constructor: the same checks in the same order, with the
+    same messages."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid json: {exc.msg}", exc.lineno) from None
+    except ValueError as exc:
+        raise ParseError(f"invalid json: {exc}") from None
+    except RecursionError:
+        raise ParseError("invalid json: nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise ParseError("top-level json value must be an object")
+    vertices = obj.get("vertices", [])
+    raw_edges = obj.get("edges", [])
+    if not isinstance(vertices, list) or not all(isinstance(v, str) for v in vertices):
+        raise ParseError('"vertices" must be a list of strings')
+    if not isinstance(raw_edges, list):
+        raise ParseError('"edges" must be a list')
+    seen: dict[str, None] = {}
+    for v in vertices:
+        seen.setdefault(v)
+    edges = []
+    for item in raw_edges:
+        if not (isinstance(item, list) and len(item) == 3):
+            raise ParseError(f"each edge must be [u, v, weight], got {echo(item)}")
+        u, v, wraw = item
+        if not (isinstance(u, str) and isinstance(v, str)):
+            raise ParseError(f"edge endpoints must be strings: {echo(item)}")
+        if isinstance(wraw, str):
+            try:
+                w = parse_rational(wraw)
+            except ValueError as exc:
+                raise ParseError(f"bad weight {echo(wraw)}: {exc}") from None
+        elif isinstance(wraw, int) and not isinstance(wraw, bool):
+            w = Fraction(wraw)
+        else:
+            raise ParseError(f"bad weight {echo(wraw)}: must be an integer or a rational string")
+        seen.setdefault(u)
+        seen.setdefault(v)
+        edges.append((u, v, w))
+    try:
+        return WeightedGraph(tuple(seen), edges)
+    except GraphError as exc:
+        raise ParseError(str(exc)) from None
 
 def brute_force_matching(g: WeightedGraph) -> int:
     """Maximum matching by exhaustive search over edge subsets (small graphs)."""

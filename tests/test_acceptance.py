@@ -404,3 +404,6 @@ def test_criterion_12_solve_at_scale():
             elapsed = time.perf_counter() - start
             assert elapsed < 1.0, f"{cls}: solve took {elapsed:.2f}s"
             assert got.inertia == inertia_oracle(g), cls
+            # The parser builds its own adjacency list; solve must read it
+            # as it reads the generator's.
+            assert solve(back).inertia == got.inertia, cls

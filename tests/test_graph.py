@@ -1,8 +1,9 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_inertia import (
@@ -19,7 +20,7 @@ from graph_inertia import (
 from graph_inertia.core import parse_rational
 from graph_inertia.testgen import GenSpec, build_cycle, build_theta, generate
 
-from reference import induced_by_filter, parse_edgelist_by_line
+from reference import induced_by_filter, parse_edgelist_by_line, parse_json_by_constructor
 
 
 def test_parse_single_edge():
@@ -174,6 +175,27 @@ def test_lookups_refuse_what_the_graph_lacks():
         g.union(parse_graph("b d 1"))
 
 
+def test_lookup_messages_stay_short_for_a_huge_id():
+    # Messages echo ids cut to 40 characters, as the parsers do.
+    g = parse_graph("a b 1\nb c 2")
+    huge = "z" * 100_000
+    calls = [
+        ("unknown vertex 'zzz", lambda: g.vertex_index(huge)),
+        ("unknown vertex 'zzz", lambda: g.degree(huge)),
+        ("unknown vertex 'zzz", lambda: g.neighbors(huge)),
+        ("no edge 'zzz", lambda: g.weight(huge, "a")),
+        ("no edge 'a'-'zzz", lambda: g.weight("a", huge)),
+        (r"unknown vertices \['zzz", lambda: g.induced(["a", huge])),
+    ]
+    big = WeightedGraph([huge, "a"], [(huge, "a", 1)])
+    calls.append((r"union of non-disjoint graphs \(shared: \['a', 'zzz", lambda: big.union(big)))
+    for start, call in calls:
+        with pytest.raises(GraphError, match=f"^{start}") as err:
+            call()
+        assert " characters)" in str(err.value)
+        assert len(str(err.value)) < 120
+
+
 def test_equal_graphs_hash_equal_and_differ_from_other_types():
     g = parse_graph("a b 1\nb c 2")
     flipped = WeightedGraph(["a", "b", "c"], [("c", "b", 2), ("b", "a", 1)])
@@ -318,6 +340,38 @@ def test_parse_graph_on_any_json_value(obj):
     _parses_or_raises_parse_error(json.dumps(obj), "json")
 
 
+# Faults of every kind, several to a document, so which one is reported first
+# is tested too.
+_JSON_FAULTY_IDS = st.sampled_from(["a", "b", "c", "", "a b", "x\ty"])
+_JSON_FAULTY_EDGES = st.tuples(
+    _JSON_FAULTY_IDS, _JSON_FAULTY_IDS, st.sampled_from(["1", "2/3", 4, "0", -1, "1.5", 1.5, True])
+).map(list)
+_JSON_FAULTY_GRAPHS = st.fixed_dictionaries(
+    {
+        "vertices": st.lists(_JSON_FAULTY_IDS, max_size=4),
+        "edges": st.lists(_JSON_FAULTY_EDGES | st.lists(_JSON_ATOMS, min_size=2, max_size=4), max_size=6),
+    }
+)
+
+
+@given(_JSON_GRAPHS | _JSON_FAULTY_GRAPHS)
+@example({"vertices": ["a b"], "edges": [["c", "c", "1"]]})
+@example({"edges": [["a", "a", "1"], ["b"]]})
+@example({"edges": [["a", "b", "0"], ["c", "c", "1"], ["", "d", "1"]]})
+@example({"edges": [["a", "b", "1"], ["b", "a", "2"], ["c", "c", "1"]]})
+def test_json_parse_matches_the_constructor_route(obj):
+    text = json.dumps(obj)
+    try:
+        want = parse_json_by_constructor(text)
+    except ParseError as exc:
+        with pytest.raises(ParseError) as err:
+            parse_graph(text, "json")
+        assert (str(err.value), err.value.line) == (str(exc), exc.line)
+        return
+    got = parse_graph(text, "json")
+    assert _public_view(got) == _public_view(want)
+
+
 # Few ids and weight texts, so repeats, self-loops and duplicate edges are common.
 _IDS = st.sampled_from(["a", "b", "c", "d", "é", "x1"])
 _WEIGHT_TEXTS = st.sampled_from(["1", "2", "1/2", "2/4", "07", "-0/5", "0", "-1", "1.5", "3/0", "w"])
@@ -452,6 +506,77 @@ def test_induced_and_without_match_the_filter_definition(case):
     _assert_same_graph(sub.induced(inner), induced_by_filter(g, inner))
     _assert_same_graph(g.without(keep), induced_by_filter(g, set(g.vertices) - keep))
     _assert_same_graph(sub.without(inner), induced_by_filter(g, keep - inner))
+
+
+def _built_every_way(vertices, edges) -> list[WeightedGraph]:
+    """The graph on ``vertices`` and ``edges`` (``Fraction`` weights) from
+    each builder: the validating constructor, the trusted builder, and the
+    edge-list and json parsers."""
+    text = "".join([f"vertices: {' '.join(vertices)}\n"] + [f"{u} {v} {w}\n" for u, v, w in edges])
+    doc = json.dumps({"vertices": list(vertices), "edges": [[u, v, str(w)] for u, v, w in edges]})
+    return [
+        WeightedGraph(vertices, edges),
+        WeightedGraph._trusted(tuple(vertices), tuple(edges)),
+        parse_graph(text),
+        parse_graph(doc, "json"),
+    ]
+
+
+def _public_view(g: WeightedGraph) -> tuple:
+    vs = g.vertices
+    return (
+        vs,
+        g.edges,
+        [g.neighbors(v) for v in vs],
+        [g.degree(v) for v in vs],
+        [g.vertex_index(v) for v in vs],
+        [[g.has_edge(u, v) for v in vs] for u in vs],
+        {(u, v): g.weight(u, v) for u in vs for v in vs if g.has_edge(u, v)},
+    )
+
+
+def _view_by_definition(vertices, edges) -> tuple:
+    """``_public_view`` read straight off the vertex and edge lists."""
+    nbrs: dict = {v: [] for v in vertices}
+    weight = {}
+    for u, v, w in edges:
+        nbrs[u].append((v, w))
+        nbrs[v].append((u, w))
+        weight[u, v] = weight[v, u] = w
+    return (
+        tuple(vertices),
+        tuple(edges),
+        [tuple(nbrs[v]) for v in vertices],
+        [len(nbrs[v]) for v in vertices],
+        list(range(len(vertices))),
+        [[(u, v) in weight for v in vertices] for u in vertices],
+        {(u, v): weight[u, v] for u in vertices for v in vertices if (u, v) in weight},
+    )
+
+
+def _assert_builders_agree(vertices, edges, keeps) -> None:
+    want = _view_by_definition(vertices, edges)
+    for g in _built_every_way(vertices, edges):
+        assert _public_view(g) == want
+        for keep in keeps:
+            _assert_same_graph(g.induced(keep), induced_by_filter(g, keep))
+            _assert_same_graph(g.without(keep), induced_by_filter(g, set(vertices) - set(keep)))
+
+
+@pytest.mark.parametrize("cls", ["tree", "forest", "unicyclic", "bicyclic"])
+@pytest.mark.parametrize("regime", ["random", "unit", "force"])
+def test_every_builder_gives_the_same_public_view(cls, regime):
+    rng = random.Random(f"{cls}-{regime}")
+    for seed, n in enumerate((5, 17, 40)):
+        g = generate(GenSpec(cls, n, seed, regime=regime))
+        keeps = [rng.sample(g.vertices, rng.randint(0, n)) for _ in range(3)]
+        _assert_builders_agree(g.vertices, g.edges, keeps)
+
+
+@given(graphs_with_nested_keeps())
+def test_every_builder_gives_the_same_public_view_on_any_edge_list(case):
+    g, keep, inner = case
+    _assert_builders_agree(g.vertices, g.edges, [keep, inner])
 
 
 def test_induced_on_every_vertex_is_the_graph_itself():

@@ -63,6 +63,16 @@ def test_pendant_pair_rejects_non_pendant():
         delete_pendant_pair(g, "2")
 
 
+def test_rewrite_messages_stay_short_for_a_huge_id():
+    # A 10^5-character id is echoed cut to 40 characters.
+    huge = "z" * 100_000
+    g = parse_graph(f"a {huge} 1\n{huge} c 1\nc d 1\nd e 1\ne f 1\n{huge} x 1")
+    with pytest.raises(GraphError, match=r"^vertex 'z{39}\.\.\. \(100002 characters\) is not pendant"):
+        delete_pendant_pair(g, huge)
+    with pytest.raises(GraphError, match=r"^interior vertex 'z{39}\.\.\. \(100002 characters\) has degree 3"):
+        contract_degree2_path(g, ["a", huge, "c", "d", "e", "f"])
+
+
 def test_contract_weight_formula():
     g = parse_graph("a b 1\nb c 2\nc d 3\nd e 4\ne f 5")
     g2, step = contract_degree2_path(g, ("a", "b", "c", "d", "e", "f"))
@@ -208,21 +218,22 @@ def test_reduce_steps_match_oracle(seed):
 
 
 def _graph_state(g):
-    """What a call could change in place: the vertices, the edges, each
-    neighbour dict with its order, and the vertex -> position map."""
+    """What a call could change in place: the vertices, the edges, the
+    adjacency list with each position's neighbour dict in its order, and
+    the vertex -> position map."""
     return (
         g.vertices,
         g.edges,
-        [(v, list(nbrs.items())) for v, nbrs in g._adjacency().items()],
+        [list(nbrs.items()) for nbrs in g._adjacency()],
         list(g._index.items()),
     )
 
 
 @pytest.mark.parametrize("family", ["tree", "forest", "unicyclic", "bicyclic", "long bases"])
 def test_calls_leave_their_input_untouched(family):
-    # reduce_to_core copies the graph's adjacency and keys its heap on the
-    # graph's own vertex index, and solve walks that same adjacency: graphs
-    # are immutable and shared, so no call may write to either.
+    # reduce_to_core copies the graph's adjacency list, and solve walks
+    # that same list: graphs are immutable and shared, so no call may write
+    # to it or to the vertex -> position map.
     if family == "long bases":
         graphs = list(_long_type_ii_bases(random.Random(1009)).values())
     else:

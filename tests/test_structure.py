@@ -334,8 +334,15 @@ def test_hanging_forest_walk_matches_the_definitions(cls, n, regime):
     for seed in range(3):
         g = generate(GenSpec(cls, n, seed, regime=regime))
         core = two_core(g)
-        live, parent, matched = _peel(g)
-        walked = {r: _hanging_tree(g._adjacency(), parent, r) for r in live}
+        live, parent, _, matched = _peel(g)
+        # The peel runs on vertex positions; read its results back as ids.
+        vs = g.vertices
+        walked = {
+            vs[r]: [vs[v] for v in _hanging_tree(g._adjacency(), parent, r)]
+            for r, d in enumerate(live)
+            if d >= 0
+        }
+        is_matched = {v: bool(flag) for v, flag in zip(vs, matched)}
         trees = hanging_trees(g, core)
         assert list(walked) == [t.root for t in trees] == list(core.vertices)
         total = 0
@@ -344,15 +351,15 @@ def test_hanging_forest_walk_matches_the_definitions(cls, n, regime):
             assert vertices[0] == t.root
             assert sorted(vertices) == sorted(t.tree.vertices)
             q = leaf_deletion_matching(t.tree)
-            assert sum(v in matched for v in vertices) == 2 * q
+            assert sum(is_matched[v] for v in vertices) == 2 * q
             assert q == max_matching_forest(t.tree)
             total += q
             by_definition = leaf_deletion_matching(t.tree.without([t.root])) == q
-            assert (t.root in matched) == t.matched_at_root == (not by_definition)
+            assert is_matched[t.root] == t.matched_at_root == (not by_definition)
             assert by_definition == is_mismatched(t.tree, t.root)
         # Every matched pair lies inside one tree, so the peel's matching is
         # the forest outside the core's matching number.
-        assert len(matched) == 2 * total
+        assert sum(is_matched.values()) == 2 * total
 
 
 def _forest(vertices, edges):
