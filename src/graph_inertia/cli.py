@@ -53,16 +53,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_io(p, run, with_method=False):
+    def add_io(p, run):
         p.set_defaults(run=run)
         p.add_argument("input", nargs="?", default="-", help="input file, or - for stdin")
         p.add_argument("--format", choices=("edgelist", "json"), default="edgelist")
         p.add_argument("--output", choices=("human", "json"), default="human")
-        if with_method:
-            p.add_argument("--method", choices=("structural", "oracle", "both"), default="structural")
-            p.add_argument("--dump-matrix", action="store_true")
+        return p
 
-    add_io(sub.add_parser("inertia", help="compute (i+, i-, i0)"), _cmd_inertia, with_method=True)
+    inertia = add_io(sub.add_parser("inertia", help="compute (i+, i-, i0)"), _cmd_inertia)
+    inertia.add_argument("--method", choices=("structural", "oracle", "both"), default="structural")
+    inertia.add_argument("--dump-matrix", action="store_true")
     add_io(sub.add_parser("classify", help="report the graph class and base shape"), _cmd_classify)
     add_io(sub.add_parser("reduce", help="run the rewrite engine and print its trace"), _cmd_reduce)
 

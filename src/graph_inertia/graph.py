@@ -45,38 +45,6 @@ def _exact_weight(u, v, w) -> Fraction:
     )
 
 
-def _checked_index(vertices: Iterable) -> dict[str, int]:
-    """Vertex id -> position for ``vertices``, each a distinct non-empty
-    string without whitespace."""
-    index: dict[str, int] = {}
-    for v in vertices:
-        if not isinstance(v, str) or not v or any(ch.isspace() for ch in v):
-            raise GraphError(f"vertex id must be a non-empty string without whitespace: {echo(v)}")
-        if v in index:
-            raise GraphError(f"duplicate vertex id {echo(v)}")
-        index[v] = len(index)
-    return index
-
-
-def _link(index: dict[str, int], adj: list[dict[int, int]], u, v, w: Fraction, pos: int) -> None:
-    """Record edge u-v of weight ``w`` at edge position ``pos`` in ``adj``,
-    refusing a loop, an undeclared endpoint, a weight not above zero and a
-    repeated edge, in that order."""
-    if u == v:
-        raise GraphError(f"self-loop at vertex {echo(u)}")
-    i = index.get(u)
-    if i is None:
-        raise GraphError(f"edge endpoint {echo(u)} is not a declared vertex")
-    j = index.get(v)
-    if j is None:
-        raise GraphError(f"edge endpoint {echo(v)} is not a declared vertex")
-    if w <= 0:
-        raise GraphError(f"edge {echo(u)}-{echo(v)} has non-positive weight {w}")
-    if j in adj[i]:
-        raise GraphError(f"duplicate edge {echo(u)}-{echo(v)}")
-    adj[i][j] = adj[j][i] = pos
-
-
 class WeightedGraph:
     """Simple undirected graph with exact, strictly positive rational weights.
 
@@ -88,19 +56,41 @@ class WeightedGraph:
     Inside, a vertex is its position in that order: ``_index`` maps an id to
     its position, and ``_adj[i]`` maps the position of each neighbour of
     vertex i to the position of their edge in ``edges``, in edge order,
-    which is the order ``neighbors`` reports.
+    which is the order ``neighbors`` reports.  The package's linear-time
+    walks read ``_adj`` directly and must not mutate it.
     """
 
     __slots__ = ("_vertices", "_index", "_edges", "_adj")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple] = ()) -> None:
         vs = tuple(vertices)
-        index = _checked_index(vs)
+        index: dict[str, int] = {}
+        for v in vs:
+            if not isinstance(v, str) or not v or any(ch.isspace() for ch in v):
+                raise GraphError(f"vertex id must be a non-empty string without whitespace: {echo(v)}")
+            if v in index:
+                raise GraphError(f"duplicate vertex id {echo(v)}")
+            index[v] = len(index)
         adj: list[dict[int, int]] = [{} for _ in vs]
         out: list[Edge] = []
-        for u, v, w in edges:
+        for item in edges:
+            if not (isinstance(item, (tuple, list)) and len(item) == 3):
+                raise GraphError(f"each edge must be (u, v, weight), got {echo(item)}")
+            u, v, w = item
             w = _exact_weight(u, v, w)
-            _link(index, adj, u, v, w, len(out))
+            if u == v:
+                raise GraphError(f"self-loop at vertex {echo(u)}")
+            i = index.get(u) if isinstance(u, str) else None
+            if i is None:
+                raise GraphError(f"edge endpoint {echo(u)} is not a declared vertex")
+            j = index.get(v) if isinstance(v, str) else None
+            if j is None:
+                raise GraphError(f"edge endpoint {echo(v)} is not a declared vertex")
+            if w <= 0:
+                raise GraphError(f"edge {echo(u)}-{echo(v)} has non-positive weight {w}")
+            if j in adj[i]:
+                raise GraphError(f"duplicate edge {echo(u)}-{echo(v)}")
+            adj[i][j] = adj[j][i] = len(out)
             out.append((u, v, w))
         self._vertices = vs
         self._index = index
@@ -121,10 +111,11 @@ class WeightedGraph:
         non-empty vertex ids without whitespace, and distinct non-loop edges
         with ``Fraction`` weights above zero whose endpoints all lie in
         ``vertices``.  A subsequence of a validated graph's edges qualifies,
-        and so does a parser's output, which makes those checks itself.
-        ``adj`` and ``index``, when given, must be what this would build
-        (the class docstring says what they hold); they are kept, not
-        copied.
+        and so does the edge-list parser's output, which makes those checks
+        itself to report them with line numbers.  That parser is the only
+        caller that hands over ``adj`` and ``index``, which must be what
+        this would build (the class docstring says what they hold); they
+        are kept, not copied.
         """
         g = cls.__new__(cls)
         g._vertices = vertices
@@ -173,15 +164,6 @@ class WeightedGraph:
         vs, edges = self._vertices, self._edges
         return tuple([(vs[j], edges[pos][2]) for j, pos in self._adj[self.vertex_index(v)].items()])
 
-    def _adjacency(self) -> list[dict[int, int]]:
-        """Position -> {neighbour position: edge position}, each in
-        ``neighbors`` order.
-
-        The graph's own adjacency, handed out for the linear-time walks
-        inside the package; callers must not mutate it.
-        """
-        return self._adj
-
     def has_edge(self, u: str, v: str) -> bool:
         i, j = self._index.get(u), self._index.get(v)
         return i is not None and j in self._adj[i]
@@ -224,18 +206,12 @@ class WeightedGraph:
 
         Ids in ``drop`` that are not vertices are ignored.
         """
-        index = self._index
-        gone = {index[v] for v in drop if v in index}
+        gone = {v for v in drop if isinstance(v, str) and v in self._index}
         if not gone:
             return self
-        adj, edges = self._adj, self._edges
-        dead = bytearray(len(edges))
-        for i in gone:
-            for pos in adj[i].values():
-                dead[pos] = 1
         return WeightedGraph._trusted(
-            tuple([v for i, v in enumerate(self._vertices) if i not in gone]),
-            tuple([e for e, d in zip(edges, dead) if not d]),
+            tuple([v for v in self._vertices if v not in gone]),
+            tuple([e for e in self._edges if e[0] not in gone and e[1] not in gone]),
         )
 
     def union(self, other: "WeightedGraph") -> "WeightedGraph":
@@ -363,16 +339,10 @@ def _parse_json(text: str) -> WeightedGraph:
         seen.setdefault(u)
         seen.setdefault(v)
         edges.append((u, v, w))
-    # The constructor's checks, each made once, after every shape check and
-    # in the constructor's order: the ids first, then each edge.
     try:
-        index = _checked_index(seen)
-        adj: list[dict[int, int]] = [{} for _ in index]
-        for pos, (u, v, w) in enumerate(edges):
-            _link(index, adj, u, v, w, pos)
+        return WeightedGraph(seen, edges)
     except GraphError as exc:
         raise ParseError(str(exc)) from None
-    return WeightedGraph._trusted(tuple(index), tuple(edges), adj, index)
 
 
 def _check_format(fmt: str) -> None:
@@ -427,7 +397,7 @@ def adjacency_matrix(g: WeightedGraph) -> SymRationalMatrix:
     """Weighted adjacency matrix; row i corresponds to ``g.vertices[i]``."""
     n, edges = g.n, g.edges
     rows = [[Fraction(0)] * n for _ in range(n)]
-    for row, nbrs in zip(rows, g._adjacency()):
+    for row, nbrs in zip(rows, g._adj):
         for j, pos in nbrs.items():
             row[j] = edges[pos][2]
     return SymRationalMatrix(tuple(tuple(r) for r in rows))
@@ -464,7 +434,7 @@ def _component_vertices(g: WeightedGraph, starts=None, within=None) -> list[list
     ``g``'s order), in the order their first such vertex comes, each walked
     breadth-first from it.  One pass over the components' vertices and
     edges, building no graph."""
-    adj = g._adjacency()
+    adj = g._adj
     seen: set[int] = set()
     out = []
     for start in range(len(adj)) if starts is None else starts:
@@ -503,7 +473,7 @@ def _component_class(n: int, m: int) -> ComponentClass:
 
 def classify(g: WeightedGraph) -> Classification:
     """Per-component class by edge/vertex count, joined into a whole-graph class."""
-    adj = g._adjacency()
+    adj = g._adj
     kinds = tuple(
         _component_class(len(c), sum(len(adj[v]) for v in c) // 2) for c in _component_vertices(g)
     )

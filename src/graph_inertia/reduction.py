@@ -150,7 +150,7 @@ def reduce_to_core(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
     """
     vs = g.vertices
     # A copy of the adjacency by vertex position; None marks a deleted vertex.
-    adj: list[dict[int, int] | None] = [nbrs.copy() for nbrs in g._adjacency()]
+    adj: list[dict[int, int] | None] = [nbrs.copy() for nbrs in g._adj]
     edges: list[tuple[str, str, Fraction] | None] = list(g.edges)  # None: deleted
     steps: list[ReductionStep] = []
     heappop, heappush = heapq.heappop, heapq.heappush

@@ -78,7 +78,7 @@ def solve(g: WeightedGraph) -> SolveResult:
     unicyclic and bicyclic components cost O(n + m) apart from sorting the
     removed vertex sets and the closed forms' rational arithmetic.
     """
-    adj, vs = g._adjacency(), g.vertices
+    adj, vs = g._adj, g.vertices
     live, parent, tops, matched = _peel(g)
     methods: list[Method] = []
     steps: list[ReductionStep] = []

@@ -39,7 +39,7 @@ def _peel(g: WeightedGraph) -> tuple[list[int], list[int], list[int], bytearray]
     unmatched iff some maximum matching of the tree misses the root, i.e.
     iff the root is mismatched.  The live vertices are the 2-core.
     """
-    adj = g._adjacency()
+    adj = g._adj
     live = list(map(len, adj))
     parent = [-1] * len(adj)
     tops: list[int] = []
@@ -186,7 +186,7 @@ def _walk_threads(core: WeightedGraph, hubs: list[int]) -> list[tuple]:
     vertex ids, walked from the first hub in ``hubs`` order and then in
     neighbour order.  Only a chain's last edge can be met again from a hub,
     so it alone is marked, by edge position."""
-    adj, edges, vs = core._adjacency(), core.edges, core.vertices
+    adj, edges, vs = core._adj, core.edges, core.vertices
     used: set[int] = set()
     threads = []
     for h in hubs:
@@ -294,7 +294,7 @@ def describe_base(core: WeightedGraph) -> BaseDescriptor:
     # rule too; where the thread walk cannot tell, a component walk does.
     if core.n == 0:
         raise GraphError(_DISCONNECTED)
-    adj = core._adjacency()
+    adj = core._adj
     if min(map(len, adj)) < 2:
         if len(_component_vertices(core)) != 1:
             raise GraphError(_DISCONNECTED)
@@ -371,7 +371,7 @@ def hanging_trees(g: WeightedGraph, core: WeightedGraph) -> list[HangingTree]:
     roots = [index[v] for v in core.vertices if v in index]
     if len(roots) != core.n or sorted(roots) != rest:
         raise GraphError("core is not the 2-core of the graph")
-    adj = g._adjacency()
+    adj = g._adj
     return [
         HangingTree(v, g._induced_at(sorted(_hanging_tree(adj, parent, r))), bool(matched[r]))
         for v, r in zip(core.vertices, roots)

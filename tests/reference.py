@@ -13,19 +13,11 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from graph_inertia import (
-    GraphError,
-    Inertia,
-    ParseError,
-    SymRationalMatrix,
-    WeightedGraph,
-    connected_components,
-    contract_degree2_path,
-    delete_pendant_pair,
-    max_matching_forest,
-)
-from graph_inertia.core import echo, parse_rational
-from graph_inertia.reduction import ReductionTrace
+from graph_inertia.core import GraphError, Inertia, ParseError, echo, parse_rational
+from graph_inertia.graph import WeightedGraph, connected_components
+from graph_inertia.matrix import SymRationalMatrix
+from graph_inertia.reduction import ReductionTrace, contract_degree2_path, delete_pendant_pair
+from graph_inertia.structure import max_matching_forest
 
 
 def parse_edgelist_by_line(text: str) -> WeightedGraph:

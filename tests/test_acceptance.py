@@ -12,13 +12,9 @@ from fractions import Fraction
 
 from graph_inertia import (
     Inertia,
-    ReductionRule,
-    SymRationalMatrix,
     WeightedGraph,
     congruent_diagonalize,
-    contract_degree2_path,
     cycle_inertia,
-    delete_pendant_pair,
     forest_inertia,
     inertia_oracle,
     parse_graph,
@@ -32,6 +28,8 @@ from graph_inertia.closed_forms import (
     reduce_infinity_shape,
     reduce_theta_shape,
 )
+from graph_inertia.matrix import SymRationalMatrix
+from graph_inertia.reduction import ReductionRule, contract_degree2_path, delete_pendant_pair
 from graph_inertia.testgen import (
     GenSpec,
     build_cycle,
@@ -407,3 +405,6 @@ def test_criterion_12_solve_at_scale():
             # The parser builds its own adjacency list; solve must read it
             # as it reads the generator's.
             assert solve(back).inertia == got.inertia, cls
+            # The json parser ends in the validating constructor.
+            back = parse_graph(serialize_graph(g, "json"), "json")
+            assert back.vertices == g.vertices and back.edges == g.edges, cls

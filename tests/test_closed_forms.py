@@ -13,11 +13,8 @@ from graph_inertia import (
     cycle_inertia,
     describe_base,
     forest_inertia,
-    infinity_base_inertia,
-    infinity_condition,
     infinity_inertia,
     inertia_oracle,
-    theta_base_inertia,
     theta_inertia,
     two_core,
 )
@@ -27,8 +24,11 @@ from graph_inertia.closed_forms import (
     CaseCondition,
     alternating_product,
     fold_path_weights,
+    infinity_base_inertia,
+    infinity_condition,
     reduce_infinity_shape,
     reduce_theta_shape,
+    theta_base_inertia,
 )
 from graph_inertia.testgen import (
     GenSpec,

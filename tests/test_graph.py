@@ -7,17 +7,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from graph_inertia import (
-    GraphClass,
     GraphError,
     ParseError,
     WeightedGraph,
     adjacency_matrix,
     classify,
-    connected_components,
     parse_graph,
     serialize_graph,
 )
 from graph_inertia.core import parse_rational
+from graph_inertia.graph import GraphClass, connected_components
 from graph_inertia.testgen import GenSpec, build_cycle, build_theta, generate
 
 from reference import induced_by_filter, parse_edgelist_by_line, parse_json_by_constructor
@@ -115,6 +114,7 @@ def test_constructor_invariants():
         WeightedGraph(["a"], [("a", "a", 1)])
     with pytest.raises(GraphError, match="edge endpoint 'b' is not a declared vertex"):
         WeightedGraph(["a"], [("b", "a", 1)])
+    assert WeightedGraph(["a", "b"], [["a", "b", "3/2"]]).edges == (("a", "b", Fraction(3, 2)),)
 
 
 @pytest.mark.parametrize("v", ["", "a b", "a\tb", 7, None], ids=repr)
@@ -141,6 +141,27 @@ def test_constructor_takes_only_the_grammars_weights():
     for w in ("1e-3", "0.5", "1/0", ""):
         with pytest.raises(GraphError, match="not an integer or integer ratio"):
             WeightedGraph(["a", "b"], [("a", "b", w)])
+
+
+@pytest.mark.parametrize("item", ["ab1", ("a", "b"), ("a", "b", "1", "x"), None], ids=repr)
+def test_constructor_refuses_an_edge_that_is_not_a_triple(item):
+    with pytest.raises(GraphError) as err:
+        WeightedGraph(["a", "b"], [item])
+    assert str(err.value) == f"each edge must be (u, v, weight), got {item!r}"
+
+
+@pytest.mark.parametrize("edge", [(["a"], "b", 1), ("a", {}, 1), (1, "b", 1)], ids=repr)
+def test_constructor_refuses_an_endpoint_that_is_not_an_id(edge):
+    bad = next(x for x in edge[:2] if not isinstance(x, str))
+    with pytest.raises(GraphError) as err:
+        WeightedGraph(["a", "b"], [edge])
+    assert str(err.value) == f"edge endpoint {bad!r} is not a declared vertex"
+
+
+def test_without_ignores_items_that_are_not_ids():
+    g = WeightedGraph(["a", "b", "c"], [("a", "b", 1), ("b", "c", 2)])
+    assert g.without([["a"], {}, 1]) is g
+    assert g.without([["a"], "c"]).vertices == ("a", "b")
 
 
 def test_parse_reports_a_bad_weight_at_its_own_line_after_many_good_ones():

@@ -9,14 +9,14 @@ from hypothesis import strategies as st
 from graph_inertia import (
     GraphError,
     Inertia,
-    SymRationalMatrix,
     WeightedGraph,
     adjacency_matrix,
     congruent_diagonalize,
-    connected_components,
     inertia_oracle,
 )
 from graph_inertia import oracle
+from graph_inertia.graph import connected_components
+from graph_inertia.matrix import SymRationalMatrix
 from graph_inertia.testgen import (
     GenSpec,
     build_cycle,

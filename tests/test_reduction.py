@@ -8,16 +8,14 @@ from hypothesis import strategies as st
 from graph_inertia import (
     GraphError,
     Inertia,
-    ReductionRule,
     WeightedGraph,
-    contract_degree2_path,
-    delete_pendant_pair,
     inertia_oracle,
     max_matching_forest,
     parse_graph,
     reduce_to_core,
     solve,
 )
+from graph_inertia.reduction import ReductionRule, contract_degree2_path, delete_pendant_pair
 from graph_inertia.testgen import (
     GenSpec,
     build_cycle,
@@ -224,7 +222,7 @@ def _graph_state(g):
     return (
         g.vertices,
         g.edges,
-        [list(nbrs.items()) for nbrs in g._adjacency()],
+        [list(nbrs.items()) for nbrs in g._adj],
         list(g._index.items()),
     )
 

@@ -10,7 +10,6 @@ import pytest
 from graph_inertia import (
     GraphError,
     Inertia,
-    Method,
     WeightedGraph,
     forest_inertia,
     inertia_oracle,
@@ -21,6 +20,7 @@ from graph_inertia import (
 )
 from graph_inertia.closed_forms import reduce_infinity_shape, reduce_theta_shape
 from graph_inertia.reduction import ReductionRule, ReductionStep
+from graph_inertia.solver import Method
 from graph_inertia.testgen import (
     GenSpec,
     build_cycle,

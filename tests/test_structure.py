@@ -8,10 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_inertia import (
-    BaseKind,
     GraphError,
     WeightedGraph,
-    connected_components,
     describe_base,
     hanging_trees,
     max_matching_forest,
@@ -31,7 +29,8 @@ from graph_inertia.testgen import (
     sample_theta_weights,
 )
 
-from graph_inertia.structure import _hanging_tree, _peel
+from graph_inertia.graph import connected_components
+from graph_inertia.structure import BaseKind, _hanging_tree, _peel
 
 from reference import (
     brute_force_matching,
@@ -338,7 +337,7 @@ def test_hanging_forest_walk_matches_the_definitions(cls, n, regime):
         # The peel runs on vertex positions; read its results back as ids.
         vs = g.vertices
         walked = {
-            vs[r]: [vs[v] for v in _hanging_tree(g._adjacency(), parent, r)]
+            vs[r]: [vs[v] for v in _hanging_tree(g._adj, parent, r)]
             for r, d in enumerate(live)
             if d >= 0
         }

@@ -5,16 +5,9 @@ from fractions import Fraction
 
 import pytest
 
-from graph_inertia import (
-    GraphClass,
-    GraphError,
-    WeightedGraph,
-    classify,
-    inertia_oracle,
-    infinity_condition,
-    solve,
-)
-from graph_inertia.graph import serialize_graph
+from graph_inertia import GraphError, WeightedGraph, classify, inertia_oracle, solve
+from graph_inertia.closed_forms import infinity_condition
+from graph_inertia.graph import GraphClass, serialize_graph
 from graph_inertia.structure import BaseKind, describe_base, two_core
 from graph_inertia.testgen import (
     GenSpec,
