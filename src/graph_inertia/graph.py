@@ -148,12 +148,12 @@ class WeightedGraph:
         return len(self._edges)
 
     def has_vertex(self, v: str) -> bool:
-        return v in self._index
+        return isinstance(v, str) and v in self._index
 
     def vertex_index(self, v: str) -> int:
         try:
             return self._index[v]
-        except KeyError:
+        except (KeyError, TypeError):
             raise GraphError(f"unknown vertex {echo(v)}") from None
 
     def degree(self, v: str) -> int:
@@ -165,6 +165,8 @@ class WeightedGraph:
         return tuple([(vs[j], edges[pos][2]) for j, pos in self._adj[self.vertex_index(v)].items()])
 
     def has_edge(self, u: str, v: str) -> bool:
+        if not (isinstance(u, str) and isinstance(v, str)):
+            return False
         i, j = self._index.get(u), self._index.get(v)
         return i is not None and j in self._adj[i]
 
@@ -184,10 +186,12 @@ class WeightedGraph:
         """
         keep = tuple(keep)
         index = self._index
-        kept = {index.get(v, -1) for v in keep}
+        kept = {index.get(v, -1) if isinstance(v, str) else -1 for v in keep}
         if -1 in kept:
-            unknown = {v for v in keep if v not in index}
-            raise GraphError(f"unknown vertices {echo(sorted(unknown))}")
+            # Unknown string ids sorted, then any other ids as given.
+            unknown = sorted({v for v in keep if isinstance(v, str) and v not in index})
+            unknown += [v for v in keep if not isinstance(v, str)]
+            raise GraphError(f"unknown vertices {echo(unknown)}")
         return self._induced_at(sorted(kept))
 
     def _induced_at(self, kept: list[int]) -> "WeightedGraph":

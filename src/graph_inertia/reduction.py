@@ -98,6 +98,9 @@ def contract_degree2_path(
     path = tuple(path)
     if len(path) != 6:
         raise GraphError("contraction path must list six vertices")
+    for x in path:
+        if not isinstance(x, str):
+            raise GraphError(f"unknown vertex {echo(x)}")
     if path[0] == path[5] and len(set(path)) == 5:
         raise GraphError("contraction refused: endpoints coincide, the new edge would be a loop")
     if len(set(path)) != 6:

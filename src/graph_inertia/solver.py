@@ -5,11 +5,12 @@ count.  A unicyclic or bicyclic component either has a core vertex whose
 hanging tree matches it (type I: split that tree off and solve the rest) or
 has none (type II: cut the whole core out and evaluate it in closed form).
 One leaves-first peel of the whole input serves every component and every
-rest: a type-I split deletes its root and continues the same peel, so no
-subgraph is rebuilt or peeled again, and only a type-II core is built as a
-graph.  One loop over a stack of components applies these rules, depth
-first, and appends methods and trace steps to one pair of lists, so the
-result is built once.  The result always equals the congruence oracle,
+rest: a type-I split deletes its root and continues the same peel, and a
+type-II core is read in place on the input's adjacency, so no subgraph is
+rebuilt or peeled again; only a component denser than bicyclic is built
+as a graph, for the oracle.  One loop over a stack of components applies
+these rules, depth first, and appends methods and trace steps to one pair
+of lists, so the result is built once.  The result always equals the congruence oracle,
 which is also the fallback for components denser than bicyclic.
 """
 
@@ -23,7 +24,7 @@ from .core import Inertia
 from .graph import ComponentClass, WeightedGraph, _component_class, _component_vertices
 from .oracle import inertia_oracle
 from .reduction import ReductionRule, ReductionStep, ReductionTrace
-from .structure import BaseKind, _cut, _hanging_tree, _live, _peel, describe_base
+from .structure import BaseKind, _cut, _describe_at, _hanging_tree, _live, _peel
 
 __all__ = ["Method", "SolveResult", "solve"]
 
@@ -72,8 +73,9 @@ def solve(g: WeightedGraph) -> SolveResult:
     the pieces of a bicyclic one go back on the stack, each a tree or
     unicyclic, since a 2-core vertex meets each piece by at least one edge
     and a cycle-free piece by two.  Type II cuts out the whole core and
-    evaluates it in closed form: deleting a mismatched root keeps its
-    tree's matching number.  A unicyclic core that no vertex was peeled
+    evaluates it in closed form, its descriptor read on ``g``'s adjacency
+    through the live degrees: deleting a mismatched root keeps its tree's
+    matching number.  A unicyclic core that no vertex was peeled
     into is a bare cycle, and has no matched vertex either.  Trees,
     unicyclic and bicyclic components cost O(n + m) apart from sorting the
     removed vertex sets and the closed forms' rational arithmetic.
@@ -142,8 +144,8 @@ def solve(g: WeightedGraph) -> SolveResult:
         type_i, type_ii = _CYCLIC_METHODS[kind]
         roots = [v for v in core if matched[v]]
         if not roots:
-            core_graph = g._induced_at(sorted(core))
-            d = describe_base(core_graph)
+            core.sort()
+            d = _describe_at(g, core, live)
             base = _BASE_CLOSED_FORMS[d.kind](d)
             closed += base
             # A vertex peeled next to a live one has it as its parent.
@@ -155,7 +157,9 @@ def solve(g: WeightedGraph) -> SolveResult:
                 methods.append(type_ii)
                 steps.append(
                     ReductionStep(
-                        ReductionRule.TYPE_II_CUT, removed=core_graph.vertices, offset=base.pn
+                        ReductionRule.TYPE_II_CUT,
+                        removed=tuple([vs[v] for v in core]),
+                        offset=base.pn,
                     )
                 )
             continue

@@ -1,7 +1,8 @@
 """One leaf peel for forest matching, matched-root tests and the 2-core,
 which a cut at a core vertex continues instead of peeling again; one walk
 down from a core vertex for its hanging tree; canonical descriptors of the
-core."""
+core, read by one thread walk on a core graph or in place on the peeled
+graph."""
 
 from __future__ import annotations
 
@@ -180,28 +181,30 @@ class HangingTree:
     matched_at_root: bool
 
 
-def _walk_threads(core: WeightedGraph, hubs: list[int]) -> list[tuple]:
+def _walk_threads(g: WeightedGraph, live, hubs) -> list[tuple]:
     """The maximal chains of degree-2 vertices between the positions
-    ``hubs``, each as ``(start, end, inner vertices, edge weights)`` with
-    vertex ids, walked from the first hub in ``hubs`` order and then in
+    ``hubs`` of ``g``'s subgraph on the positions whose ``live`` entry is
+    not negative, each as ``(start, end, inner vertices, edge weights)``
+    with vertex ids, walked from the first hub in ``hubs`` order and then in
     neighbour order.  Only a chain's last edge can be met again from a hub,
-    so it alone is marked, by edge position."""
-    adj, edges, vs = core._adj, core.edges, core.vertices
+    so it alone is marked, by edge position.  The cost is the total degree
+    in ``g`` of the vertices walked."""
+    adj, edges, vs = g._adj, g.edges, g.vertices
     used: set[int] = set()
     threads = []
     for h in hubs:
         for nb, i in adj[h].items():
-            if i in used:
+            if i in used or live[nb] < 0:
                 continue
             inner: list[int] = []
             weights = [edges[i][2]]
             prev, cur = h, nb
             while cur not in hubs:
                 inner.append(cur)
-                # cur has degree 2: go on to the neighbour it was not entered from.
-                (nxt, i), other = adj[cur].items()
-                if nxt == prev:
-                    nxt, i = other
+                # cur has two live neighbours: go on to the one it was not entered from.
+                for nxt, i in adj[cur].items():
+                    if nxt != prev and live[nxt] >= 0:
+                        break
                 prev, cur = cur, nxt
                 weights.append(edges[i][2])
             used.add(i)
@@ -294,33 +297,43 @@ def describe_base(core: WeightedGraph) -> BaseDescriptor:
     # rule too; where the thread walk cannot tell, a component walk does.
     if core.n == 0:
         raise GraphError(_DISCONNECTED)
-    adj = core._adj
-    if min(map(len, adj)) < 2:
+    degrees = list(map(len, core._adj))
+    if min(degrees) < 2:
         if len(_component_vertices(core)) != 1:
             raise GraphError(_DISCONNECTED)
         raise GraphError("core has a vertex of degree < 2; not a 2-core")
-
-    if core.m == core.n:
-        # All degrees are exactly 2: one loop from the first vertex, which
-        # meets every vertex iff the core is connected.
-        ((h, _, inner, ws),) = _walk_threads(core, [0])
-        if 1 + len(inner) != core.n:
-            raise GraphError(_DISCONNECTED)
-        ws, vs = _least_cycle_reading([h, *inner], ws)
-        return BaseDescriptor(BaseKind.CYCLE, core.n, 0, 0, ws, (), (), vs, (), ())
-
-    if core.m != core.n + 1:
+    if core.m - core.n not in (0, 1):
         if len(_component_vertices(core)) != 1:
             raise GraphError(_DISCONNECTED)
         raise GraphError("core matches neither a cycle nor a double-cycle base")
+    return _describe_at(core, range(core.n), degrees)
+
+
+def _describe_at(g: WeightedGraph, core, live) -> BaseDescriptor:
+    """``describe_base`` of the subgraph of ``g`` on the ascending positions
+    ``core``, read in place.  ``live`` gives each vertex of ``core`` its
+    degree in that subgraph, at least 2, and is negative at every other
+    neighbour of a core vertex, as the peel's live degrees are; the degrees
+    add up to twice ``len(core)``, or that plus 2.  Ascending positions give
+    the walks the order they have on the induced core graph, whose vertex
+    and edge order are ``g``'s, so the descriptor is the same."""
+    n = len(core)
+    hubs = [v for v in core if live[v] > 2]
+    if not hubs:
+        # All degrees are exactly 2: one loop from the first vertex, which
+        # meets every vertex iff the core is connected.
+        ((h, _, inner, ws),) = _walk_threads(g, live, core[:1])
+        if 1 + len(inner) != n:
+            raise GraphError(_DISCONNECTED)
+        ws, vs = _least_cycle_reading([h, *inner], ws)
+        return BaseDescriptor(BaseKind.CYCLE, n, 0, 0, ws, (), (), vs, (), ())
 
     # The degrees add up to 2n + 2 and none is below 2, so there is one hub
     # of degree 4 or two of degree 3, in one component: two loops and at
     # most one link between them, or three links.  Any other component is
     # a cycle, which the threads from the hubs miss.
-    hubs = [v for v, nbs in enumerate(adj) if len(nbs) > 2]
-    threads = _walk_threads(core, hubs)
-    if len(hubs) + sum(len(t[2]) for t in threads) != core.n:
+    threads = _walk_threads(g, live, hubs)
+    if len(hubs) + sum(len(t[2]) for t in threads) != n:
         raise GraphError(_DISCONNECTED)
     loops = [t for t in threads if t[0] == t[1]]
     links = [t for t in threads if t[0] != t[1]]

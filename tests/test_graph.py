@@ -17,6 +17,7 @@ from graph_inertia import (
 )
 from graph_inertia.core import parse_rational
 from graph_inertia.graph import GraphClass, connected_components
+from graph_inertia.reduction import contract_degree2_path, delete_pendant_pair
 from graph_inertia.testgen import GenSpec, build_cycle, build_theta, generate
 
 from reference import induced_by_filter, parse_edgelist_by_line, parse_json_by_constructor
@@ -194,6 +195,38 @@ def test_lookups_refuse_what_the_graph_lacks():
         g.weight("a", "c")
     with pytest.raises(GraphError, match=r"union of non-disjoint graphs \(shared: \['b'\]\)"):
         g.union(parse_graph("b d 1"))
+
+
+def test_lookups_refuse_ids_that_are_not_vertices():
+    # Ids are strings, so any other id, hashable or not, is an unknown
+    # vertex; the messages for string ids are unchanged.
+    g = parse_graph("a b 1\nb c 2\nc d 1\nd e 1\ne f 1")
+    calls = [
+        (r"unknown vertices \['z', 1\]", lambda: g.induced(["z", 1, "a"])),
+        (r"unknown vertices \['y', 'z', \['a'\]\]", lambda: g.induced([["a"], "z", "y"])),
+        (r"unknown vertices \['y', 'z'\]", lambda: g.induced(["z", "a", "y", "z"])),
+        (r"unknown vertex \['a'\]", lambda: g.vertex_index(["a"])),
+        (r"unknown vertex \['a'\]", lambda: g.degree(["a"])),
+        (r"unknown vertex \['a'\]", lambda: g.neighbors(["a"])),
+        (r"unknown vertex \{\}", lambda: g.neighbors({})),
+        (r"no edge \['a'\]-'b'", lambda: g.weight(["a"], "b")),
+        (r"no edge 'a'-\['b'\]", lambda: g.weight("a", ["b"])),
+        (r"unknown vertex \['a'\]", lambda: delete_pendant_pair(g, ["a"])),
+        (r"unknown vertex 'z'", lambda: delete_pendant_pair(g, "z")),
+        (
+            r"unknown vertex \['c'\]",
+            lambda: contract_degree2_path(g, ["a", "b", ["c"], "d", "e", "f"]),
+        ),
+        (r"unknown vertex 3", lambda: contract_degree2_path(g, ["a", "b", 3, "d", "e", "f"])),
+        (r"no edge 'b'-'z'", lambda: contract_degree2_path(g, ["a", "b", "z", "d", "e", "f"])),
+    ]
+    for message, call in calls:
+        with pytest.raises(GraphError, match=f"^{message}$"):
+            call()
+    for v in (["a"], {}, 1, None, "z"):
+        assert not g.has_vertex(v)
+        assert not g.has_edge(v, "b") and not g.has_edge("a", v)
+    assert g.has_vertex("a") and g.has_edge("a", "b")
 
 
 def test_lookup_messages_stay_short_for_a_huge_id():

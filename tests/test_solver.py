@@ -17,6 +17,7 @@ from graph_inertia import (
     solve,
     solver,
     structure,
+    two_core,
 )
 from graph_inertia.closed_forms import reduce_infinity_shape, reduce_theta_shape
 from graph_inertia.reduction import ReductionRule, ReductionStep
@@ -28,11 +29,13 @@ from graph_inertia.testgen import (
     build_theta,
     generate,
     random_weight,
+    sample_cycle_weights,
     sample_infinity_weights,
     sample_theta_weights,
 )
 
 from reference import is_mismatched
+from test_acceptance import _hang_two_vertex_paths
 from test_cli import _pinned_inputs
 
 
@@ -206,6 +209,88 @@ def test_solve_peels_once(monkeypatch):
         assert peels == [g.n]
 
 
+def test_solve_builds_no_graph_but_for_the_oracle(monkeypatch):
+    # Type-II cores, bare or read after a continued peel, are read in place:
+    # only a component denser than bicyclic is built, for the oracle.
+    rng = random.Random(20)
+    shapes = {"infinity": (9, 6, 11), "theta": (7, 8, 10)}
+    weights = {
+        "infinity": sample_infinity_weights(*shapes["infinity"], rng),
+        "theta": sample_theta_weights(*shapes["theta"], rng),
+    }
+    assert reduce_infinity_shape(*shapes["infinity"], *weights["infinity"])[1] > 0
+    assert reduce_theta_shape(*shapes["theta"], *weights["theta"])[1] > 0
+    cases = {
+        "long-cycle": _hang_two_vertex_paths(build_cycle(sample_cycle_weights(40, rng)), rng),
+        "infinity": _hang_two_vertex_paths(
+            build_infinity(*shapes["infinity"], *weights["infinity"]), rng
+        ),
+        "theta": _hang_two_vertex_paths(build_theta(*shapes["theta"], *weights["theta"]), rng),
+        "type-i-then-ii": _bicyclic_cut_to_unicyclic_type_ii(),
+    }
+    k4 = WeightedGraph(
+        ["k1", "k2", "k3", "k4"],
+        [(u, v, 1) for u, v in itertools.combinations(["k1", "k2", "k3", "k4"], 2)],
+    )
+    cases["with-fallback"] = cases["theta"].union(k4)
+    expected = {name: (solve(g), inertia_oracle(g)) for name, g in cases.items()}
+    built = []
+    real_init, real_trusted = WeightedGraph.__init__, WeightedGraph._trusted
+
+    def counting_init(self, *args, **kwargs):
+        built.append("__init__")
+        real_init(self, *args, **kwargs)
+
+    def counting_trusted(cls, *args, **kwargs):
+        built.append("_trusted")
+        return real_trusted(*args, **kwargs)
+
+    monkeypatch.setattr(WeightedGraph, "__init__", counting_init)
+    monkeypatch.setattr(WeightedGraph, "_trusted", classmethod(counting_trusted))
+    for name, g in cases.items():
+        built.clear()
+        res = solve(g)
+        want, oracle = expected[name]
+        assert res == want and res.inertia == oracle, name
+        if name == "with-fallback":
+            assert res.methods == (Method.BICYCLIC_TYPE_II, Method.ORACLE_FALLBACK)
+            assert built == ["_trusted"]
+        else:
+            assert Method.ORACLE_FALLBACK not in res.methods, name
+            assert built == [], name
+
+
+def _bicyclic_cut_to_unicyclic_type_ii() -> WeightedGraph:
+    """A 4-cycle h-x-y-z and a triangle h-u-w sharing h, with a pendant at x.
+    x is the one matched root; cutting it leaves the triangle with the path
+    z-y hanging off h, mismatched at h, and h keeps live degree 2 of its 4.
+    The triangle comes first, so its walk passes through h."""
+    return WeightedGraph(
+        ["u", "w", "h", "x", "y", "z", "leaf"],
+        [
+            ("h", "x", Fraction(2)),
+            ("x", "y", Fraction(3)),
+            ("y", "z", Fraction(1, 2)),
+            ("z", "h", Fraction(5)),
+            ("h", "u", Fraction(7)),
+            ("u", "w", Fraction(2, 3)),
+            ("w", "h", Fraction(4)),
+            ("x", "leaf", Fraction(3, 5)),
+        ],
+    )
+
+
+def test_type_i_cut_can_leave_a_type_ii_piece():
+    g = _bicyclic_cut_to_unicyclic_type_ii()
+    res = solve(g)
+    assert res.methods == (Method.BICYCLIC_TYPE_I, Method.UNICYCLIC_TYPE_II)
+    cut, cored = res.trace.steps
+    assert cut.rule is ReductionRule.TYPE_I_DECOMPOSE and cut.removed == ("x", "leaf")
+    assert cored.rule is ReductionRule.TYPE_II_CUT
+    assert cored.removed == two_core(g.without(cut.removed)).vertices == ("u", "w", "h")
+    assert res.inertia == inertia_oracle(g)
+
+
 def test_solve_leaves_no_reference_cycle():
     # With the collector off, anything solve leaves for it to free would show
     # up in the next collect: the peel's state must go when solve returns.
@@ -217,6 +302,10 @@ def test_solve_leaves_no_reference_cycle():
         (Method.FOREST,): generate(GenSpec("tree", 20, 1)),
         (Method.UNICYCLIC_TYPE_I,): parse_graph("1 2 2\n2 3 1/2\n3 1 5\n1 4 3"),
         (Method.UNICYCLIC_TYPE_II,): parse_graph("1 2 1\n2 3 1\n3 4 1\n4 1 1\n1 5 1\n5 6 1"),
+        (Method.BICYCLIC_TYPE_II,): _hang_two_vertex_paths(
+            build_theta(2, 3, 5, *sample_theta_weights(2, 3, 5, random.Random(5))),
+            random.Random(5),
+        ),
         (Method.BICYCLIC_TYPE_I, Method.FOREST, Method.UNICYCLIC_TYPE_I): generate(
             GenSpec("bicyclic", 14, 3)
         ),
