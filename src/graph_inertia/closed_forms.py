@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import GraphError, Inertia
+from .core import GraphError, Inertia, echo
 from .graph import WeightedGraph
 from .structure import BaseDescriptor, BaseKind, max_matching_forest
 
@@ -85,9 +85,26 @@ def forest_inertia(g: WeightedGraph) -> Inertia:
     return Inertia(q, q, g.n - 2 * q)
 
 
+def _check_weights(*seqs: Sequence[Fraction]) -> None:
+    """Refuse any weight that is not an ``int`` (``bool`` excluded) or a
+    ``Fraction`` above zero, as a graph's weights are.  One pass, converting
+    nothing: a ``Fraction`` keeps its sign in its numerator, and an ``int``
+    is its own numerator."""
+    for ws in seqs:
+        for w in ws:
+            # The exact type first: ``Fraction``'s metaclass is ``ABCMeta``,
+            # which makes ``isinstance`` against it several times slower.
+            exact = type(w) is Fraction or (
+                isinstance(w, (int, Fraction)) and not isinstance(w, bool)
+            )
+            if not exact or w.numerator <= 0:
+                raise GraphError(f"weight {echo(w)} must be an int or a Fraction above zero")
+
+
 def _check_cycle(weights: Sequence[Fraction]) -> None:
     if len(weights) < 3:
         raise GraphError("a cycle needs at least 3 edges")
+    _check_weights(weights)
 
 
 def cycle_inertia(weights: Sequence[Fraction]) -> Inertia:
@@ -253,6 +270,7 @@ def _check_infinity(p, l, q, a, b, c) -> None:
         raise GraphError(f"infinity({p},{l},{q}) is not a valid shape")
     if (len(a), len(b), len(c)) != (p, q, l - 1):
         raise GraphError("weight sequence lengths must be (p, q, l-1)")
+    _check_weights(a, b, c)
 
 
 def reduce_infinity_shape(p, l, q, a, b, c):
@@ -317,6 +335,7 @@ def _check_theta(p, l, q, a, b, c) -> None:
         raise GraphError(f"theta({p},{l},{q}) is not a valid shape")
     if (len(a), len(b), len(c)) != (p - 1, l - 1, q - 1):
         raise GraphError("weight sequence lengths must be (p-1, l-1, q-1)")
+    _check_weights(a, b, c)
 
 
 def reduce_theta_shape(p, l, q, a, b, c):

@@ -1,17 +1,19 @@
 """Top-level structural inertia computation; ``solve`` is the one entry point.
 
-Each connected component is dispatched on its class.  Forests are a matching
-count.  A unicyclic or bicyclic component either has a core vertex whose
-hanging tree matches it (type I: split that tree off and solve the rest) or
-has none (type II: cut the whole core out and evaluate it in closed form).
-One leaves-first peel of the whole input serves every component and every
-rest: a type-I split deletes its root and continues the same peel, and a
-type-II core is read in place on the input's adjacency, so no subgraph is
-rebuilt or peeled again; only a component denser than bicyclic is built
-as a graph, for the oracle.  One loop over a stack of components applies
-these rules, depth first, and appends methods and trace steps to one pair
-of lists, so the result is built once.  The result always equals the congruence oracle,
-which is also the fallback for components denser than bicyclic.
+Every connected component follows one rule, whatever its class.  Forests
+are a matching count.  A core vertex whose hanging tree matches it is cut
+off with that tree (type I), and the rest is solved; a core with no such
+vertex is cut out whole (type II) and evaluated, in closed form when it is
+a cycle or a double-cycle base and by the congruence oracle when it is
+denser.  Both cuts are Schur complements of pendant 2x2 pivots, so they
+hold on any graph.  One leaves-first peel of the whole input serves every
+component and every rest: a cut deletes its root and continues the same
+peel, and a type-II core is read in place on the input's adjacency, so no
+subgraph is rebuilt or peeled again; the only graph built is a dense bare
+core, for the oracle.  One loop over a stack of components applies these
+rules, depth first, and appends methods and trace steps to one pair of
+lists, so the result is built once.  The result always equals the
+congruence oracle on the whole input.
 """
 
 from __future__ import annotations
@@ -46,10 +48,13 @@ class SolveResult:
     trace: ReductionTrace
 
 
-# (type I, type II) method tags of each cyclic component class.
+# (type I, type II) method tags of each cyclic component class.  A denser
+# component has no type-I tag, so its cuts show only as trace steps, and its
+# bare core, which the oracle evaluates, is tagged as the fallback.
 _CYCLIC_METHODS = {
     ComponentClass.UNICYCLIC: (Method.UNICYCLIC_TYPE_I, Method.UNICYCLIC_TYPE_II),
     ComponentClass.BICYCLIC: (Method.BICYCLIC_TYPE_I, Method.BICYCLIC_TYPE_II),
+    ComponentClass.UNSUPPORTED: (None, Method.ORACLE_FALLBACK),
 }
 
 _BASE_CLOSED_FORMS = {
@@ -61,70 +66,77 @@ _BASE_CLOSED_FORMS = {
 
 def solve(g: WeightedGraph) -> SolveResult:
     """Structural inertia of any graph; components are solved independently
-    and summed.  Components denser than bicyclic fall back to the oracle.
+    and summed.
 
     One leaves-first peel of the whole input gives every component's 2-core
     and matching, and the components themselves: only the cores are walked,
     and a scan in vertex order that stops once it has met every component
     orders them.  One loop pops the live vertices of a component off a
-    stack and applies its rule.  Type I cuts the matched root that comes
-    first in ``g``'s order, deletes the tree hanging off it and continues
-    the same peel; the rest of a unicyclic component then peels away, and
-    the pieces of a bicyclic one go back on the stack, each a tree or
-    unicyclic, since a 2-core vertex meets each piece by at least one edge
-    and a cycle-free piece by two.  Type II cuts out the whole core and
-    evaluates it in closed form, its descriptor read on ``g``'s adjacency
-    through the live degrees: deleting a mismatched root keeps its tree's
-    matching number.  A unicyclic core that no vertex was peeled
-    into is a bare cycle, and has no matched vertex either.  Trees,
-    unicyclic and bicyclic components cost O(n + m) apart from sorting the
-    removed vertex sets and the closed forms' rational arithmetic.
+    stack and applies its rule.  Type I cuts matched roots, each with the
+    tree hanging off it, and continues the same peel: a unicyclic or
+    bicyclic component cuts the one that comes first in ``g``'s order, a
+    denser one every matched live root in that order, which the continued
+    peel cannot unmatch.  The rest of a unicyclic component then peels
+    away; the pieces of any other go back on the stack, to read their
+    roots again.  Those of a bicyclic one are trees or unicyclic, since a
+    2-core vertex meets each piece by at least one edge and a cycle-free
+    piece by two.  Type II cuts out the whole core, its live vertices, and
+    evaluates it: a cycle or double-cycle base in closed form, its
+    descriptor read on ``g``'s adjacency through the live degrees, and a
+    denser core by the oracle on that core alone.  Deleting a mismatched
+    root keeps its tree's matching number.  A unicyclic core that no vertex
+    was peeled into is a bare cycle, and has no matched vertex either.
+    Trees, unicyclic and bicyclic components cost O(n + m) apart from
+    sorting the removed vertex sets and the closed forms' rational
+    arithmetic; a denser one adds a scan of its component per split and
+    the oracle on its bare cores.
     """
     adj, vs = g._adj, g.vertices
     live, parent, tops, matched = _peel(g)
     methods: list[Method] = []
     steps: list[ReductionStep] = []
 
-    def split(scan, core: list[int], skip: set[int], peeled: int) -> list[list[int]]:
-        """The components of ``scan`` minus ``skip`` as their live vertices
-        (none for a tree), ordered by their first vertex; the loop below
-        solves them in this order, before anything it had still to solve.
-        ``scan`` is whole components of ``g`` in ``g``'s order (None: the
-        component of ``skip``), ``core`` their live vertices, and the rest
-        of them peeled, their trees ending at ``tops[peeled:]``.  A tree
-        ends its peel at a vertex without a parent, any other component
-        keeps a connected core, and every peeled vertex's parents lead to
-        one of those.  Vertices are positions throughout."""
+    def split(scan, core: list[int], peeled: int) -> list[list[int]]:
+        """The pieces left of a piece, each as its live vertices (none for
+        a tree), ordered by their first vertex; the loop below solves them
+        in this order, before anything it had still to solve.  ``core`` is
+        the pieces' live vertices and the rest of them is peeled, their
+        trees ending at ``tops[peeled:]``; ``scan`` holds them in ``g``'s
+        order (None: scan their component of ``g``).  Each peeled vertex's
+        parents lead to a vertex without a parent: a live vertex, a top or
+        a cut root.  A vertex whose chain ends outside the pieces, in a cut
+        tree or in another piece, is in no piece.  Vertices are positions
+        throughout."""
         ends = tops[peeled:]
         comps = _component_vertices(g, core, within=live) + [[] for _ in ends]
         if len(comps) < 2:
             return comps
         steps.append(ReductionStep(ReductionRule.COMPONENT_SPLIT))
         if scan is None:
-            (whole,) = _component_vertices(g, [next(iter(skip))])
+            (whole,) = _component_vertices(g, (core or ends)[:1])
             scan = sorted(whole)
-        comp_of = {v: i for i, c in enumerate(comps) for v in c}
+        comp_of: dict[int, int | None] = {v: i for i, c in enumerate(comps) for v in c}
         comp_of.update((v, i) for i, v in enumerate(ends, len(comps) - len(ends)))
         met: dict[int, None] = {}
         for v in scan:
-            if v in skip:
-                continue
             path = []
-            while v not in comp_of:
+            while v not in comp_of and parent[v] >= 0:
                 path.append(v)
                 v = parent[v]
+            i = comp_of.get(v)
             for u in path:
-                comp_of[u] = comp_of[v]
-            met.setdefault(comp_of[v])
-            if len(met) == len(comps):
-                break
+                comp_of[u] = i
+            if i is not None:
+                met.setdefault(i)
+                if len(met) == len(comps):
+                    break
         return [comps[i] for i in met]
 
     # Peeling takes a vertex and an edge at a time from a component with a
-    # cycle, so its core has the component's m - n.  The pieces of a split
-    # are trees or unicyclic, so only a component of ``g`` itself is split
-    # again, and one ``scan`` serves every split.
-    stack = split(range(g.n), _live(live), set(), 0)
+    # cycle, so its core has the component's m - n.  Every piece of a split
+    # lies in one component of ``g``, so ``range(g.n)`` serves every split of
+    # a connected ``g``; otherwise a split scans its component of ``g``.
+    stack = split(range(g.n), _live(live), 0)
     scan = range(g.n) if len(stack) == 1 else None
     stack.reverse()
     closed = Inertia(0, 0, 0)
@@ -134,19 +146,15 @@ def solve(g: WeightedGraph) -> SolveResult:
             methods.append(Method.FOREST)
             continue
         kind = _component_class(len(core), sum(map(live.__getitem__, core)) // 2)
-        if kind is ComponentClass.UNSUPPORTED:
-            methods.append(Method.ORACLE_FALLBACK)
-            (comp,) = _component_vertices(g, core[:1])
-            closed += inertia_oracle(g._induced_at(sorted(comp)))
-            for v in comp:
-                matched[v] = 0
-            continue
         type_i, type_ii = _CYCLIC_METHODS[kind]
-        roots = [v for v in core if matched[v]]
+        roots = sorted([v for v in core if matched[v]])
         if not roots:
             core.sort()
-            d = _describe_at(g, core, live)
-            base = _BASE_CLOSED_FORMS[d.kind](d)
+            if kind is ComponentClass.UNSUPPORTED:
+                base = inertia_oracle(g._induced_at(core))
+            else:
+                d = _describe_at(g, core, live)
+                base = _BASE_CLOSED_FORMS[d.kind](d)
             closed += base
             # A vertex peeled next to a live one has it as its parent.
             if kind is ComponentClass.UNICYCLIC and not any(
@@ -163,17 +171,25 @@ def solve(g: WeightedGraph) -> SolveResult:
                     )
                 )
             continue
-        root = min(roots)
-        tree = _hanging_tree(adj, parent, root)
-        q = sum(map(matched.__getitem__, tree)) // 2
-        removed = tuple([vs[v] for v in sorted(tree)])
-        methods.append(type_i)
-        steps.append(ReductionStep(ReductionRule.TYPE_I_DECOMPOSE, removed=removed, offset=(q, q)))
+        # A denser component cuts every matched root before it splits, so
+        # that no cut waits on a walk of the rest.
+        if type_i is not None:
+            methods.append(type_i)
+            del roots[1:]
         peeled = len(tops)
-        _cut(adj, live, parent, tops, matched, root)
-        if kind is ComponentClass.BICYCLIC:
+        for root in roots:
+            if live[root] < 0:
+                continue
+            tree = _hanging_tree(adj, parent, root)
+            q = sum(map(matched.__getitem__, tree)) // 2
+            removed = tuple([vs[v] for v in sorted(tree)])
+            steps.append(
+                ReductionStep(ReductionRule.TYPE_I_DECOMPOSE, removed=removed, offset=(q, q))
+            )
+            _cut(adj, live, parent, tops, matched, root)
+        if kind is not ComponentClass.UNICYCLIC:
             rest = [v for v in core if live[v] >= 0]
-            stack += split(scan, rest, set(tree), peeled)[::-1]
+            stack += split(scan, rest, peeled)[::-1]
     q = matched.count(1) // 2
     inertia = closed + Inertia(q, q, g.n - sum(closed.as_tuple()) - 2 * q)
     return SolveResult(inertia, tuple(methods), ReductionTrace(tuple(steps)))

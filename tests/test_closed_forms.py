@@ -330,6 +330,29 @@ def test_folds_check_their_shape():
         reduce_theta_shape(2, 2, 3, ones[:1], ones[:1], ones[:2])
 
 
+@pytest.mark.parametrize("call", [
+    # A zero weight: the weighted path left has (1, 1, 1), not (1, 2, 0).
+    pytest.param(lambda: cycle_inertia([Fraction(0), 1, 1]), id="cycle-zero"),
+    # A negative weight: the matrix has (2, 1, 0), not (1, 2, 0).
+    pytest.param(lambda: cycle_inertia([Fraction(-1), 1, 1]), id="cycle-negative"),
+    # Floats have no numerator to fold.
+    pytest.param(lambda: cycle_inertia([0.5, 2.0, 1.0, 1.0]), id="cycle-float"),
+    pytest.param(lambda: cycle_inertia([True, 1, 1]), id="cycle-bool"),
+    pytest.param(lambda: infinity_inertia(3, 2, 3, [1, 2, 3], [1, 2, 3], [1.5]), id="inf-float"),
+    pytest.param(lambda: infinity_inertia(3, 1, 3, [1, 2, 3], [1, 0, 3], []), id="inf-zero"),
+    pytest.param(lambda: theta_inertia(2, 3, 4, [1], [1, "2"], [1, 2, 3]), id="theta-str"),
+    pytest.param(lambda: theta_inertia(2, 3, 4, [1], [1, 2], [1, 2, -3]), id="theta-negative"),
+])
+def test_closed_forms_refuse_inexact_or_non_positive_weights(call):
+    with pytest.raises(GraphError, match="must be an int or a Fraction above zero"):
+        call()
+
+
+def test_closed_forms_take_ints_and_fractions():
+    assert cycle_inertia([1, Fraction(2), 3]) == Inertia(1, 2, 0)
+    assert infinity_inertia(3, 1, 3, [1, 2, 3], [1, Fraction(1, 2), 3], []) == Inertia(2, 3, 0)
+
+
 def _taken_branch(monkeypatch, p, l, q, a, b, c):
     """The branch ``theta_inertia`` takes, in ``theta_branches`` terms: the
     relation of an explicit case, "neq" for the path of unequal twins, and

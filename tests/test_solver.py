@@ -5,7 +5,10 @@ import itertools
 import random
 from fractions import Fraction
 
+import hypothesis
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graph_inertia import (
     GraphError,
@@ -157,6 +160,187 @@ def test_solve_unsupported_uses_oracle_fallback():
     assert res.inertia == inertia_oracle(k4)
 
 
+def _complete(ids, weight=1):
+    return WeightedGraph(ids, [(u, v, weight) for u, v in itertools.combinations(ids, 2)])
+
+
+def test_dense_component_cuts_a_matched_root():
+    # The leaf matches k1, which is cut with it; the triangle left is a
+    # bare cycle.
+    k4 = _complete(["k1", "k2", "k3", "k4"])
+    g = WeightedGraph(k4.vertices + ("leaf",), k4.edges + (("k1", "leaf", 3),))
+    res = solve(g)
+    assert res.methods == (Method.CYCLE_CLOSED_FORM,)
+    assert res.trace.steps == (
+        ReductionStep(ReductionRule.TYPE_I_DECOMPOSE, removed=("k1", "leaf"), offset=(1, 1)),
+    )
+    assert res.inertia == inertia_oracle(g)
+
+
+def test_dense_core_alone_goes_to_the_oracle():
+    # A hanging two-vertex path leaves k1 mismatched: the bare K4 is cut out.
+    k4 = _complete(["k1", "k2", "k3", "k4"])
+    g = WeightedGraph(k4.vertices + ("x", "y"), k4.edges + (("k1", "x", 2), ("x", "y", 5)))
+    res = solve(g)
+    assert res.methods == (Method.ORACLE_FALLBACK,)
+    cut = ReductionStep(ReductionRule.TYPE_II_CUT, removed=k4.vertices, offset=inertia_oracle(k4).pn)
+    assert res.trace.steps == (cut,)
+    assert res.inertia == inertia_oracle(g) == inertia_oracle(k4) + Inertia(1, 1, 0)
+
+
+def test_dense_component_cuts_its_roots_before_it_splits(monkeypatch):
+    # A 200-cycle whose vertex i is also joined to vertex i + 7, every
+    # vertex with a leaf: every core vertex is a matched root.  All are cut (those the cuts do
+    # not peel first) before one split of what is left, so the components
+    # are walked twice, not once per cut.
+    rng = random.Random(7)
+    n = 200
+    core = [(f"c{i}", f"c{(i + d) % n}", random_weight(rng)) for i in range(n) for d in (1, 7)]
+    leaves = [(f"c{i}", f"l{i}", random_weight(rng)) for i in range(n)]
+    g = WeightedGraph([f"{c}{i}" for c in "cl" for i in range(n)], core + leaves)
+    walks = []
+    real_walk = solver._component_vertices
+
+    def counting_walk(*args, **kwargs):
+        walks.append(args)
+        return real_walk(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "_component_vertices", counting_walk)
+    res = solve(g)
+    assert len(walks) == 2
+    assert res.inertia == inertia_oracle(g)
+    assert Method.ORACLE_FALLBACK not in res.methods
+    cuts = [s for s in res.trace.steps if s.rule is ReductionRule.TYPE_I_DECOMPOSE]
+    assert len(cuts) > n // 2
+
+
+def _dense_component(rng, tag):
+    """A connected graph on 4-9 vertices with cyclomatic number 3-8 (a
+    random spanning tree plus random edges), with up to 25 vertices hung
+    off it at random, in shuffled vertex order."""
+    k = rng.randint(4, 9)
+    m = k - 1 + rng.randint(3, min(8, (k - 1) * (k - 2) // 2))
+    ids = [f"{tag}{i}" for i in range(k)]
+    pairs = {(rng.randrange(i), i) for i in range(1, k)}
+    while len(pairs) < m:
+        pairs.add(tuple(sorted(rng.sample(range(k), 2))))
+    edges = [(ids[u], ids[v], random_weight(rng)) for u, v in sorted(pairs)]
+    for j in range(rng.randint(0, 25)):
+        edges.append((rng.choice(ids), f"{tag}h{j}", random_weight(rng)))
+        ids.append(f"{tag}h{j}")
+    rng.shuffle(ids)
+    return WeightedGraph(ids, edges)
+
+
+def _bare_block(rng, kind):
+    """A graph with no hanging tree and the method ``solve`` gives it."""
+    if kind == "path":
+        ids = [f"p{i}" for i in range(rng.randint(2, 5))]
+        edges = [(u, v, random_weight(rng)) for u, v in zip(ids, ids[1:])]
+        return WeightedGraph(ids, edges), Method.FOREST
+    if kind == "cycle":
+        return build_cycle(sample_cycle_weights(rng.randint(3, 8), rng)), Method.CYCLE_CLOSED_FORM
+    if kind == "bicyclic":
+        p, l, q = rng.randint(3, 5), rng.randint(1, 4), rng.randint(3, 5)
+        weights = sample_infinity_weights(p, l, q, rng)
+        return build_infinity(p, l, q, *weights), Method.BICYCLIC_TYPE_II
+    k = _complete([f"k{i}" for i in range(rng.randint(4, 5))], random_weight(rng))
+    return k, Method.ORACLE_FALLBACK
+
+
+def _blocks_around(rng, hub, tag):
+    """2-4 bare blocks, the first of them cyclic, each joined to ``hub`` by
+    two edges, so that with the hub they are denser than bicyclic: their
+    vertices, their edges and, per block, its vertices and the method
+    ``solve`` gives it."""
+    kinds = [rng.choice(["cycle", "bicyclic", "dense"])]
+    kinds += [rng.choice(["path", "cycle", "bicyclic", "dense"]) for _ in range(rng.randint(1, 3))]
+    vertices, edges, blocks = [], [], []
+    for i, kind in enumerate(kinds):
+        block, method = _bare_block(rng, kind)
+        if kind == "path":
+            # Joined at both ends, so that none of it hangs.
+            ends = (block.vertices[0], block.vertices[-1])
+        else:
+            ends = rng.sample(block.vertices, 2)
+        block = block.relabel(lambda v, i=i: f"{tag}{i}.{v}")
+        vertices += block.vertices
+        edges += block.edges
+        edges += [(hub, f"{tag}{i}.{v}", random_weight(rng)) for v in ends]
+        blocks.append((block.vertices, method))
+    return vertices, edges, blocks
+
+
+def _hub_over_blocks(rng, nested):
+    """A hub with a pendant leaf, its one matched root, amid bare blocks:
+    cutting it leaves the blocks as pieces.  When ``nested``, one more piece
+    is a second hub amid blocks of its own, joined to the first by two
+    two-edge paths: the first cut peels both paths into the second hub,
+    which matches it, so that piece is cut and split in turn.  Returns the
+    graph and its pieces, each as its vertices and either its method or
+    its own pieces."""
+    vertices, edges, pieces = _blocks_around(rng, "hub", "b")
+    vertices += ["hub", "leaf"]
+    edges.append(("hub", "leaf", random_weight(rng)))
+    if nested:
+        inner, inner_edges, inner_pieces = _blocks_around(rng, "s.hub", "s.b")
+        inner += ["s.hub", "s.u1", "s.u2"]
+        for u in ("s.u1", "s.u2"):
+            inner_edges += [("hub", u, random_weight(rng)), (u, "s.hub", random_weight(rng))]
+        vertices += inner
+        edges += inner_edges
+        pieces.append((inner, inner_pieces))
+    rng.shuffle(vertices)
+    return WeightedGraph(vertices, edges), pieces
+
+
+@settings(max_examples=150, deadline=None)
+@hypothesis.seed(21)
+@given(st.integers(0, 2**32 - 1))
+def test_solve_equals_the_oracle_on_dense_components(seed):
+    # Dense components with hanging forests, unioned with a tree,
+    # unicyclic or bicyclic component, in one shuffled vertex order.
+    rng = random.Random(seed)
+    parts = [_dense_component(rng, f"d{i}.") for i in range(rng.randint(1, 3))]
+    cls = rng.choice(["tree", "unicyclic", "bicyclic"])
+    part = generate(GenSpec(cls, rng.randint(5, 12), rng.randrange(10**6)))
+    parts.append(part.relabel("g".__add__))
+    g = functools.reduce(WeightedGraph.union, parts)
+    vertices = list(g.vertices)
+    rng.shuffle(vertices)
+    g = WeightedGraph(vertices, g.edges)
+    assert solve(g).inertia == inertia_oracle(g)
+    # Cutting a dense component's one matched root splits it into pieces,
+    # solved in the order of their first vertices, a piece's own pieces
+    # included.
+    nested = rng.random() < 0.5
+    g, pieces = _hub_over_blocks(rng, nested)
+    assert g.m - g.n >= 2
+    res = solve(g)
+    assert res.inertia == inertia_oracle(g)
+    first = {v: i for i, v in enumerate(g.vertices)}
+
+    def in_order(pieces):
+        for _, tag in sorted(pieces, key=lambda piece: min(map(first.__getitem__, piece[0]))):
+            yield from in_order(tag) if isinstance(tag, list) else [tag]
+
+    assert res.methods == tuple(in_order(pieces))
+    cut, split = res.trace.steps[:2]
+    assert cut == ReductionStep(
+        ReductionRule.TYPE_I_DECOMPOSE,
+        removed=tuple(sorted(["hub", "leaf"], key=first.__getitem__)),
+        offset=(1, 1),
+    )
+    assert split == ReductionStep(ReductionRule.COMPONENT_SPLIT)
+    if nested:
+        inner_cut = ReductionStep(
+            ReductionRule.TYPE_I_DECOMPOSE,
+            removed=tuple(sorted(["s.hub", "s.u1", "s.u2"], key=first.__getitem__)),
+            offset=(1, 1),
+        )
+        assert inner_cut in res.trace.steps
+
+
 def _generated_components(seed):
     """2-4 generated components with disjoint ids, K4 among them when
     ``seed`` is divisible by 5."""
@@ -211,7 +395,8 @@ def test_solve_peels_once(monkeypatch):
 
 def test_solve_builds_no_graph_but_for_the_oracle(monkeypatch):
     # Type-II cores, bare or read after a continued peel, are read in place:
-    # only a component denser than bicyclic is built, for the oracle.
+    # only a bare core denser than bicyclic is built, for the oracle, and
+    # never the forest hanging off it.
     rng = random.Random(20)
     shapes = {"infinity": (9, 6, 11), "theta": (7, 8, 10)}
     weights = {
@@ -228,22 +413,25 @@ def test_solve_builds_no_graph_but_for_the_oracle(monkeypatch):
         "theta": _hang_two_vertex_paths(build_theta(*shapes["theta"], *weights["theta"]), rng),
         "type-i-then-ii": _bicyclic_cut_to_unicyclic_type_ii(),
     }
-    k4 = WeightedGraph(
-        ["k1", "k2", "k3", "k4"],
-        [(u, v, 1) for u, v in itertools.combinations(["k1", "k2", "k3", "k4"], 2)],
-    )
-    cases["with-fallback"] = cases["theta"].union(k4)
+    cases["with-fallback"] = cases["theta"].union(_complete(["k1", "k2", "k3", "k4"]))
+    # K5 with 200 two-edge paths hung off it: every root is mismatched, so
+    # the core is cut out bare.
+    k5 = _complete([f"k{i}" for i in range(5)], Fraction(3, 2))
+    paths = [(f"k{i % 5}", f"x{i}", random_weight(rng)) for i in range(200)]
+    paths += [(f"x{i}", f"y{i}", random_weight(rng)) for i in range(200)]
+    hung = [f"{c}{i}" for i in range(200) for c in "xy"]
+    cases["dense-forest"] = WeightedGraph(hung + list(k5.vertices), paths + list(k5.edges))
     expected = {name: (solve(g), inertia_oracle(g)) for name, g in cases.items()}
     built = []
     real_init, real_trusted = WeightedGraph.__init__, WeightedGraph._trusted
 
-    def counting_init(self, *args, **kwargs):
+    def counting_init(self, vertices, *args, **kwargs):
         built.append("__init__")
-        real_init(self, *args, **kwargs)
+        real_init(self, vertices, *args, **kwargs)
 
-    def counting_trusted(cls, *args, **kwargs):
-        built.append("_trusted")
-        return real_trusted(*args, **kwargs)
+    def counting_trusted(cls, vertices, *args, **kwargs):
+        built.append(("_trusted", len(vertices)))
+        return real_trusted(vertices, *args, **kwargs)
 
     monkeypatch.setattr(WeightedGraph, "__init__", counting_init)
     monkeypatch.setattr(WeightedGraph, "_trusted", classmethod(counting_trusted))
@@ -254,7 +442,10 @@ def test_solve_builds_no_graph_but_for_the_oracle(monkeypatch):
         assert res == want and res.inertia == oracle, name
         if name == "with-fallback":
             assert res.methods == (Method.BICYCLIC_TYPE_II, Method.ORACLE_FALLBACK)
-            assert built == ["_trusted"]
+            assert built == [("_trusted", 4)]
+        elif name == "dense-forest":
+            assert res.methods == (Method.ORACLE_FALLBACK,)
+            assert built == [("_trusted", 5)]
         else:
             assert Method.ORACLE_FALLBACK not in res.methods, name
             assert built == [], name
