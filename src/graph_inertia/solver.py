@@ -6,13 +6,14 @@ off with that tree (type I), and the rest is solved; a core with no such
 vertex is cut out whole (type II) and evaluated, in closed form when it is
 a cycle or a double-cycle base and by the congruence oracle when it is
 denser.  Both cuts are Schur complements of pendant 2x2 pivots, so they
-hold on any graph.  One leaves-first peel of the whole input serves every
-component and every rest: a cut deletes its root and continues the same
-peel, and a type-II core is read in place on the input's adjacency, so no
-subgraph is rebuilt or peeled again; the only graph built is a dense bare
-core, for the oracle.  One loop over a stack of components applies these
-rules, depth first, and appends methods and trace steps to one pair of
-lists, so the result is built once.  The result always equals the
+hold on any graph and in any order.  One leaves-first peel of the whole
+input serves every component and every rest: a cut deletes its root and
+continues the same peel, which reports the roots it matches, and a type-II
+core is read in place on the input's adjacency, so no subgraph is rebuilt
+or peeled again and no component is split twice; the only graph built is
+a dense bare core, for the oracle.  One loop over a stack of components
+applies these rules, depth first, and appends methods and trace steps to
+one pair of lists, so the result is built once.  The result always equals the
 congruence oracle on the whole input.
 """
 
@@ -75,21 +76,21 @@ def solve(g: WeightedGraph) -> SolveResult:
     stack and applies its rule.  Type I cuts matched roots, each with the
     tree hanging off it, and continues the same peel: a unicyclic or
     bicyclic component cuts the one that comes first in ``g``'s order, a
-    denser one every matched live root in that order, which the continued
-    peel cannot unmatch.  The rest of a unicyclic component then peels
-    away; the pieces of any other go back on the stack, to read their
-    roots again.  Those of a bicyclic one are trees or unicyclic, since a
-    2-core vertex meets each piece by at least one edge and a cycle-free
-    piece by two.  Type II cuts out the whole core, its live vertices, and
-    evaluates it: a cycle or double-cycle base in closed form, its
-    descriptor read on ``g``'s adjacency through the live degrees, and a
-    denser core by the oracle on that core alone.  Deleting a mismatched
-    root keeps its tree's matching number.  A unicyclic core that no vertex
-    was peeled into is a bare cycle, and has no matched vertex either.
-    Trees, unicyclic and bicyclic components cost O(n + m) apart from
-    sorting the removed vertex sets and the closed forms' rational
-    arithmetic; a denser one adds a scan of its component per split and
-    the oracle on its bare cores.
+    denser one every matched live root in that order and then every live
+    root those cuts match, which the continued peel reports and cannot
+    unmatch.  The rest of a unicyclic component then peels away; any other
+    splits once, and its pieces go back on the stack.  Those of a bicyclic
+    one are trees or unicyclic, since a 2-core vertex meets each piece by
+    at least one edge and a cycle-free piece by two; those of a denser one
+    hold no matched live vertex.  Type II cuts out the whole core, its live
+    vertices, and evaluates it: a cycle or double-cycle base in closed
+    form, its descriptor read on ``g``'s adjacency through the live
+    degrees, and a denser core by the oracle on that core alone.  Deleting
+    a mismatched root keeps its tree's matching number.  A unicyclic core
+    that no vertex was peeled into is a bare cycle, and has no matched
+    vertex either.  The cost is O(n + m) apart from sorting the removed
+    vertex sets, the closed forms' rational arithmetic and the oracle on
+    bare cores denser than bicyclic.
     """
     adj, vs = g._adj, g.vertices
     live, parent, tops, matched = _peel(g)
@@ -97,16 +98,15 @@ def solve(g: WeightedGraph) -> SolveResult:
     steps: list[ReductionStep] = []
 
     def split(scan, core: list[int], peeled: int) -> list[list[int]]:
-        """The pieces left of a piece, each as its live vertices (none for
-        a tree), ordered by their first vertex; the loop below solves them
-        in this order, before anything it had still to solve.  ``core`` is
-        the pieces' live vertices and the rest of them is peeled, their
-        trees ending at ``tops[peeled:]``; ``scan`` holds them in ``g``'s
-        order (None: scan their component of ``g``).  Each peeled vertex's
-        parents lead to a vertex without a parent: a live vertex, a top or
-        a cut root.  A vertex whose chain ends outside the pieces, in a cut
-        tree or in another piece, is in no piece.  Vertices are positions
-        throughout."""
+        """The pieces left of ``g`` or of one of its components, each as
+        its live vertices (none for a tree), ordered by their first vertex;
+        the loop below solves them in this order, before anything it had
+        still to solve.  ``core`` is the pieces' live vertices and the rest
+        of them is peeled, their trees ending at ``tops[peeled:]``;
+        ``scan`` holds them in ``g``'s order (None: scan their component of
+        ``g``).  Each peeled vertex's parents lead to a vertex without a
+        parent: a live vertex, a top or a cut root, whose tree is in no
+        piece.  Vertices are positions throughout."""
         ends = tops[peeled:]
         comps = _component_vertices(g, core, within=live) + [[] for _ in ends]
         if len(comps) < 2:
@@ -133,9 +133,8 @@ def solve(g: WeightedGraph) -> SolveResult:
         return [comps[i] for i in met]
 
     # Peeling takes a vertex and an edge at a time from a component with a
-    # cycle, so its core has the component's m - n.  Every piece of a split
-    # lies in one component of ``g``, so ``range(g.n)`` serves every split of
-    # a connected ``g``; otherwise a split scans its component of ``g``.
+    # cycle, so its core has the component's m - n.  ``range(g.n)`` serves
+    # the split of a connected ``g``; otherwise a split scans its component.
     stack = split(range(g.n), _live(live), 0)
     scan = range(g.n) if len(stack) == 1 else None
     stack.reverse()
@@ -171,8 +170,9 @@ def solve(g: WeightedGraph) -> SolveResult:
                     )
                 )
             continue
-        # A denser component cuts every matched root before it splits, so
-        # that no cut waits on a walk of the rest.
+        # A denser component cuts every matched live root, then every root
+        # those cuts match, so that its pieces hold no matched live vertex
+        # and it splits once.
         if type_i is not None:
             methods.append(type_i)
             del roots[1:]
@@ -186,7 +186,9 @@ def solve(g: WeightedGraph) -> SolveResult:
             steps.append(
                 ReductionStep(ReductionRule.TYPE_I_DECOMPOSE, removed=removed, offset=(q, q))
             )
-            _cut(adj, live, parent, tops, matched, root)
+            found = _cut(adj, live, parent, tops, matched, root)
+            if type_i is None:
+                roots += found
         if kind is not ComponentClass.UNICYCLIC:
             rest = [v for v in core if live[v] >= 0]
             stack += split(scan, rest, peeled)[::-1]

@@ -49,11 +49,13 @@ def _peel(g: WeightedGraph) -> tuple[list[int], list[int], list[int], bytearray]
     return live, parent, tops, matched
 
 
-def _continue_peel(adj, live, parent, tops, matched, stack: list[int]) -> None:
+def _continue_peel(adj, live, parent, tops, matched, stack: list[int]) -> list[int]:
     """Run the peel of ``_peel`` from the vertices on ``stack``, updating its
-    four results in place.  A live neighbour of a vertex being peeled still
-    counts that vertex, so its live degree is above zero."""
-    pop, push, top = stack.pop, stack.append, tops.append
+    four results in place; return the vertices it matched to a vertex
+    peeled into them, in order.  A live neighbour of a vertex being peeled
+    still counts that vertex, so its live degree is above zero."""
+    found: list[int] = []
+    pop, push, top, report = stack.pop, stack.append, tops.append, found.append
     while stack:
         v = pop()
         live[v] = -1
@@ -65,19 +67,22 @@ def _continue_peel(adj, live, parent, tops, matched, stack: list[int]) -> None:
                     push(nb)
                 if not (matched[v] or matched[nb]):
                     matched[v] = matched[nb] = 1
+                    report(nb)
                 parent[v] = nb
                 break
         else:
             top(v)
+    return found
 
 
-def _cut(adj, live, parent, tops, matched, root: int) -> None:
+def _cut(adj, live, parent, tops, matched, root: int) -> list[int]:
     """Delete the live vertex ``root`` with the tree hanging off it, which no
-    later walk enters, and continue the peel on what is left.  Whether a
-    root is matched does not depend on the peel order, and a matched root
-    stays matched whatever is later peeled into it, so this finds what a
-    fresh peel without the tree would, and every parent stays valid.  The
-    root is not peeled, so it keeps no parent and is not a top."""
+    later walk enters, continue the peel on what is left, and return the
+    live vertices it newly matched, in order.  Whether a root is matched
+    does not depend on the peel order, and a matched root stays matched
+    whatever is later peeled into it, so this finds what a fresh peel
+    without the tree would, and every parent stays valid.  The root is not
+    peeled, so it keeps no parent and is not a top."""
     live[root] = -1
     stack = []
     for nb in adj[root]:
@@ -86,7 +91,8 @@ def _cut(adj, live, parent, tops, matched, root: int) -> None:
             live[nb] = d - 1
             if d == 2:
                 stack.append(nb)
-    _continue_peel(adj, live, parent, tops, matched, stack)
+    found = _continue_peel(adj, live, parent, tops, matched, stack)
+    return [v for v in found if live[v] >= 0]
 
 
 def _hanging_tree(adj, parent, root: int) -> list[int]:
@@ -294,47 +300,37 @@ def describe_base(core: WeightedGraph) -> BaseDescriptor:
     cores always yield identical descriptors.
     """
     # A disconnected core is reported as such even when it breaks another
-    # rule too; where the thread walk cannot tell, a component walk does.
-    if core.n == 0:
+    # rule too.
+    if len(_component_vertices(core)) != 1:
         raise GraphError(_DISCONNECTED)
     degrees = list(map(len, core._adj))
     if min(degrees) < 2:
-        if len(_component_vertices(core)) != 1:
-            raise GraphError(_DISCONNECTED)
         raise GraphError("core has a vertex of degree < 2; not a 2-core")
     if core.m - core.n not in (0, 1):
-        if len(_component_vertices(core)) != 1:
-            raise GraphError(_DISCONNECTED)
         raise GraphError("core matches neither a cycle nor a double-cycle base")
     return _describe_at(core, range(core.n), degrees)
 
 
 def _describe_at(g: WeightedGraph, core, live) -> BaseDescriptor:
     """``describe_base`` of the subgraph of ``g`` on the ascending positions
-    ``core``, read in place.  ``live`` gives each vertex of ``core`` its
-    degree in that subgraph, at least 2, and is negative at every other
-    neighbour of a core vertex, as the peel's live degrees are; the degrees
-    add up to twice ``len(core)``, or that plus 2.  Ascending positions give
-    the walks the order they have on the induced core graph, whose vertex
-    and edge order are ``g``'s, so the descriptor is the same."""
-    n = len(core)
+    ``core``, read in place; both callers have checked that it is connected.
+    ``live`` gives each vertex of ``core`` its degree in that subgraph, at
+    least 2, and is negative at every other neighbour of a core vertex, as
+    the peel's live degrees are; the degrees add up to twice ``len(core)``,
+    or that plus 2.  Ascending positions give the walks the order they have
+    on the induced core graph, whose vertex and edge order are ``g``'s, so
+    the descriptor is the same."""
     hubs = [v for v in core if live[v] > 2]
     if not hubs:
-        # All degrees are exactly 2: one loop from the first vertex, which
-        # meets every vertex iff the core is connected.
+        # All degrees are exactly 2: one loop from the first vertex.
         ((h, _, inner, ws),) = _walk_threads(g, live, core[:1])
-        if 1 + len(inner) != n:
-            raise GraphError(_DISCONNECTED)
         ws, vs = _least_cycle_reading([h, *inner], ws)
-        return BaseDescriptor(BaseKind.CYCLE, n, 0, 0, ws, (), (), vs, (), ())
+        return BaseDescriptor(BaseKind.CYCLE, len(core), 0, 0, ws, (), (), vs, (), ())
 
     # The degrees add up to 2n + 2 and none is below 2, so there is one hub
-    # of degree 4 or two of degree 3, in one component: two loops and at
-    # most one link between them, or three links.  Any other component is
-    # a cycle, which the threads from the hubs miss.
+    # of degree 4 or two of degree 3: two loops and at most one link
+    # between them, or three links.
     threads = _walk_threads(g, live, hubs)
-    if len(hubs) + sum(len(t[2]) for t in threads) != n:
-        raise GraphError(_DISCONNECTED)
     loops = [t for t in threads if t[0] == t[1]]
     links = [t for t in threads if t[0] != t[1]]
     candidates = []

@@ -3,6 +3,7 @@ import gc
 import hashlib
 import itertools
 import random
+import time
 from fractions import Fraction
 
 import hypothesis
@@ -214,6 +215,38 @@ def test_dense_component_cuts_its_roots_before_it_splits(monkeypatch):
     assert len(cuts) > n // 2
 
 
+def test_dense_component_splits_once_however_deeply_its_roots_nest():
+    # A chain of 1000 hubs, each with two K4 blocks joined to it by one
+    # edge each; hub i + 1 hangs off hub i by two two-edge paths, and hub 0
+    # has a leaf.  Only hub 0 is matched at first, and each cut peels the
+    # two paths into the next hub, which matches it: all 1000 hubs are cut
+    # in one batch and the component splits once, into the 2000 K4s.
+    rng = random.Random(22)
+    levels = 1000
+    vertices, edges = ["leaf"], [("h0", "leaf", random_weight(rng))]
+    for i in range(levels):
+        hub = f"h{i}"
+        vertices.append(hub)
+        for b in "ab":
+            k4 = _complete([f"{hub}{b}{j}" for j in range(4)], random_weight(rng))
+            vertices += k4.vertices
+            edges += [*k4.edges, (hub, k4.vertices[0], random_weight(rng))]
+        if i + 1 < levels:
+            for u in (f"{hub}u", f"{hub}w"):
+                vertices.append(u)
+                edges += [(hub, u, random_weight(rng)), (u, f"h{i + 1}", random_weight(rng))]
+    g = WeightedGraph(vertices, edges)
+    assert g.n == 10999
+    start = time.perf_counter()
+    res = solve(g)
+    elapsed = time.perf_counter() - start
+    assert res.inertia == inertia_oracle(g)
+    rules = [s.rule for s in res.trace.steps]
+    assert rules.count(ReductionRule.TYPE_I_DECOMPOSE) == levels
+    assert rules.count(ReductionRule.COMPONENT_SPLIT) == 1
+    assert elapsed < 1.0, f"solve took {elapsed:.2f}s"
+
+
 def _dense_component(rng, tag):
     """A connected graph on 4-9 vertices with cyclomatic number 3-8 (a
     random spanning tree plus random edges), with up to 25 vertices hung
@@ -276,7 +309,7 @@ def _hub_over_blocks(rng, nested):
     cutting it leaves the blocks as pieces.  When ``nested``, one more piece
     is a second hub amid blocks of its own, joined to the first by two
     two-edge paths: the first cut peels both paths into the second hub,
-    which matches it, so that piece is cut and split in turn.  Returns the
+    which matches it, so it is cut in the same batch.  Returns the
     graph and its pieces, each as its vertices and either its method or
     its own pieces."""
     vertices, edges, pieces = _blocks_around(rng, "hub", "b")
@@ -310,9 +343,9 @@ def test_solve_equals_the_oracle_on_dense_components(seed):
     rng.shuffle(vertices)
     g = WeightedGraph(vertices, g.edges)
     assert solve(g).inertia == inertia_oracle(g)
-    # Cutting a dense component's one matched root splits it into pieces,
-    # solved in the order of their first vertices, a piece's own pieces
-    # included.
+    # A dense component cuts its one matched root, then the nested hub that
+    # cut matches, and splits once: its pieces are every bare block, nested
+    # ones included, solved in the order of their first vertices.
     nested = rng.random() < 0.5
     g, pieces = _hub_over_blocks(rng, nested)
     assert g.m - g.n >= 2
@@ -320,25 +353,24 @@ def test_solve_equals_the_oracle_on_dense_components(seed):
     assert res.inertia == inertia_oracle(g)
     first = {v: i for i, v in enumerate(g.vertices)}
 
-    def in_order(pieces):
-        for _, tag in sorted(pieces, key=lambda piece: min(map(first.__getitem__, piece[0]))):
-            yield from in_order(tag) if isinstance(tag, list) else [tag]
+    def blocks(pieces):
+        for vertices, tag in pieces:
+            yield from blocks(tag) if isinstance(tag, list) else [(vertices, tag)]
 
-    assert res.methods == tuple(in_order(pieces))
-    cut, split = res.trace.steps[:2]
-    assert cut == ReductionStep(
-        ReductionRule.TYPE_I_DECOMPOSE,
-        removed=tuple(sorted(["hub", "leaf"], key=first.__getitem__)),
-        offset=(1, 1),
-    )
-    assert split == ReductionStep(ReductionRule.COMPONENT_SPLIT)
-    if nested:
-        inner_cut = ReductionStep(
+    flat = sorted(blocks(pieces), key=lambda block: min(map(first.__getitem__, block[0])))
+    assert res.methods == tuple(tag for _, tag in flat)
+    cuts = [("hub", "leaf")] + [("s.hub", "s.u1", "s.u2")] * nested
+    split = ReductionStep(ReductionRule.COMPONENT_SPLIT)
+    opening = [
+        ReductionStep(
             ReductionRule.TYPE_I_DECOMPOSE,
-            removed=tuple(sorted(["s.hub", "s.u1", "s.u2"], key=first.__getitem__)),
+            removed=tuple(sorted(cut, key=first.__getitem__)),
             offset=(1, 1),
         )
-        assert inner_cut in res.trace.steps
+        for cut in cuts
+    ]
+    assert res.trace.steps[: len(cuts) + 1] == (*opening, split)
+    assert res.trace.steps.count(split) == 1
 
 
 def _generated_components(seed):
@@ -367,6 +399,18 @@ def test_solve_on_disjoint_unions(seed):
     alone = [solve(part) for part in parts]
     assert res.methods == tuple(m for r in alone for m in r.methods)
     split = ReductionStep(ReductionRule.COMPONENT_SPLIT)
+    assert res.trace.steps == (split, *(s for r in alone for s in r.trace.steps))
+    # With the components' ids interleaved, a split inside one component
+    # scans that component alone, and the components still come in the
+    # order of their first vertices.
+    vertices = list(g.vertices)
+    random.Random(seed).shuffle(vertices)
+    g = WeightedGraph(vertices, g.edges)
+    first = {v: i for i, v in enumerate(vertices)}
+    parts.sort(key=lambda part: min(map(first.__getitem__, part.vertices)))
+    alone = [solve(g.induced(part.vertices)) for part in parts]
+    res = solve(g)
+    assert res.methods == tuple(m for r in alone for m in r.methods)
     assert res.trace.steps == (split, *(s for r in alone for s in r.trace.steps))
 
 

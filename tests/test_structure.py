@@ -242,13 +242,13 @@ def test_describe_base_theta_by_path_lengths():
 
 
 def test_describe_base_rejects_junk():
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="not a 2-core"):
         describe_base(path(4))
     k4 = WeightedGraph(
         ["1", "2", "3", "4"],
         [("1", "2", 1), ("1", "3", 1), ("1", "4", 1), ("2", "3", 1), ("2", "4", 1), ("3", "4", 1)],
     )
-    with pytest.raises(GraphError):
+    with pytest.raises(GraphError, match="neither a cycle nor a double-cycle base"):
         describe_base(k4)
     triangle = build_cycle([Fraction(1)] * 3)
     # Disconnected cores that break no other rule, and ones that also break
