@@ -195,7 +195,7 @@ def _reduce_json(reduced: WeightedGraph, trace: ReductionTrace) -> str:
     pos, neg = trace.offset
     steps_text = _json_array(steps, "\n  ")
     vertices = _json_array([_q(v) for v in reduced.vertices], "\n    ")
-    edges = _edges_json(reduced.edges, "\n    ")
+    edges = _edges_json(reduced._edge_rows(), "\n    ")
     return (
         f'{{\n  "steps": {steps_text},\n'
         f'  "offset": [\n    {pos},\n    {neg}\n  ],\n'

@@ -247,8 +247,10 @@ def infinity_condition(
 
     The p-side product pairs with the even-numbered connector weights squared
     and the q-side with the odd-numbered ones (orientation: c1 sits at the
-    p-junction); rows with p == q carry a factor 4 on the left.
+    p-junction); rows with p == q carry a factor 4 on the left.  The shape
+    and weights are checked as ``infinity_inertia`` checks them.
     """
+    _check_infinity(p, l, q, a, b, c)
     row = INFINITY_TABLE.get((p, l, q))
     if row is None or row.condition_text is None:
         return None
@@ -265,7 +267,16 @@ def infinity_condition(
     return CaseCondition(lhs, rhs)
 
 
+def _check_shape(name: str, p, l, q) -> None:
+    """Refuse shape parameters that are not ``int``s; a ``bool`` is not one."""
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in (p, l, q)):
+        raise GraphError(
+            f"{name}({echo(p)},{echo(l)},{echo(q)}) is not a valid shape: sizes must be ints"
+        )
+
+
 def _check_infinity(p, l, q, a, b, c) -> None:
+    _check_shape("infinity", p, l, q)
     if p < 3 or q < 3 or l < 1:
         raise GraphError(f"infinity({p},{l},{q}) is not a valid shape")
     if (len(a), len(b), len(c)) != (p, q, l - 1):
@@ -331,6 +342,7 @@ def infinity_base_inertia(d: BaseDescriptor) -> Inertia:
 
 
 def _check_theta(p, l, q, a, b, c) -> None:
+    _check_shape("theta", p, l, q)
     if min(p, l, q) < 2 or (p, l, q).count(2) > 1:
         raise GraphError(f"theta({p},{l},{q}) is not a valid shape")
     if (len(a), len(b), len(c)) != (p - 1, l - 1, q - 1):

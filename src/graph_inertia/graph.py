@@ -6,7 +6,7 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .core import GraphError, ParseError, echo, parse_rational
 from .matrix import SymRationalMatrix
@@ -24,6 +24,14 @@ __all__ = [
 ]
 
 Edge = tuple[str, str, Fraction]
+
+
+def _ids(ids: Iterable[str]) -> Iterable[str]:
+    """``ids``, refused when it is a single string: a string iterates over
+    its characters, which are not the vertex ids it names."""
+    if isinstance(ids, str):
+        raise GraphError(f"vertex ids must be a collection of ids, not the string {echo(ids)}")
+    return ids
 
 
 def _exact_weight(u, v, w) -> Fraction:
@@ -53,14 +61,19 @@ class WeightedGraph:
     equal inputs always produce identical matrices.  Instances are
     immutable and safe to share between threads.
 
-    Inside, a vertex is its position in that order: ``_index`` maps an id to
-    its position, and ``_adj[i]`` maps the position of each neighbour of
-    vertex i to the position of their edge in ``edges``, in edge order,
-    which is the order ``neighbors`` reports.  The package's linear-time
-    walks read ``_adj`` directly and must not mutate it.
+    Inside, a vertex is its position in that order and an edge its position
+    in edge order.  The edges are three columns indexed by edge position:
+    ``_u[e]`` and ``_v[e]`` are the positions of edge e's endpoints, in the
+    orientation it was given, and ``_w[e]`` is its ``Fraction`` weight.
+    ``_index`` maps an id to its position, and ``_adj[i]`` maps the position
+    of each neighbour of vertex i to the position of their edge, in edge
+    order, which is the order ``neighbors`` reports.  So the graph keeps no
+    tuple per edge: the weights are the only per-edge objects the cyclic
+    collector tracks, and ``edges`` is built from the columns on each read.
+    The package reads these parts directly and must not mutate them.
     """
 
-    __slots__ = ("_vertices", "_index", "_edges", "_adj")
+    __slots__ = ("_vertices", "_index", "_u", "_v", "_w", "_adj")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple] = ()) -> None:
         vs = tuple(vertices)
@@ -72,7 +85,9 @@ class WeightedGraph:
                 raise GraphError(f"duplicate vertex id {echo(v)}")
             index[v] = len(index)
         adj: list[dict[int, int]] = [{} for _ in vs]
-        out: list[Edge] = []
+        us: list[int] = []
+        vs_: list[int] = []
+        ws: list[Fraction] = []
         for item in edges:
             if not (isinstance(item, (tuple, list)) and len(item) == 3):
                 raise GraphError(f"each edge must be (u, v, weight), got {echo(item)}")
@@ -90,32 +105,37 @@ class WeightedGraph:
                 raise GraphError(f"edge {echo(u)}-{echo(v)} has non-positive weight {w}")
             if j in adj[i]:
                 raise GraphError(f"duplicate edge {echo(u)}-{echo(v)}")
-            adj[i][j] = adj[j][i] = len(out)
-            out.append((u, v, w))
+            adj[i][j] = adj[j][i] = len(ws)
+            us.append(i)
+            vs_.append(j)
+            ws.append(w)
         self._vertices = vs
         self._index = index
-        self._edges = tuple(out)
+        self._u, self._v, self._w = us, vs_, ws
         self._adj = adj
 
     @classmethod
     def _trusted(
         cls,
         vertices: tuple[str, ...],
-        edges: tuple[Edge, ...],
+        u: list[int],
+        v: list[int],
+        w: list[Fraction],
         adj: list[dict[int, int]] | None = None,
         index: dict[str, int] | None = None,
     ) -> "WeightedGraph":
         """Build from parts already known to be valid, without re-validating.
 
-        The parts must pass every check the constructor makes: distinct,
-        non-empty vertex ids without whitespace, and distinct non-loop edges
-        with ``Fraction`` weights above zero whose endpoints all lie in
-        ``vertices``.  A subsequence of a validated graph's edges qualifies,
-        and so does the edge-list parser's output, which makes those checks
-        itself to report them with line numbers.  That parser is the only
-        caller that hands over ``adj`` and ``index``, which must be what
-        this would build (the class docstring says what they hold); they
-        are kept, not copied.
+        ``u``, ``v`` and ``w`` are the edge columns the class docstring
+        describes.  The parts must pass every check the constructor makes:
+        distinct, non-empty vertex ids without whitespace, and distinct
+        non-loop edges with ``Fraction`` weights above zero between
+        positions of ``vertices``.  The columns of a validated graph's edges
+        between kept vertices, renumbered, qualify, and so does the
+        edge-list parser's output, which makes those checks itself to report
+        them with line numbers.  That parser is the only caller that hands
+        over ``adj`` and ``index``, which must be what this would build; they
+        are kept, not copied, and so are the columns.
         """
         g = cls.__new__(cls)
         g._vertices = vertices
@@ -123,11 +143,10 @@ class WeightedGraph:
             index = dict(zip(vertices, range(len(vertices))))
         if adj is None:
             adj = [{} for _ in vertices]
-            for pos, (u, v, _) in enumerate(edges):
-                i, j = index[u], index[v]
+            for pos, i, j in zip(range(len(w)), u, v):
                 adj[i][j] = adj[j][i] = pos
         g._index = index
-        g._edges = edges
+        g._u, g._v, g._w = u, v, w
         g._adj = adj
         return g
 
@@ -137,7 +156,15 @@ class WeightedGraph:
 
     @property
     def edges(self) -> tuple[Edge, ...]:
-        return self._edges
+        """The edges as ``(u, v, weight)`` in edge order, each in the
+        orientation it was given; built from the columns on each read, in
+        O(m)."""
+        return tuple(self._edge_rows())
+
+    def _edge_rows(self) -> Iterator[Edge]:
+        """The rows of ``edges``, made one at a time for a single pass."""
+        vs = self._vertices
+        return ((vs[i], vs[j], w) for i, j, w in zip(self._u, self._v, self._w))
 
     @property
     def n(self) -> int:
@@ -145,7 +172,7 @@ class WeightedGraph:
 
     @property
     def m(self) -> int:
-        return len(self._edges)
+        return len(self._w)
 
     def has_vertex(self, v: str) -> bool:
         return isinstance(v, str) and v in self._index
@@ -161,8 +188,8 @@ class WeightedGraph:
 
     def neighbors(self, v: str) -> tuple[tuple[str, Fraction], ...]:
         """Neighbors of v with weights, in edge-insertion order."""
-        vs, edges = self._vertices, self._edges
-        return tuple([(vs[j], edges[pos][2]) for j, pos in self._adj[self.vertex_index(v)].items()])
+        vs, ws = self._vertices, self._w
+        return tuple([(vs[j], ws[pos]) for j, pos in self._adj[self.vertex_index(v)].items()])
 
     def has_edge(self, u: str, v: str) -> bool:
         if not (isinstance(u, str) and isinstance(v, str)):
@@ -173,7 +200,7 @@ class WeightedGraph:
     def weight(self, u: str, v: str) -> Fraction:
         if not self.has_edge(u, v):
             raise GraphError(f"no edge {echo(u)}-{echo(v)}")
-        return self._edges[self._adj[self._index[u]][self._index[v]]][2]
+        return self._w[self._adj[self._index[u]][self._index[v]]]
 
     def induced(self, keep: Iterable[str]) -> "WeightedGraph":
         """Induced weighted subgraph on ``keep``.
@@ -184,7 +211,7 @@ class WeightedGraph:
         Keeping every vertex returns ``self``; graphs are immutable, so the
         two are interchangeable.
         """
-        keep = tuple(keep)
+        keep = tuple(_ids(keep))
         index = self._index
         kept = {index.get(v, -1) if isinstance(v, str) else -1 for v in keep}
         if -1 in kept:
@@ -198,24 +225,28 @@ class WeightedGraph:
         """``induced`` on the vertices at the ascending positions ``kept``."""
         if len(kept) == len(self._vertices):
             return self
-        adj, vs, edges = self._adj, self._vertices, self._edges
+        adj = self._adj
         inside = set(kept)
         positions = sorted({pos for i in kept for j, pos in adj[i].items() if j in inside})
-        return WeightedGraph._trusted(
-            tuple([vs[i] for i in kept]), tuple([edges[pos] for pos in positions])
-        )
+        return _subgraph(self._vertices, self._u, self._v, self._w, kept, positions)
 
     def without(self, drop: Iterable[str]) -> "WeightedGraph":
         """Induced subgraph on the vertices not in ``drop``, in O(n + m).
 
         Ids in ``drop`` that are not vertices are ignored.
         """
-        gone = {v for v in drop if isinstance(v, str) and v in self._index}
+        index = self._index
+        gone = {index[v] for v in _ids(drop) if isinstance(v, str) and v in index}
         if not gone:
             return self
-        return WeightedGraph._trusted(
-            tuple([v for v in self._vertices if v not in gone]),
-            tuple([e for e in self._edges if e[0] not in gone and e[1] not in gone]),
+        vs, us, vs_ = self._vertices, self._u, self._v
+        return _subgraph(
+            vs,
+            us,
+            vs_,
+            self._w,
+            [i for i in range(len(vs)) if i not in gone],
+            [pos for pos, i, j in zip(range(len(us)), us, vs_) if i not in gone and j not in gone],
         )
 
     def union(self, other: "WeightedGraph") -> "WeightedGraph":
@@ -223,19 +254,24 @@ class WeightedGraph:
         overlap = set(self._vertices) & set(other._vertices)
         if overlap:
             raise GraphError(f"union of non-disjoint graphs (shared: {echo(sorted(overlap))})")
-        return WeightedGraph(self._vertices + other._vertices, self._edges + other._edges)
+        # Two valid graphs on disjoint vertex sets make a valid one.
+        n = len(self._vertices)
+        return WeightedGraph._trusted(
+            self._vertices + other._vertices,
+            self._u + [i + n for i in other._u],
+            self._v + [j + n for j in other._v],
+            self._w + other._w,
+        )
 
     def relabel(self, fn: Callable[[str], str]) -> "WeightedGraph":
+        names = tuple(fn(v) for v in self._vertices)
         return WeightedGraph(
-            tuple(fn(v) for v in self._vertices),
-            tuple((fn(u), fn(v), w) for u, v, w in self._edges),
+            names, ((names[i], names[j], w) for i, j, w in zip(self._u, self._v, self._w))
         )
 
     def _edge_keys(self) -> frozenset:
-        return frozenset(
-            (min(u, v, key=self._index.__getitem__), max(u, v, key=self._index.__getitem__), w)
-            for u, v, w in self._edges
-        )
+        us, vs_ = self._u, self._v
+        return frozenset(zip(map(min, us, vs_), map(max, us, vs_), self._w))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, WeightedGraph):
@@ -249,14 +285,34 @@ class WeightedGraph:
         return f"WeightedGraph(n={self.n}, m={self.m})"
 
 
+def _subgraph(vertices, us, vs_, ws, kept: list[int], positions: list[int]) -> WeightedGraph:
+    """The graph on ``vertices`` at the ascending positions ``kept`` and the
+    edges of the columns ``us``, ``vs_``, ``ws`` at the ascending positions
+    ``positions``, which must be valid edges between kept vertices; their
+    endpoints are renumbered to positions in ``kept``."""
+    new = dict(zip(kept, range(len(kept))))
+    return WeightedGraph._trusted(
+        tuple([vertices[i] for i in kept]),
+        [new[us[pos]] for pos in positions],
+        [new[vs_[pos]] for pos in positions],
+        [ws[pos] for pos in positions],
+    )
+
+
 def _parse_edgelist(text: str) -> WeightedGraph:
-    # Vertex id -> position, in first-appearance order, and position ->
-    # {neighbour position: edge position}; the graph keeps both.
+    """The graph of an edge list, built as the graph keeps it: vertex id ->
+    position, in first-appearance order; position -> {neighbour position:
+    edge position}; and the edge columns, to which each edge line appends
+    its endpoints' positions and its weight.  The graph keeps all of them,
+    so a parse makes no object per edge but the weights, and a weight text
+    met again reuses its first ``Fraction``."""
     index: dict[str, int] = {}
     adj: list[dict[int, int]] = []
     new_vertex = adj.append
-    edges: list[Edge] = []
-    add_edge = edges.append
+    us: list[int] = []
+    vs_: list[int] = []
+    ws: list[Fraction] = []
+    add_u, add_v, add_w = us.append, vs_.append, ws.append
     # Each distinct weight text is parsed and checked once, at its first line.
     weights: dict[str, Fraction] = {}
     lines = text.splitlines()
@@ -299,9 +355,11 @@ def _parse_edgelist(text: str) -> WeightedGraph:
         if j is None:
             j = index[v] = len(adj)
             new_vertex({})
-        adj[i][j] = adj[j][i] = len(edges)
-        add_edge((u, v, w))
-    return WeightedGraph._trusted(tuple(index), tuple(edges), adj, index)
+        adj[i][j] = adj[j][i] = len(ws)
+        add_u(i)
+        add_v(j)
+        add_w(w)
+    return WeightedGraph._trusted(tuple(index), us, vs_, ws, adj, index)
 
 
 def _parse_json(text: str) -> WeightedGraph:
@@ -388,22 +446,22 @@ def serialize_graph(g: WeightedGraph, fmt: str = "edgelist") -> str:
         if g.n:
             # The header pins the full vertex order, not just isolated vertices.
             lines.append("vertices: " + " ".join(g.vertices))
-        lines.extend(f"{u} {v} {w}" for u, v, w in g.edges)
+        lines.extend(f"{u} {v} {w}" for u, v, w in g._edge_rows())
         return "\n".join(lines) + ("\n" if lines else "")
     obj = {
         "vertices": list(g.vertices),
-        "edges": [[u, v, str(w)] for u, v, w in g.edges],
+        "edges": [[u, v, str(w)] for u, v, w in g._edge_rows()],
     }
     return json.dumps(obj, indent=2) + "\n"
 
 
 def adjacency_matrix(g: WeightedGraph) -> SymRationalMatrix:
     """Weighted adjacency matrix; row i corresponds to ``g.vertices[i]``."""
-    n, edges = g.n, g.edges
+    n, ws = g.n, g._w
     rows = [[Fraction(0)] * n for _ in range(n)]
     for row, nbrs in zip(rows, g._adj):
         for j, pos in nbrs.items():
-            row[j] = edges[pos][2]
+            row[j] = ws[pos]
     return SymRationalMatrix(tuple(tuple(r) for r in rows))
 
 

@@ -38,17 +38,22 @@ def inertia_oracle(g: WeightedGraph) -> Inertia:
     ties go to bucket-insertion order, which starts as vertex order, so the
     elimination is deterministic.
     """
-    adj: dict[str, dict[str, Fraction]] = {v: {} for v in g.vertices}
-    for u, v, w in g.edges:
-        adj[u][v] = adj[v][u] = w
+    # Rows are reached by vertex position, as the edge columns give them: an
+    # edge reads its two ids off ``vs`` and looks up no row by id.
+    vs = g.vertices
+    rows: list[dict[str, Fraction]] = [{} for _ in vs]
+    adj = dict(zip(vs, rows))
+    for i, j, w in zip(g._u, g._v, g._w):
+        rows[i][vs[j]] = w
+        rows[j][vs[i]] = w
     diag: dict[str, Fraction] = {}  # the nonzero diagonal entries
-    degree = {v: len(row) for v, row in adj.items()}
+    degree = dict(zip(vs, map(len, rows)))
     # OrderedDict pops its oldest key in O(1); a plain dict would rescan the
     # slots of every key already popped.  A degree's bucket is made the first
     # time a vertex moves into it.
     buckets: defaultdict[int, OrderedDict[str, None]] = defaultdict(OrderedDict)
-    for v in g.vertices:
-        buckets[degree[v]][v] = None
+    for v, d in degree.items():
+        buckets[d][v] = None
     pos = neg = zero = low = 0
     while adj:
         while not buckets.get(low):

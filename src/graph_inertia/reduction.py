@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .closed_forms import alternating_product
 from .core import GraphError, echo
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _subgraph
 
 __all__ = [
     "ReductionRule",
@@ -111,10 +111,14 @@ def contract_degree2_path(
             raise GraphError(f"interior vertex {echo(x)} has degree {g.degree(x)}, expected 2")
     if g.has_edge(path[0], path[5]):
         raise GraphError("contraction refused: the new edge would parallel an existing one")
-    added = ((path[0], path[5], alternating_product(ws)),)
+    w = alternating_product(ws)
+    added = ((path[0], path[5], w),)
     rest = g.without(path[1:5])
     step = ReductionStep(ReductionRule.PATH_CONTRACT, removed=path[1:5], added=added, offset=(2, 2))
-    return WeightedGraph._trusted(rest.vertices, rest.edges + added), step
+    index = rest._index
+    return WeightedGraph._trusted(
+        rest.vertices, rest._u + [index[path[0]]], rest._v + [index[path[5]]], rest._w + [w]
+    ), step
 
 
 def _run_from(adj: list[dict[int, int] | None], x1: int) -> list[int] | None:
@@ -154,7 +158,9 @@ def reduce_to_core(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
     vs = g.vertices
     # A copy of the adjacency by vertex position; None marks a deleted vertex.
     adj: list[dict[int, int] | None] = [nbrs.copy() for nbrs in g._adj]
-    edges: list[tuple[str, str, Fraction] | None] = list(g.edges)  # None: deleted
+    # Copies of the edge columns; a weight of None marks a deleted edge.
+    us, vs_ = list(g._u), list(g._v)
+    ws: list[Fraction | None] = list(g._w)
     steps: list[ReductionStep] = []
     heappop, heappush = heapq.heappop, heapq.heappush
     pendant_pair = ReductionRule.PENDANT_PAIR
@@ -170,14 +176,14 @@ def reduce_to_core(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
             continue
         adj[v] = None
         ((u, pos),) = nbrs.items()
-        edges[pos] = None
+        ws[pos] = None
         u_nbrs = adj[u]
         adj[u] = None
         del u_nbrs[v]
         for nb, pos in u_nbrs.items():
             nbrs = adj[nb]
             del nbrs[u]
-            edges[pos] = None
+            ws[pos] = None
             if len(nbrs) == 1:
                 heappush(pendants, nb)
         steps.append(ReductionStep(pendant_pair, (vs[v], vs[u]), (), (1, 1)))
@@ -204,23 +210,31 @@ def reduce_to_core(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
         run = _run_from(adj, x1)
         if run is None:
             continue
-        ws = []
+        run_ws = []
         for a, b in zip(run, run[1:]):
             pos = adj[a][b]
-            ws.append(edges[pos][2])
-            edges[pos] = None
+            run_ws.append(ws[pos])
+            ws[pos] = None
         x0, x5 = run[0], run[5]
         del adj[x0][run[1]], adj[x5][run[4]]
         for x in run[1:5]:
             adj[x] = None
-        added = (vs[x0], vs[x5], alternating_product(ws))
-        adj[x0][x5] = adj[x5][x0] = len(edges)
-        edges.append(added)
+        w = alternating_product(run_ws)
+        adj[x0][x5] = adj[x5][x0] = len(ws)
+        us.append(x0)
+        vs_.append(x5)
+        ws.append(w)
+        added = (vs[x0], vs[x5], w)
         removed = tuple([vs[x] for x in run[1:5]])
         steps.append(ReductionStep(ReductionRule.PATH_CONTRACT, removed, (added,), (2, 2)))
 
-    reduced = WeightedGraph._trusted(
-        tuple([v for v, nbrs in zip(vs, adj) if nbrs is not None]),
-        tuple([e for e in edges if e is not None]),
+    # A surviving edge joins surviving vertices.
+    reduced = _subgraph(
+        vs,
+        us,
+        vs_,
+        ws,
+        [i for i, nbrs in enumerate(adj) if nbrs is not None],
+        [pos for pos, w in enumerate(ws) if w is not None],
     )
     return reduced, ReductionTrace(tuple(steps))

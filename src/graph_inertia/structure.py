@@ -195,7 +195,7 @@ def _walk_threads(g: WeightedGraph, live, hubs) -> list[tuple]:
     neighbour order.  Only a chain's last edge can be met again from a hub,
     so it alone is marked, by edge position.  The cost is the total degree
     in ``g`` of the vertices walked."""
-    adj, edges, vs = g._adj, g.edges, g.vertices
+    adj, ws, vs = g._adj, g._w, g.vertices
     used: set[int] = set()
     threads = []
     for h in hubs:
@@ -203,7 +203,7 @@ def _walk_threads(g: WeightedGraph, live, hubs) -> list[tuple]:
             if i in used or live[nb] < 0:
                 continue
             inner: list[int] = []
-            weights = [edges[i][2]]
+            weights = [ws[i]]
             prev, cur = h, nb
             while cur not in hubs:
                 inner.append(cur)
@@ -212,7 +212,7 @@ def _walk_threads(g: WeightedGraph, live, hubs) -> list[tuple]:
                     if nxt != prev and live[nxt] >= 0:
                         break
                 prev, cur = cur, nxt
-                weights.append(edges[i][2])
+                weights.append(ws[i])
             used.add(i)
             threads.append((vs[h], vs[cur], tuple(map(vs.__getitem__, inner)), tuple(weights)))
     return threads

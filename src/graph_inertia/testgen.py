@@ -18,7 +18,7 @@ from .closed_forms import (
     infinity_condition,
 )
 from .core import GraphError
-from .graph import WeightedGraph
+from .graph import WeightedGraph, _subgraph
 from .structure import BaseDescriptor, BaseKind
 
 __all__ = [
@@ -264,16 +264,18 @@ class GenSpec:
     regime: str = "random"
 
 
-def _attach(rng, vertices, edges, names, unit) -> WeightedGraph:
+def _attach(rng, g: WeightedGraph, names, unit) -> WeightedGraph:
     """Attach each of ``names`` in turn to a uniformly chosen earlier vertex
-    by an edge of random weight, or of weight 1 when ``unit``.  The names
-    are new and the weights positive, so the graph is built unchecked."""
-    vertices, edges = list(vertices), list(edges)
+    of ``g`` or of ``names`` by an edge of random weight, or of weight 1 when
+    ``unit``.  The names are new and the weights positive, so the graph is
+    built unchecked."""
+    vertices, us, vs, ws = list(g.vertices), list(g._u), list(g._v), list(g._w)
     for name in names:
-        anchor = vertices[rng.randrange(len(vertices))]
-        edges.append((anchor, name, Fraction(1) if unit else random_weight(rng)))
+        us.append(rng.randrange(len(vertices)))
+        vs.append(len(vertices))
+        ws.append(Fraction(1) if unit else random_weight(rng))
         vertices.append(name)
-    return WeightedGraph._trusted(tuple(vertices), tuple(edges))
+    return WeightedGraph._trusted(tuple(vertices), us, vs, ws)
 
 
 _REGIMES = ("random", "unit", "force")
@@ -296,12 +298,11 @@ def generate(spec: GenSpec) -> WeightedGraph:
     if spec.target in ("tree", "forest"):
         if n < 1:
             raise GraphError(f"a {spec.target} needs at least one vertex")
-        tree = _attach(rng, ["0"], (), map(str, range(1, n)), unit)
+        tree = _attach(rng, WeightedGraph(["0"]), map(str, range(1, n)), unit)
         if spec.target == "tree":
             return tree
-        return WeightedGraph._trusted(
-            tree.vertices, tuple(e for e in tree.edges if rng.random() >= 0.25)
-        )
+        kept = [pos for pos in range(tree.m) if rng.random() >= 0.25]
+        return _subgraph(tree.vertices, tree._u, tree._v, tree._w, list(range(n)), kept)
 
     if spec.target == "unicyclic":
         if n < 3:
@@ -334,4 +335,4 @@ def generate(spec: GenSpec) -> WeightedGraph:
     else:
         raise GraphError(f"unknown generation target {spec.target!r}")
     # The hung vertices are t0, t1, ...; no base graph uses those names.
-    return _attach(rng, base.vertices, base.edges, [f"t{i}" for i in range(n - base.n)], unit)
+    return _attach(rng, base, [f"t{i}" for i in range(n - base.n)], unit)

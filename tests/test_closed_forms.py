@@ -348,6 +348,42 @@ def test_closed_forms_refuse_inexact_or_non_positive_weights(call):
         call()
 
 
+_ONES = (Fraction(1),) * 3
+
+
+@pytest.mark.parametrize("c, match", [
+    # Row (3,2,3) needs c1.
+    pytest.param((), re.escape("weight sequence lengths must be (p, q, l-1)"), id="missing-c"),
+    pytest.param((1, 1), re.escape("weight sequence lengths must be (p, q, l-1)"), id="extra-c"),
+    pytest.param((Fraction(-1),), "must be an int or a Fraction above zero", id="negative-c"),
+    pytest.param((0.5,), "must be an int or a Fraction above zero", id="float-c"),
+])
+def test_infinity_condition_checks_its_shape_and_weights(c, match):
+    with pytest.raises(GraphError, match=match):
+        infinity_condition(3, 2, 3, _ONES, _ONES, c)
+
+
+def test_infinity_condition_still_decides_valid_rows():
+    assert infinity_condition(3, 2, 3, _ONES, _ONES, (Fraction(2),)) == CaseCondition(4, 4)
+    assert infinity_condition(3, 1, 3, _ONES, _ONES, ()) is None
+
+
+@pytest.mark.parametrize("call, shape", [
+    pytest.param(lambda: theta_inertia(2.0, 3, 3, _ONES[:1], _ONES[1:], _ONES[1:]), "theta(2.0,3,3)"),
+    pytest.param(lambda: theta_inertia(2, True, 3, _ONES[:1], (), _ONES[:2]), "theta(2,True,3)"),
+    pytest.param(lambda: infinity_inertia(3, 2.0, 3, _ONES, _ONES, _ONES[:1]), "infinity(3,2.0,3)"),
+    pytest.param(lambda: reduce_infinity_shape(3, True, 3, _ONES, _ONES, ()), "infinity(3,True,3)"),
+    pytest.param(
+        lambda: infinity_condition(Fraction(3), 2, 3, _ONES, _ONES, _ONES[:1]),
+        "infinity(Fraction(3, 1),2,3)",
+    ),
+], ids=["theta-float", "theta-bool", "inf-float", "inf-bool", "condition-fraction"])
+def test_closed_forms_refuse_non_int_shapes(call, shape):
+    message = f"{shape} is not a valid shape: sizes must be ints"
+    with pytest.raises(GraphError, match=re.escape(message)):
+        call()
+
+
 def test_closed_forms_take_ints_and_fractions():
     assert cycle_inertia([1, Fraction(2), 3]) == Inertia(1, 2, 0)
     assert infinity_inertia(3, 1, 3, [1, 2, 3], [1, Fraction(1, 2), 3], []) == Inertia(2, 3, 0)

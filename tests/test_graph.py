@@ -1,3 +1,4 @@
+import gc
 import json
 import random
 from fractions import Fraction
@@ -570,7 +571,12 @@ def _built_every_way(vertices, edges) -> list[WeightedGraph]:
     doc = json.dumps({"vertices": list(vertices), "edges": [[u, v, str(w)] for u, v, w in edges]})
     return [
         WeightedGraph(vertices, edges),
-        WeightedGraph._trusted(tuple(vertices), tuple(edges)),
+        WeightedGraph._trusted(
+            tuple(vertices),
+            [vertices.index(u) for u, _, _ in edges],
+            [vertices.index(v) for _, v, _ in edges],
+            [w for _, _, w in edges],
+        ),
         parse_graph(text),
         parse_graph(doc, "json"),
     ]
@@ -631,6 +637,38 @@ def test_every_builder_gives_the_same_public_view(cls, regime):
 def test_every_builder_gives_the_same_public_view_on_any_edge_list(case):
     g, keep, inner = case
     _assert_builders_agree(g.vertices, g.edges, [keep, inner])
+
+
+def test_induced_and_without_refuse_a_bare_string():
+    # A string would be read as its characters: "ab" as the ids a and b.
+    g = WeightedGraph(["a", "b", "ab"], [("a", "b", 1), ("b", "ab", 2)])
+    for call in (g.induced, g.without):
+        with pytest.raises(GraphError, match="not the string 'ab'"):
+            call("ab")
+    assert g.without(["ab"]).vertices == ("a", "b")
+    assert g.induced(("ab",)).vertices == ("ab",)
+
+
+def test_a_parse_leaves_no_tracked_object_per_edge():
+    # The edges are columns of ints and of weights shared per weight text,
+    # and each adjacency dict holds only ints, so the collector has a
+    # bounded number of new objects to trace however long the list is.
+    rng = random.Random(7)
+    weights = ("1", "2", "3/2", "5/7")
+    text = "".join(f"{rng.randrange(i)} {i} {rng.choice(weights)}\n" for i in range(1, 10001))
+    gc.collect()
+    before = len(gc.get_objects())
+    g = parse_graph(text)
+    grown = len(gc.get_objects()) - before
+    assert g.m == 10000
+    assert grown < 1000, grown
+
+
+def test_edges_is_built_from_the_columns_on_each_read():
+    g = parse_graph("b a 2\nc b 1/3\na c 5")
+    assert g.edges == (("b", "a", 2), ("c", "b", Fraction(1, 3)), ("a", "c", 5))
+    assert g.edges is not g.edges and g.edges == g.edges
+    assert not hasattr(g, "_edges")
 
 
 def test_induced_on_every_vertex_is_the_graph_itself():

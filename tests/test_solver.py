@@ -24,7 +24,7 @@ from graph_inertia import (
     two_core,
 )
 from graph_inertia.closed_forms import reduce_infinity_shape, reduce_theta_shape
-from graph_inertia.reduction import ReductionRule, ReductionStep
+from graph_inertia.reduction import ReductionRule, ReductionStep, reduce_to_core
 from graph_inertia.solver import Method
 from graph_inertia.testgen import (
     GenSpec,
@@ -39,7 +39,7 @@ from graph_inertia.testgen import (
 )
 
 from reference import is_mismatched
-from test_acceptance import _hang_two_vertex_paths
+from test_acceptance import _hang_two_vertex_paths, _long_type_ii_bases
 from test_cli import _pinned_inputs
 
 
@@ -215,14 +215,12 @@ def test_dense_component_cuts_its_roots_before_it_splits(monkeypatch):
     assert len(cuts) > n // 2
 
 
-def test_dense_component_splits_once_however_deeply_its_roots_nest():
-    # A chain of 1000 hubs, each with two K4 blocks joined to it by one
-    # edge each; hub i + 1 hangs off hub i by two two-edge paths, and hub 0
-    # has a leaf.  Only hub 0 is matched at first, and each cut peels the
-    # two paths into the next hub, which matches it: all 1000 hubs are cut
-    # in one batch and the component splits once, into the 2000 K4s.
+def _hub_chain(levels: int) -> WeightedGraph:
+    """A chain of ``levels`` hubs, each with two K4 blocks joined to it by
+    one edge each; hub i + 1 hangs off hub i by two two-edge paths, and hub
+    0 has a leaf.  Only hub 0 is matched at first, and each cut peels the
+    two paths into the next hub, which matches it."""
     rng = random.Random(22)
-    levels = 1000
     vertices, edges = ["leaf"], [("h0", "leaf", random_weight(rng))]
     for i in range(levels):
         hub = f"h{i}"
@@ -235,7 +233,14 @@ def test_dense_component_splits_once_however_deeply_its_roots_nest():
             for u in (f"{hub}u", f"{hub}w"):
                 vertices.append(u)
                 edges += [(hub, u, random_weight(rng)), (u, f"h{i + 1}", random_weight(rng))]
-    g = WeightedGraph(vertices, edges)
+    return WeightedGraph(vertices, edges)
+
+
+def test_dense_component_splits_once_however_deeply_its_roots_nest():
+    # All 1000 hubs are cut in one batch and the component splits once,
+    # into the 2000 K4s.
+    levels = 1000
+    g = _hub_chain(levels)
     assert g.n == 10999
     start = time.perf_counter()
     res = solve(g)
@@ -493,6 +498,26 @@ def test_solve_builds_no_graph_but_for_the_oracle(monkeypatch):
         else:
             assert Method.ORACLE_FALLBACK not in res.methods, name
             assert built == [], name
+
+
+def test_solve_the_oracle_and_the_rewrites_never_read_edges(monkeypatch):
+    # ``edges`` builds a tuple per edge on every read; the package reads the
+    # edge columns instead.
+    rng = random.Random(24)
+    graphs = [_hub_chain(100), *_long_type_ii_bases(rng).values()]
+    graphs += [
+        generate(GenSpec(cls, n, seed, regime=regime))
+        for cls in ("tree", "forest", "unicyclic", "bicyclic")
+        for regime in ("random", "unit", "force")
+        for seed, n in enumerate((7, 60, 400))
+    ]
+    reads = []
+    real = WeightedGraph.edges.fget
+    monkeypatch.setattr(WeightedGraph, "edges", property(lambda g: reads.append(g.n) or real(g)))
+    for g in graphs:
+        assert solve(g).inertia == inertia_oracle(g)
+        reduce_to_core(g)
+    assert reads == []
 
 
 def _bicyclic_cut_to_unicyclic_type_ii() -> WeightedGraph:
