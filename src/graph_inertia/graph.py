@@ -62,18 +62,25 @@ class WeightedGraph:
     immutable and safe to share between threads.
 
     Inside, a vertex is its position in that order and an edge its position
-    in edge order.  The edges are three columns indexed by edge position:
-    ``_u[e]`` and ``_v[e]`` are the positions of edge e's endpoints, in the
-    orientation it was given, and ``_w[e]`` is its ``Fraction`` weight.
-    ``_index`` maps an id to its position, and ``_adj[i]`` maps the position
-    of each neighbour of vertex i to the position of their edge, in edge
-    order, which is the order ``neighbors`` reports.  So the graph keeps no
-    tuple per edge: the weights are the only per-edge objects the cyclic
-    collector tracks, and ``edges`` is built from the columns on each read.
-    The package reads these parts directly and must not mutate them.
+    in edge order.  A graph keeps its ids, and its edges as three columns
+    indexed by edge position: ``_u[e]`` and ``_v[e]`` are the positions of
+    edge e's endpoints, in the orientation it was given, and ``_w[e]`` is
+    its ``Fraction`` weight.  So the graph keeps no tuple per edge: the
+    weights are the only per-edge objects the cyclic collector tracks, and
+    ``edges`` is built from the columns on each read.
+
+    Two structures are derived from the columns, each built on its first
+    read and then kept: ``_index`` maps an id to its position, and
+    ``_adj[i]`` maps the position of each neighbour of vertex i to the
+    position of their edge, in edge order, which is the order ``neighbors``
+    reports.  A graph that is only written out, compared or read edge by
+    edge never builds them.  Two threads may both build one on a first
+    read; each builds an equal structure that is never mutated, and either
+    may be kept, so sharing stays safe.  The package reads these parts
+    directly and must not mutate them.
     """
 
-    __slots__ = ("_vertices", "_index", "_u", "_v", "_w", "_adj")
+    __slots__ = ("_vertices", "_u", "_v", "_w", "_index_or_none", "_adj_or_none")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple] = ()) -> None:
         vs = tuple(vertices)
@@ -110,9 +117,8 @@ class WeightedGraph:
             vs_.append(j)
             ws.append(w)
         self._vertices = vs
-        self._index = index
         self._u, self._v, self._w = us, vs_, ws
-        self._adj = adj
+        self._index_or_none, self._adj_or_none = index, adj
 
     @classmethod
     def _trusted(
@@ -133,22 +139,37 @@ class WeightedGraph:
         positions of ``vertices``.  The columns of a validated graph's edges
         between kept vertices, renumbered, qualify, and so does the
         edge-list parser's output, which makes those checks itself to report
-        them with line numbers.  That parser is the only caller that hands
-        over ``adj`` and ``index``, which must be what this would build; they
-        are kept, not copied, and so are the columns.
+        them with line numbers.  That parser builds ``adj`` and ``index`` for
+        its checks and hands them over, as the validating constructor keeps
+        its own; they must be what the first reads would build.  Every other
+        graph built here builds them on its first read.  Nothing is copied.
         """
         g = cls.__new__(cls)
         g._vertices = vertices
-        if index is None:
-            index = dict(zip(vertices, range(len(vertices))))
-        if adj is None:
-            adj = [{} for _ in vertices]
-            for pos, i, j in zip(range(len(w)), u, v):
-                adj[i][j] = adj[j][i] = pos
-        g._index = index
         g._u, g._v, g._w = u, v, w
-        g._adj = adj
+        g._index_or_none, g._adj_or_none = index, adj
         return g
+
+    @property
+    def _index(self) -> dict[str, int]:
+        """Id -> position, built on the first read."""
+        index = self._index_or_none
+        if index is None:
+            vs = self._vertices
+            index = self._index_or_none = dict(zip(vs, range(len(vs))))
+        return index
+
+    @property
+    def _adj(self) -> list[dict[int, int]]:
+        """Position -> {neighbour position: edge position}, in edge order,
+        built on the first read."""
+        adj = self._adj_or_none
+        if adj is None:
+            adj = [{} for _ in self._vertices]
+            for pos, i, j in zip(range(len(self._w)), self._u, self._v):
+                adj[i][j] = adj[j][i] = pos
+            self._adj_or_none = adj
+        return adj
 
     @property
     def vertices(self) -> tuple[str, ...]:

@@ -110,7 +110,10 @@ def solve(g: WeightedGraph) -> SolveResult:
         ends = tops[peeled:]
         comps = _component_vertices(g, core, within=live) + [[] for _ in ends]
         if len(comps) < 2:
-            return comps
+            # At most one piece, whose live vertices are ``core`` itself:
+            # kept in the caller's order, ascending on the first split, so
+            # the sort before a type-II cut meets a single run.
+            return [core] if comps else comps
         steps.append(ReductionStep(ReductionRule.COMPONENT_SPLIT))
         if scan is None:
             (whole,) = _component_vertices(g, (core or ends)[:1])

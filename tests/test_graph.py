@@ -1,6 +1,11 @@
+import copy
 import gc
 import json
+import pickle
 import random
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -14,7 +19,10 @@ from graph_inertia import (
     adjacency_matrix,
     classify,
     parse_graph,
+    reduce_to_core,
     serialize_graph,
+    solve,
+    two_core,
 )
 from graph_inertia.core import parse_rational
 from graph_inertia.graph import GraphClass, connected_components
@@ -677,3 +685,138 @@ def test_induced_on_every_vertex_is_the_graph_itself():
     assert g.without(["not-a-vertex"]) is g
     with pytest.raises(GraphError, match="unknown vertices"):
         g.induced(["not-a-vertex"])
+
+
+def _built_maps(g: WeightedGraph) -> tuple:
+    """What the graph's two derived slots hold, as items in order; None for
+    a slot not yet built."""
+    index, adj = g._index_or_none, g._adj_or_none
+    return (
+        None if index is None else list(index.items()),
+        None if adj is None else [list(nbrs.items()) for nbrs in adj],
+    )
+
+
+def _constructor_maps(g: WeightedGraph) -> tuple:
+    """``_built_maps`` of the same graph from the validating constructor."""
+    return _built_maps(WeightedGraph(g.vertices, g.edges))
+
+
+def _bare_graphs() -> dict:
+    """A graph from each builder that leaves the derived maps unbuilt."""
+    g = generate(GenSpec("bicyclic", 40, 11))
+    other = WeightedGraph(["x", "y"], [("x", "y", 2)])
+    return {
+        "generate": generate(GenSpec("bicyclic", 40, 11)),
+        "without": g.without(g.vertices[:3]),
+        "induced": g.induced(g.vertices[5:]),
+        "union": generate(GenSpec("unicyclic", 12, 2)).union(other),
+        "two_core": two_core(g),
+        "reduce_to_core": reduce_to_core(g)[0],
+        "contract_degree2_path": contract_degree2_path(
+            build_cycle([1, 2, 3, 4, 5, 6, 7]), ["v0", "v1", "v2", "v3", "v4", "v5"]
+        )[0],
+    }
+
+
+@pytest.mark.parametrize("builder", sorted(_bare_graphs()))
+@pytest.mark.parametrize("read", ["neighbors", "has_vertex", "solve"])
+def test_derived_maps_are_built_on_first_read(builder, read):
+    g = _bare_graphs()[builder]
+    assert _built_maps(g) == (None, None)
+    v = g.vertices[-1]
+    if read == "neighbors":
+        assert g.neighbors(v) == WeightedGraph(g.vertices, g.edges).neighbors(v)
+    elif read == "has_vertex":
+        assert g.has_vertex(v) and not g.has_vertex("not-a-vertex")
+    else:
+        assert solve(g) == solve(WeightedGraph(g.vertices, g.edges))
+    index, adj = _built_maps(g)
+    want_index, want_adj = _constructor_maps(g)
+    # Each read builds only what it reads, and builds it as the
+    # constructor does, in the same order.
+    assert index == (None if read == "solve" else want_index)
+    assert adj == (None if read == "has_vertex" else want_adj)
+
+
+def test_parsers_and_the_constructor_hand_over_their_maps():
+    g = generate(GenSpec("unicyclic", 30, 5))
+    for built in (
+        parse_graph(serialize_graph(g)),
+        parse_graph(serialize_graph(g, "json"), "json"),
+        WeightedGraph(g.vertices, g.edges),
+    ):
+        index, adj = built._index_or_none, built._adj_or_none
+        assert _built_maps(built) == _constructor_maps(g)
+        # A solve reads the maps the parse built; it builds none again.
+        solve(built)
+        assert built._index_or_none is index and built._adj_or_none is adj
+
+
+def test_a_generated_graph_and_its_text_hold_no_neighbour_maps():
+    # The columns and the text hold about 2.1 MiB; with the id index and
+    # the neighbour maps built as well, the same graph holds 5.1 MiB.
+    tracemalloc.start()
+    try:
+        g = generate(GenSpec("unicyclic", 10**4, 1))
+        text = serialize_graph(g)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert text.count("\n") == g.m + 1
+    assert held < 3.5 * 2**20, held / 2**20
+
+
+@pytest.mark.parametrize("built", [False, True])
+def test_graphs_survive_pickle_and_copy(built):
+    g = generate(GenSpec("bicyclic", 30, 9))
+    if built:
+        g.neighbors(g.vertices[0])
+    want = _built_maps(g)
+    for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g)):
+        assert twin == g and hash(twin) == hash(g)
+        assert _built_maps(twin) == want
+        assert [twin.neighbors(v) for v in twin.vertices] == [g.neighbors(v) for v in g.vertices]
+
+
+def test_threads_share_a_graph_whose_maps_are_unbuilt():
+    spec = GenSpec("bicyclic", 2000, 3)
+    alone = generate(spec)
+    want = (solve(alone), [alone.neighbors(v) for v in alone.vertices])
+    # Each round gives the threads one fresh graph, whose slots are empty.
+    graphs = [generate(spec) for _ in range(10)]
+    assert all(_built_maps(g) == (None, None) for g in graphs)
+    start = threading.Barrier(8, timeout=60)
+    got = [[] for _ in range(8)]
+
+    def run(k):
+        try:
+            for g in graphs:
+                start.wait()
+                # Half the threads read the neighbour maps through solve
+                # first, half the id index through neighbors first.
+                if k % 2:
+                    result = solve(g)
+                    nbrs = [g.neighbors(v) for v in g.vertices]
+                else:
+                    nbrs = [g.neighbors(v) for v in g.vertices]
+                    result = solve(g)
+                got[k].append((result, nbrs))
+        except BaseException:
+            start.abort()  # the other threads stop at the next round
+            raise
+
+    threads = [threading.Thread(target=run, args=(k,), daemon=True) for k in range(8)]
+    # A switch every 0.1 ms falls inside a 2000-vertex build, so the other
+    # threads read a slot while one of them is filling it.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-4)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[want] * len(graphs)] * 8
