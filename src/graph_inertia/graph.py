@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -32,6 +33,12 @@ def _ids(ids: Iterable[str]) -> Iterable[str]:
     if isinstance(ids, str):
         raise GraphError(f"vertex ids must be a collection of ids, not the string {echo(ids)}")
     return ids
+
+
+def _check_id(v) -> None:
+    """Refuse ``v`` unless it is a non-empty string without whitespace."""
+    if not isinstance(v, str) or not v or any(ch.isspace() for ch in v):
+        raise GraphError(f"vertex id must be a non-empty string without whitespace: {echo(v)}")
 
 
 def _exact_weight(u, v, w) -> Fraction:
@@ -83,11 +90,10 @@ class WeightedGraph:
     __slots__ = ("_vertices", "_u", "_v", "_w", "_index_or_none", "_adj_or_none")
 
     def __init__(self, vertices: Iterable[str], edges: Iterable[tuple] = ()) -> None:
-        vs = tuple(vertices)
+        vs = tuple(_ids(vertices))
         index: dict[str, int] = {}
         for v in vs:
-            if not isinstance(v, str) or not v or any(ch.isspace() for ch in v):
-                raise GraphError(f"vertex id must be a non-empty string without whitespace: {echo(v)}")
+            _check_id(v)
             if v in index:
                 raise GraphError(f"duplicate vertex id {echo(v)}")
             index[v] = len(index)
@@ -137,12 +143,14 @@ class WeightedGraph:
         distinct, non-empty vertex ids without whitespace, and distinct
         non-loop edges with ``Fraction`` weights above zero between
         positions of ``vertices``.  The columns of a validated graph's edges
-        between kept vertices, renumbered, qualify, and so does the
-        edge-list parser's output, which makes those checks itself to report
-        them with line numbers.  That parser builds ``adj`` and ``index`` for
-        its checks and hands them over, as the validating constructor keeps
-        its own; they must be what the first reads would build.  Every other
-        graph built here builds them on its first read.  Nothing is copied.
+        between kept vertices, renumbered, qualify; so do the generator's
+        graphs, whose ids it names itself and whose weights it checks, and
+        the edge-list parser's output, which makes those checks itself to
+        report them with line numbers.  That parser builds ``adj`` and
+        ``index`` for its checks and hands them over, as the validating
+        constructor keeps its own; they must be what the first reads would
+        build.  Every other graph built here builds them on its first read.
+        Nothing is copied.
         """
         g = cls.__new__(cls)
         g._vertices = vertices
@@ -402,6 +410,10 @@ def _parse_json(text: str) -> WeightedGraph:
         raise ParseError('"edges" must be a list')
     seen: dict[str, None] = dict.fromkeys(vertices)
     edges: list[Edge] = []
+    # Each distinct weight literal is parsed once, at its first edge; the
+    # constructor checks each edge's weight.  A string and an int are never
+    # equal keys, and json.loads makes no subclass of either.
+    weights: dict[str | int, Fraction] = {}
     for item in raw_edges:
         if not (isinstance(item, list) and len(item) == 3):
             raise ParseError(f"each edge must be [u, v, weight], got {echo(item)}")
@@ -409,16 +421,21 @@ def _parse_json(text: str) -> WeightedGraph:
         if not (isinstance(u, str) and isinstance(v, str)):
             raise ParseError(f"edge endpoints must be strings: {echo(item)}")
         # Only exact weights: a rational string or a JSON integer.  Floats
-        # (inexact, or inf past 1e308) and booleans are rejected.
-        if isinstance(wraw, str):
-            try:
-                w = parse_rational(wraw)
-            except ValueError as exc:
-                raise ParseError(f"bad weight {echo(wraw)}: {exc}") from None
-        elif isinstance(wraw, int) and not isinstance(wraw, bool):
-            w = Fraction(wraw)
-        else:
+        # (inexact, or inf past 1e308) and booleans are rejected before the
+        # lookup, since 1.0 and True are equal keys to 1.
+        kind = type(wraw)
+        if kind is not str and kind is not int:
             raise ParseError(f"bad weight {echo(wraw)}: must be an integer or a rational string")
+        w = weights.get(wraw)
+        if w is None:
+            if kind is str:
+                try:
+                    w = parse_rational(wraw)
+                except ValueError as exc:
+                    raise ParseError(f"bad weight {echo(wraw)}: {exc}") from None
+            else:
+                w = Fraction(wraw)
+            weights[wraw] = w
         seen.setdefault(u)
         seen.setdefault(v)
         edges.append((u, v, w))
@@ -457,23 +474,32 @@ def serialize_graph(g: WeightedGraph, fmt: str = "edgelist") -> str:
     An edge list cannot hold a vertex id that contains the comment mark
     ``#`` or starts with ``vertices:``, the header mark; such a graph raises
     ``GraphError`` there and can be written as json.
+
+    The text is the join of ``_serialized_lines(g, fmt)``, whose lines
+    ``gen`` writes to its stream a batch at a time instead, so there the
+    whole text never exists at once.
     """
+    return "".join(_serialized_lines(g, fmt))
+
+
+def _serialized_lines(g: WeightedGraph, fmt: str = "edgelist") -> Iterator[str]:
+    """The text of ``serialize_graph(g, fmt)`` as an iterator of pieces: an
+    edge list line by line, each line with its newline, and json as one
+    piece.  The format and the ids are checked here, before the iterator
+    exists, so a refused graph has no first piece to write."""
     _check_format(fmt)
-    if fmt == "edgelist":
-        for v in g.vertices:
-            if "#" in v or v.startswith("vertices:"):
-                raise GraphError(f"vertex id {echo(v)} cannot be written as an edge list")
-        lines = []
-        if g.n:
-            # The header pins the full vertex order, not just isolated vertices.
-            lines.append("vertices: " + " ".join(g.vertices))
-        lines.extend(f"{u} {v} {w}" for u, v, w in g._edge_rows())
-        return "\n".join(lines) + ("\n" if lines else "")
-    obj = {
-        "vertices": list(g.vertices),
-        "edges": [[u, v, str(w)] for u, v, w in g._edge_rows()],
-    }
-    return json.dumps(obj, indent=2) + "\n"
+    if fmt == "json":
+        obj = {
+            "vertices": list(g.vertices),
+            "edges": [[u, v, str(w)] for u, v, w in g._edge_rows()],
+        }
+        return iter((json.dumps(obj, indent=2) + "\n",))
+    for v in g.vertices:
+        if "#" in v or v.startswith("vertices:"):
+            raise GraphError(f"vertex id {echo(v)} cannot be written as an edge list")
+    # The header pins the full vertex order, not just isolated vertices.
+    header = ["vertices: " + " ".join(g.vertices) + "\n"] if g.n else []
+    return itertools.chain(header, (f"{u} {v} {w}\n" for u, v, w in g._edge_rows()))
 
 
 def adjacency_matrix(g: WeightedGraph) -> SymRationalMatrix:

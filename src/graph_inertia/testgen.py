@@ -4,6 +4,7 @@ equality branch of the closed forms exactly."""
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -18,7 +19,7 @@ from .closed_forms import (
     infinity_condition,
 )
 from .core import GraphError
-from .graph import WeightedGraph, _subgraph
+from .graph import WeightedGraph, _check_id
 from .structure import BaseDescriptor, BaseKind
 
 __all__ = [
@@ -37,15 +38,23 @@ __all__ = [
 ]
 
 
+# Every value random_weight draws, by numerator and then denominator, and
+# the unit weight: each is made once and shared by every draw of it.
+_RANDOM_WEIGHTS = tuple(tuple(Fraction(p, q) for q in range(1, 11)) for p in range(1, 21))
+_ONE = Fraction(1)
+
+
 def random_weight(rng: random.Random) -> Fraction:
-    """Small random positive rational; keeps exact arithmetic fast while making
-    accidental product equalities unlikely."""
-    return Fraction(rng.randint(1, 20), rng.randint(1, 10))
+    """Small random positive rational p/q, p in 1..20 drawn before q in
+    1..10; keeps exact arithmetic fast while making accidental product
+    equalities unlikely.  Each of the 200 values is one shared ``Fraction``,
+    so a generated graph's random weights are at most 200 objects."""
+    return _RANDOM_WEIGHTS[rng.randint(1, 20) - 1][rng.randint(1, 10) - 1]
 
 
 def _weights(rng: random.Random, count: int, unit: bool = False) -> tuple[Fraction, ...]:
     if unit:
-        return tuple(Fraction(1) for _ in range(count))
+        return (_ONE,) * count
     return tuple(random_weight(rng) for _ in range(count))
 
 
@@ -53,18 +62,41 @@ def _weights(rng: random.Random, count: int, unit: bool = False) -> tuple[Fracti
 # explicit builders
 
 
-def _chains(vertices, *chains) -> WeightedGraph:
-    """The graph on ``vertices`` whose edges walk each ``(vertex sequence,
-    weights)`` chain in turn, one weight per step; a cycle's sequence ends
+def _links(chains):
+    """The edges that walk each ``(vertex sequence, weights)`` chain in turn,
+    one weight per step, as ``(u, v, weight)``; a cycle's sequence ends
     where it starts."""
-    edges = [(vs[i], vs[i + 1], w) for vs, ws in chains for i, w in enumerate(ws)]
-    return WeightedGraph(vertices, edges)
+    return ((vs[i], vs[i + 1], w) for vs, ws in chains for i, w in enumerate(ws))
+
+
+def _fractions(ws: Sequence[Fraction]) -> list[Fraction]:
+    """Checked weights as the graph keeps them: each int becomes a ``Fraction``."""
+    return [w if type(w) is Fraction else Fraction(w) for w in ws]
+
+
+def _chains(vertices, *chains) -> WeightedGraph:
+    """The graph on ``vertices`` whose edges are ``_links(chains)``, built
+    unchecked: a builder calls it once its shape and weight checks pass,
+    and then its generated ids are distinct and valid and its shape repeats
+    no edge.  Both edge columns share one int object per vertex position."""
+    at = dict(zip(vertices, range(len(vertices))))
+    links = list(_links(chains))
+    return WeightedGraph._trusted(
+        tuple(vertices),
+        [at[u] for u, _, _ in links],
+        [at[v] for _, v, _ in links],
+        _fractions([w for _, _, w in links]),
+    )
 
 
 def build_cycle(weights: Sequence[Fraction], prefix: str = "v") -> WeightedGraph:
+    """The cycle v0, v1, ... whose i-th edge, from ``v{i}`` to the next
+    vertex, has weight ``weights[i]``; ``prefix`` replaces the "v"."""
     _check_cycle(weights)
-    names = [f"{prefix}{i}" for i in range(len(weights))]
-    return _chains(names, ((*names, names[0]), weights))
+    names = tuple(f"{prefix}{i}" for i in range(len(weights)))
+    _check_id(names[0])  # each name is the prefix and digits: one check holds for all
+    at = list(range(len(names)))
+    return WeightedGraph._trusted(names, at, at[1:] + at[:1], _fractions(weights))
 
 
 def build_infinity(
@@ -107,14 +139,16 @@ def build_theta(
 
 
 def build_from_descriptor(d: BaseDescriptor) -> WeightedGraph:
-    """Reassemble the graph a descriptor came from, on its own vertex ids."""
+    """Reassemble the graph a descriptor came from, on its own vertex ids.
+    The descriptor is the caller's, so its graph is built with every check."""
     av, bv, cv = d.a_vertices, d.b_vertices, d.c_vertices
     if d.kind is BaseKind.CYCLE:
-        return _chains(av, ((*av, av[0]), d.a))
+        return WeightedGraph(av, _links([((*av, av[0]), d.a)]))
     if d.kind is BaseKind.INFINITY:
         cycles = ((*av, av[0]), d.a), ((*bv, bv[0]), d.b)
-        return _chains(dict.fromkeys(av + cv + bv), *cycles, ((av[0], *cv, bv[0]), d.c))
-    return _chains(dict.fromkeys(av + bv + cv), (av, d.a), (bv, d.b), (cv, d.c))
+        path = (av[0], *cv, bv[0]), d.c
+        return WeightedGraph(dict.fromkeys(av + cv + bv), _links([*cycles, path]))
+    return WeightedGraph(dict.fromkeys(av + bv + cv), _links([(av, d.a), (bv, d.b), (cv, d.c)]))
 
 
 # ---------------------------------------------------------------------------
@@ -268,14 +302,18 @@ def _attach(rng, g: WeightedGraph, names, unit) -> WeightedGraph:
     """Attach each of ``names`` in turn to a uniformly chosen earlier vertex
     of ``g`` or of ``names`` by an edge of random weight, or of weight 1 when
     ``unit``.  The names are new and the weights positive, so the graph is
-    built unchecked."""
-    vertices, us, vs, ws = list(g.vertices), list(g._u), list(g._v), list(g._w)
-    for name in names:
-        us.append(rng.randrange(len(vertices)))
-        vs.append(len(vertices))
-        ws.append(Fraction(1) if unit else random_weight(rng))
-        vertices.append(name)
-    return WeightedGraph._trusted(tuple(vertices), us, vs, ws)
+    built unchecked.  Each vertex position is one int object, which both
+    edge columns share, ``g``'s edges included."""
+    vertices = (*g.vertices, *names)
+    at = list(range(len(vertices)))
+    us = [at[i] for i in g._u]
+    vs = [at[j] for j in g._v]
+    ws = list(g._w)
+    for k in itertools.islice(at, g.n, None):
+        us.append(at[rng.randrange(k)])
+        vs.append(k)
+        ws.append(_ONE if unit else random_weight(rng))
+    return WeightedGraph._trusted(vertices, us, vs, ws)
 
 
 _REGIMES = ("random", "unit", "force")
@@ -287,7 +325,12 @@ _SAMPLERS = {
 
 
 def generate(spec: GenSpec) -> WeightedGraph:
-    """Generate a graph of the requested class; a pure function of ``spec``."""
+    """Generate a graph of the requested class; a pure function of ``spec``.
+
+    The graph is built unchecked from its columns, so it builds no id index
+    or neighbour maps until it is read; its weights share the objects
+    ``random_weight`` returns, or one ``Fraction(1)`` in the unit regime,
+    and its edge columns share one int object per vertex position."""
     if spec.regime not in _REGIMES:
         raise GraphError(f"unknown generation regime {spec.regime!r}")
     rng = random.Random(spec.seed)
@@ -302,7 +345,10 @@ def generate(spec: GenSpec) -> WeightedGraph:
         if spec.target == "tree":
             return tree
         kept = [pos for pos in range(tree.m) if rng.random() >= 0.25]
-        return _subgraph(tree.vertices, tree._u, tree._v, tree._w, list(range(n)), kept)
+        us, vs, ws = tree._u, tree._v, tree._w
+        return WeightedGraph._trusted(
+            tree.vertices, [us[e] for e in kept], [vs[e] for e in kept], [ws[e] for e in kept]
+        )
 
     if spec.target == "unicyclic":
         if n < 3:

@@ -223,6 +223,27 @@ def test_gen_json_format():
     assert parse_graph(out, "json").n == 4
 
 
+# gen writes its lines 4096 at a time: a tree on n vertices has n lines.
+@pytest.mark.parametrize("cls,n", [("tree", 1), ("tree", 4096), ("tree", 4097), ("bicyclic", 9001)])
+@pytest.mark.parametrize("fmt", ["edgelist", "json"])
+def test_gen_writes_what_serialize_graph_returns(cls, n, fmt):
+    code, out, err = run(["gen", "--class", cls, "--n", str(n), "--seed", "6", "--format", fmt])
+    assert (code, err) == (0, "")
+    assert out == serialize_graph(generate(GenSpec(cls, n, 6)), fmt)
+
+
+def test_gen_writes_nothing_for_a_graph_it_cannot_write(monkeypatch):
+    # No generated id holds a "#"; a graph that does is refused before its
+    # first line reaches the stream.
+    g = WeightedGraph(["a", "b#"], [("a", "b#", 1)])
+    monkeypatch.setattr(cli, "generate", lambda spec: g)
+    code, out, err = run(["gen"])
+    assert (code, out) == (1, "")
+    assert err == "error: vertex id 'b#' cannot be written as an edge list\n"
+    code, out, _ = run(["gen", "--format", "json"])
+    assert code == 0 and parse_graph(out, "json") == g
+
+
 def test_verify_summary_and_exit():
     code, out, _ = run(["verify", "--class", "unicyclic", "--count", "25", "--n", "12", "--seed", "7"])
     assert code == 0

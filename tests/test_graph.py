@@ -27,7 +27,7 @@ from graph_inertia import (
 from graph_inertia.core import parse_rational
 from graph_inertia.graph import GraphClass, connected_components
 from graph_inertia.reduction import contract_degree2_path, delete_pendant_pair
-from graph_inertia.testgen import GenSpec, build_cycle, build_theta, generate
+from graph_inertia.testgen import GenSpec, build_cycle, build_infinity, build_theta, generate
 
 from reference import induced_by_filter, parse_edgelist_by_line, parse_json_by_constructor
 
@@ -186,6 +186,20 @@ def test_parse_gives_equal_weights_for_a_repeated_text():
     g = parse_graph("a b 2/4\nb c 2/4\nc d 1/2\nd e 2/4")
     assert [w for _, _, w in g.edges] == [Fraction(1, 2)] * 4
     assert all(type(w) is Fraction for _, _, w in g.edges)
+
+
+def test_json_parse_shares_one_weight_per_literal():
+    # Equal literals share one Fraction; the int 2 and the strings "2" and
+    # "4/2" are equal weights but distinct literals.
+    text = json.dumps({"edges": [
+        ["a", "b", "1/2"], ["b", "c", 2], ["c", "d", "1/2"], ["d", "e", "2"], ["e", "f", 2], ["f", "g", "4/2"],
+    ]})
+    g = parse_graph(text, "json")
+    w = g._w
+    assert [str(x) for x in w] == ["1/2", "2", "1/2", "2", "2", "2"]
+    assert w[0] is w[2] and w[1] is w[4]
+    assert len({id(x) for x in w}) == 4
+    assert all(type(x) is Fraction for x in w)
 
 
 def test_parse_rejects_a_non_positive_weight_on_first_sight():
@@ -422,6 +436,9 @@ _JSON_FAULTY_GRAPHS = st.fixed_dictionaries(
 @example({"edges": [["a", "a", "1"], ["b"]]})
 @example({"edges": [["a", "b", "0"], ["c", "c", "1"], ["", "d", "1"]]})
 @example({"edges": [["a", "b", "1"], ["b", "a", "2"], ["c", "c", "1"]]})
+# 1.0 and True are equal dict keys to an int 1 seen before, but not weights.
+@example({"edges": [["a", "b", 1], ["b", "c", True]]})
+@example({"edges": [["a", "b", 1], ["b", "c", 1.0]]})
 def test_json_parse_matches_the_constructor_route(obj):
     text = json.dumps(obj)
     try:
@@ -655,6 +672,8 @@ def test_induced_and_without_refuse_a_bare_string():
             call("ab")
     assert g.without(["ab"]).vertices == ("a", "b")
     assert g.induced(("ab",)).vertices == ("ab",)
+    with pytest.raises(GraphError, match="not the string 'ab'"):
+        WeightedGraph("ab", [("a", "b", 1)])
 
 
 def test_a_parse_leaves_no_tracked_object_per_edge():
@@ -716,6 +735,10 @@ def _bare_graphs() -> dict:
         "contract_degree2_path": contract_degree2_path(
             build_cycle([1, 2, 3, 4, 5, 6, 7]), ["v0", "v1", "v2", "v3", "v4", "v5"]
         )[0],
+        "forest": generate(GenSpec("forest", 40, 3)),
+        "build_cycle": build_cycle([1, 2, 3, 4, 5, 6, 7]),
+        "build_infinity": build_infinity(3, 2, 4, [1] * 3, [2] * 4, [Fraction(1, 3)]),
+        "build_theta": build_theta(2, 3, 5, [1], [2] * 2, [3] * 4),
     }
 
 

@@ -362,7 +362,8 @@ def test_hanging_forest_walk_matches_the_definitions(cls, n, regime):
 
 
 def _forest(vertices, edges):
-    return WeightedGraph(vertices, [(u, v, Fraction(1)) for u, v in edges])
+    """The unit forest on the one-letter ids of ``vertices`` and of each edge."""
+    return WeightedGraph(tuple(vertices), [(u, v, Fraction(1)) for u, v in edges])
 
 
 _EDGE_CASE_FORESTS = {

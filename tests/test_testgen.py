@@ -10,6 +10,7 @@ from graph_inertia.closed_forms import infinity_condition
 from graph_inertia.graph import GraphClass, serialize_graph
 from graph_inertia.structure import BaseKind, describe_base, two_core
 from graph_inertia.testgen import (
+    _REGIMES,
     GenSpec,
     build_cycle,
     build_from_descriptor,
@@ -224,3 +225,59 @@ def test_builders_are_pinned():
             digest.update(serialize_graph(h).encode() + b"\x00")
             count += 1
     assert (count, digest.hexdigest()) == (642, BUILDERS_SHA256)
+
+
+def test_built_bases_pass_the_constructors_checks():
+    # The builders build their graphs unchecked; the constructor rebuilds
+    # each the same, with every int weight a Fraction.
+    for g in _built_bases():
+        built = WeightedGraph(g.vertices, g.edges)
+        assert built == g and built.edges == g.edges
+        assert all(built.neighbors(v) == g.neighbors(v) for v in g.vertices)
+        assert all(type(w) is Fraction for w in g._w)
+    g = build_cycle([1, 2, Fraction(3, 2)])
+    assert g.edges == (("v0", "v1", 1), ("v1", "v2", 2), ("v2", "v0", Fraction(3, 2)))
+    assert all(type(w) is Fraction for w in g._w)
+
+
+def test_build_cycle_refuses_a_prefix_the_constructor_would():
+    assert build_cycle([1, 1, 1], prefix="").vertices == ("0", "1", "2")
+    for prefix in ("a b", "\t"):
+        with pytest.raises(GraphError, match="non-empty string without whitespace"):
+            build_cycle([1, 1, 1], prefix=prefix)
+
+
+def _generated_graphs():
+    for target in ("tree", "forest", "unicyclic", "bicyclic"):
+        for regime in ("random", "unit", "force"):
+            for n in (4, 9, 40, 250):
+                for seed in range(4):
+                    yield generate(GenSpec(target, n, seed, regime=regime))
+
+
+# SHA-256 of every graph above as an edge list and as json, taken when each
+# weight was a Fraction of its own, so sharing them changed no byte.
+GENERATED_SHA256 = "1aec11e56f27bb8887baf89b4793ca5d57629a79d7f5a35f0a12795d83451968"
+
+
+def test_generated_graphs_are_pinned():
+    digest = hashlib.sha256()
+    count = 0
+    for g in _generated_graphs():
+        for fmt in ("edgelist", "json"):
+            digest.update(serialize_graph(g, fmt).encode() + b"\x00")
+            count += 1
+    assert (count, digest.hexdigest()) == (384, GENERATED_SHA256)
+
+
+@pytest.mark.parametrize("target", ["tree", "forest", "unicyclic", "bicyclic"])
+def test_generated_graphs_share_weights_and_positions(target):
+    for n, seed in ((40, 0), (3000, 1)):
+        graphs = {regime: generate(GenSpec(target, n, seed, regime=regime)) for regime in _REGIMES}
+        # random_weight's 200 values, or the one unit weight.
+        assert len({id(w) for w in graphs["random"]._w}) <= 200
+        assert len({id(w) for w in graphs["unit"]._w}) == 1
+        for g in graphs.values():
+            assert g.m
+            # One int object per vertex position, shared by both columns.
+            assert len({id(i) for i in g._u + g._v}) <= g.n
