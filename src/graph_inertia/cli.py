@@ -20,6 +20,9 @@ from .core import GraphError, Inertia, ParseError
 from .graph import (
     GraphClass,
     WeightedGraph,
+    _edges_json,
+    _json_array,
+    _q,
     _serialized_lines,
     adjacency_matrix,
     classify,
@@ -151,23 +154,6 @@ def _cmd_classify(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
         line += f" {payload['base']}"
     _report(args, out, payload, [line])
     return EXIT_OK
-
-
-# The string escape json.dumps uses by default (ensure_ascii).
-_q = json.encoder.encode_basestring_ascii
-
-
-def _json_array(items: list[str], pad: str) -> str:
-    """JSON texts ``items`` as a list laid out like ``json.dumps(..., indent=2)``;
-    ``pad`` is a newline and the indent of the closing bracket."""
-    if not items:
-        return "[]"
-    sep = pad + "  "
-    return "[" + sep + ("," + sep).join(items) + pad + "]"
-
-
-def _edges_json(edges, pad: str) -> str:
-    return _json_array([_json_array([_q(u), _q(v), _q(str(w))], pad + "  ") for u, v, w in edges], pad)
 
 
 def _reduce_json(reduced: WeightedGraph, trace: ReductionTrace) -> str:

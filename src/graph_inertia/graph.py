@@ -81,10 +81,11 @@ class WeightedGraph:
     ``_adj[i]`` maps the position of each neighbour of vertex i to the
     position of their edge, in edge order, which is the order ``neighbors``
     reports.  A graph that is only written out, compared or read edge by
-    edge never builds them.  Two threads may both build one on a first
-    read; each builds an equal structure that is never mutated, and either
-    may be kept, so sharing stays safe.  The package reads these parts
-    directly and must not mutate them.
+    edge never builds them; the constructor keeps both, which its checks
+    build, and the edge-list parser its adjacency.  Two threads may both
+    build one on a first read; each builds an equal structure that is never
+    mutated, and either may be kept, so sharing stays safe.  The package
+    reads these parts directly and must not mutate them.
     """
 
     __slots__ = ("_vertices", "_u", "_v", "_w", "_index_or_none", "_adj_or_none")
@@ -134,7 +135,6 @@ class WeightedGraph:
         v: list[int],
         w: list[Fraction],
         adj: list[dict[int, int]] | None = None,
-        index: dict[str, int] | None = None,
     ) -> "WeightedGraph":
         """Build from parts already known to be valid, without re-validating.
 
@@ -146,16 +146,15 @@ class WeightedGraph:
         between kept vertices, renumbered, qualify; so do the generator's
         graphs, whose ids it names itself and whose weights it checks, and
         the edge-list parser's output, which makes those checks itself to
-        report them with line numbers.  That parser builds ``adj`` and
-        ``index`` for its checks and hands them over, as the validating
-        constructor keeps its own; they must be what the first reads would
-        build.  Every other graph built here builds them on its first read.
-        Nothing is copied.
+        report them with line numbers.  That parser builds ``adj`` for its
+        duplicate check and hands it over; it must be what the first read
+        would build.  The id index, and the adjacency of every other graph
+        built here, are built on their first read.  Nothing is copied.
         """
         g = cls.__new__(cls)
         g._vertices = vertices
         g._u, g._v, g._w = u, v, w
-        g._index_or_none, g._adj_or_none = index, adj
+        g._index_or_none, g._adj_or_none = None, adj
         return g
 
     @property
@@ -329,12 +328,12 @@ def _subgraph(vertices, us, vs_, ws, kept: list[int], positions: list[int]) -> W
 
 
 def _parse_edgelist(text: str) -> WeightedGraph:
-    """The graph of an edge list, built as the graph keeps it: vertex id ->
-    position, in first-appearance order; position -> {neighbour position:
-    edge position}; and the edge columns, to which each edge line appends
-    its endpoints' positions and its weight.  The graph keeps all of them,
-    so a parse makes no object per edge but the weights, and a weight text
-    met again reuses its first ``Fraction``."""
+    """The graph of an edge list, built as the graph keeps it: position ->
+    {neighbour position: edge position}, and the edge columns, to which each
+    edge line appends its endpoints' positions and its weight.  So a parse
+    makes no object per edge but the weights, and a weight text met again
+    reuses its first ``Fraction``.  The id -> position map that numbers the
+    vertices is dropped; the graph builds it again on its first read."""
     index: dict[str, int] = {}
     adj: list[dict[int, int]] = []
     new_vertex = adj.append
@@ -388,7 +387,7 @@ def _parse_edgelist(text: str) -> WeightedGraph:
         add_u(i)
         add_v(j)
         add_w(w)
-    return WeightedGraph._trusted(tuple(index), us, vs_, ws, adj, index)
+    return WeightedGraph._trusted(tuple(index), us, vs_, ws, adj)
 
 
 def _parse_json(text: str) -> WeightedGraph:
@@ -482,18 +481,34 @@ def serialize_graph(g: WeightedGraph, fmt: str = "edgelist") -> str:
     return "".join(_serialized_lines(g, fmt))
 
 
+# The string escape json.dumps uses by default (ensure_ascii).
+_q = json.encoder.encode_basestring_ascii
+
+
+def _json_array(items: list[str], pad: str) -> str:
+    """JSON texts ``items`` as a list laid out like ``json.dumps(..., indent=2)``;
+    ``pad`` is a newline and the indent of the closing bracket."""
+    if not items:
+        return "[]"
+    sep = pad + "  "
+    return "[" + sep + ("," + sep).join(items) + pad + "]"
+
+
+def _edges_json(edges, pad: str) -> str:
+    return _json_array([_json_array([_q(u), _q(v), _q(str(w))], pad + "  ") for u, v, w in edges], pad)
+
+
 def _serialized_lines(g: WeightedGraph, fmt: str = "edgelist") -> Iterator[str]:
     """The text of ``serialize_graph(g, fmt)`` as an iterator of pieces: an
     edge list line by line, each line with its newline, and json as one
-    piece.  The format and the ids are checked here, before the iterator
-    exists, so a refused graph has no first piece to write."""
+    piece, laid out as ``json.dumps(..., indent=2)`` would without its
+    pure-Python encoder.  The format and the ids are checked here, before
+    the iterator exists, so a refused graph has no first piece to write."""
     _check_format(fmt)
     if fmt == "json":
-        obj = {
-            "vertices": list(g.vertices),
-            "edges": [[u, v, str(w)] for u, v, w in g._edge_rows()],
-        }
-        return iter((json.dumps(obj, indent=2) + "\n",))
+        vertices = _json_array([_q(v) for v in g.vertices], "\n  ")
+        edges = _edges_json(g._edge_rows(), "\n  ")
+        return iter((f'{{\n  "vertices": {vertices},\n  "edges": {edges}\n}}\n',))
     for v in g.vertices:
         if "#" in v or v.startswith("vertices:"):
             raise GraphError(f"vertex id {echo(v)} cannot be written as an edge list")

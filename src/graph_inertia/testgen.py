@@ -19,7 +19,7 @@ from .closed_forms import (
     infinity_condition,
 )
 from .core import GraphError
-from .graph import WeightedGraph, _check_id
+from .graph import WeightedGraph
 from .structure import BaseDescriptor, BaseKind
 
 __all__ = [
@@ -89,12 +89,11 @@ def _chains(vertices, *chains) -> WeightedGraph:
     )
 
 
-def build_cycle(weights: Sequence[Fraction], prefix: str = "v") -> WeightedGraph:
+def build_cycle(weights: Sequence[Fraction]) -> WeightedGraph:
     """The cycle v0, v1, ... whose i-th edge, from ``v{i}`` to the next
-    vertex, has weight ``weights[i]``; ``prefix`` replaces the "v"."""
+    vertex, has weight ``weights[i]``; ``relabel`` gives other ids."""
     _check_cycle(weights)
-    names = tuple(f"{prefix}{i}" for i in range(len(weights)))
-    _check_id(names[0])  # each name is the prefix and digits: one check holds for all
+    names = tuple(f"v{i}" for i in range(len(weights)))
     at = list(range(len(names)))
     return WeightedGraph._trusted(names, at, at[1:] + at[:1], _fractions(weights))
 

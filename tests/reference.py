@@ -106,6 +106,14 @@ def parse_json_by_constructor(text: str) -> WeightedGraph:
     except GraphError as exc:
         raise ParseError(str(exc)) from None
 
+
+def serialize_json_by_dumps(g: WeightedGraph) -> str:
+    """``serialize_graph(g, "json")`` as ``json.dumps`` writes it, from a
+    list per edge: the writer's text before it wrote the layout directly."""
+    obj = {"vertices": list(g.vertices), "edges": [[u, v, str(w)] for u, v, w in g.edges]}
+    return json.dumps(obj, indent=2) + "\n"
+
+
 def brute_force_matching(g: WeightedGraph) -> int:
     """Maximum matching by exhaustive search over edge subsets (small graphs)."""
     edges = list(g.edges)

@@ -205,7 +205,7 @@ def test_criterion_6_join_identities():
             ws = [random_weight(rng) for _ in range(4)]
             if i % 2 == 0:
                 ws[0] = ws[1] * ws[3] / ws[2]
-            c4 = build_cycle(ws, prefix="c")
+            c4 = build_cycle(ws).relabel(lambda v: "c" + v[1:])
             joined = join_at(c4, "c0", rest, k)
             whole = inertia_oracle(joined)
             if ws[0] * ws[2] == ws[1] * ws[3]:
@@ -218,7 +218,7 @@ def test_criterion_6_join_identities():
         for _ in range(200):
             rest = _random_graph(rng, rng.randint(1, 7))
             k = rng.randint(1, rest.n)
-            c6 = build_cycle([random_weight(rng) for _ in range(6)], prefix="c")
+            c6 = build_cycle([random_weight(rng) for _ in range(6)]).relabel(lambda v: "c" + v[1:])
             joined = join_at(c6, "c0", rest, k)
             part = inertia_oracle(rest)
             assert inertia_oracle(joined).pn == (part.pos + 3, part.neg + 3)

@@ -29,7 +29,12 @@ from graph_inertia.graph import GraphClass, connected_components
 from graph_inertia.reduction import contract_degree2_path, delete_pendant_pair
 from graph_inertia.testgen import GenSpec, build_cycle, build_infinity, build_theta, generate
 
-from reference import induced_by_filter, parse_edgelist_by_line, parse_json_by_constructor
+from reference import (
+    induced_by_filter,
+    parse_edgelist_by_line,
+    parse_json_by_constructor,
+    serialize_json_by_dumps,
+)
 
 
 def test_parse_single_edge():
@@ -384,6 +389,25 @@ def test_edgelist_refuses_ids_it_cannot_write(v):
     with pytest.raises(GraphError, match="cannot be written as an edge list"):
         serialize_graph(g)
     assert parse_graph(serialize_graph(g, "json"), "json") == g
+
+
+@pytest.mark.parametrize("cls", ["tree", "forest", "unicyclic", "bicyclic"])
+def test_json_writer_prints_what_json_dumps_would_for_ids_that_need_escapes(cls):
+    # A quote, a backslash, non-ASCII inside and past the BMP, and control
+    # characters (none of them whitespace, which an id may not hold).
+    marks = ['"', "\\", "é", "\U0001d11e", "\x01", "\x7f", "/"]
+    graphs = [WeightedGraph([]), WeightedGraph(['"a', "b\\", "\x00"])]
+    for seed in range(3):
+        g = generate(GenSpec(cls, 12 + 5 * seed, seed))
+        names = {v: marks[k % len(marks)] + v for k, v in enumerate(g.vertices)}
+        graphs.append(g.relabel(names.__getitem__))
+        # Two isolated vertices after the graph's own.
+        graphs.append(graphs[-1].union(WeightedGraph(["\u00ff\x1b", '\\"'])))
+    for g in graphs:
+        text = serialize_graph(g, "json")
+        assert text == serialize_json_by_dumps(g)
+        back = parse_graph(text, "json")
+        assert back == g and back.vertices == g.vertices
 
 
 _JSON_VALUES = st.recursive(
@@ -762,16 +786,19 @@ def test_derived_maps_are_built_on_first_read(builder, read):
     assert adj == (None if read == "has_vertex" else want_adj)
 
 
-def test_parsers_and_the_constructor_hand_over_their_maps():
+def test_the_edge_list_parser_hands_over_only_its_adjacency():
     g = generate(GenSpec("unicyclic", 30, 5))
-    for built in (
-        parse_graph(serialize_graph(g)),
-        parse_graph(serialize_graph(g, "json"), "json"),
-        WeightedGraph(g.vertices, g.edges),
-    ):
+    want_index, want_adj = _constructor_maps(g)
+    parsed = parse_graph(serialize_graph(g))
+    assert _built_maps(parsed) == (None, want_adj)
+    adj = parsed._adj_or_none
+    # A solve reads the adjacency the parse built and never the id index.
+    solve(parsed)
+    assert parsed._adj_or_none is adj and parsed._index_or_none is None
+    # The json parser goes through the constructor, which keeps both maps.
+    for built in (parse_graph(serialize_graph(g, "json"), "json"), WeightedGraph(g.vertices, g.edges)):
         index, adj = built._index_or_none, built._adj_or_none
-        assert _built_maps(built) == _constructor_maps(g)
-        # A solve reads the maps the parse built; it builds none again.
+        assert _built_maps(built) == (want_index, want_adj)
         solve(built)
         assert built._index_or_none is index and built._adj_or_none is adj
 

@@ -240,13 +240,6 @@ def test_built_bases_pass_the_constructors_checks():
     assert all(type(w) is Fraction for w in g._w)
 
 
-def test_build_cycle_refuses_a_prefix_the_constructor_would():
-    assert build_cycle([1, 1, 1], prefix="").vertices == ("0", "1", "2")
-    for prefix in ("a b", "\t"):
-        with pytest.raises(GraphError, match="non-empty string without whitespace"):
-            build_cycle([1, 1, 1], prefix=prefix)
-
-
 def _generated_graphs():
     for target in ("tree", "forest", "unicyclic", "bicyclic"):
         for regime in ("random", "unit", "force"):
