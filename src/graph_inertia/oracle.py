@@ -9,15 +9,25 @@ one positive and one negative eigenvalue.  The Schur complement of a pivot
 is congruent to what is left of the matrix, so by Sylvester's law of inertia
 the pivot signs add up to the inertia whatever the pivot order.
 
-Elimination runs on a dict-of-dicts copy of the weighted adjacency and
-always takes a live vertex of least degree, which keeps fill-in bounded on
-graphs of small treewidth (Fürer, Hoppen & Trevisan, ICALP 2020); trees,
-unicyclic and bicyclic graphs cost about linear time.  The paper's
-pendant-pair rule is the 2x2 pivot on a leaf, whose update is zero: it is
-counted and unlinked with no arithmetic.  Moving a vertex between degree
-buckets allocates nothing once its bucket exists.  All arithmetic is exact;
-the dense ECMO routine ``matrix.congruent_diagonalize`` stays as the
-reference the tests compare against.
+Two phases.  The first is the degree-1 phase of Karp & Sipser, "Maximum
+matchings in sparse random graphs" (FOCS 1981): it takes each leaf with its
+neighbour and each isolated vertex until every vertex left has at least two
+neighbours left.  Every diagonal entry starts at zero and these pivots
+create none, so a leaf with its neighbour is the paper's pendant-pair rule,
+the 2x2 pivot whose Schur update is zero, and an isolated vertex is a zero
+1x1 block: both are exact, and the phase needs no arithmetic.  It runs on
+vertex positions, with neighbour lists it builds from the edge columns.
+
+The second phase eliminates the vertices left on a dict-of-dicts copy of
+their weighted adjacency, keyed by vertex id and built from the columns for
+them alone, and always takes a live vertex of least degree, which keeps
+fill-in bounded on graphs of small treewidth (Fürer, Hoppen & Trevisan,
+ICALP 2020); trees, unicyclic and bicyclic graphs cost about linear time.
+A zero-diagonal leaf that its pivots leave behind is unlinked with no
+arithmetic too.  Moving a vertex between degree buckets allocates nothing
+once its bucket exists.  All arithmetic is exact; the dense ECMO routine
+``matrix.congruent_diagonalize`` stays as the reference the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -34,6 +44,61 @@ __all__ = ["inertia_oracle"]
 def inertia_oracle(g: WeightedGraph) -> Inertia:
     """Exact inertia of the weighted adjacency matrix, for any graph class.
 
+    The leaf phase counts (1, 1) for each leaf it takes with its neighbour
+    and a zero for each isolated vertex, and stops when every vertex left
+    has at least two neighbours left; the least-degree elimination takes
+    the rest.  Both phases build what they walk from the edge columns, so
+    the oracle reads neither the adjacency ``solve`` walks nor ``edges``,
+    builds neither, and stays independent of them.  A graph with no vertex
+    of degree 1 or 0 goes whole to the elimination and builds no neighbour
+    lists.
+    """
+    us, vs_ = g._u, g._v
+    live = [0] * len(g.vertices)
+    for i in us:
+        live[i] += 1
+    for j in vs_:
+        live[j] += 1
+    if min(live, default=2) > 1:
+        return _eliminate(g)
+    nbrs: list[list[int]] = [[] for _ in live]
+    for i, j in zip(us, vs_):
+        nbrs[i].append(j)
+        nbrs[j].append(i)
+    stack = [v for v, d in enumerate(live) if d <= 1]
+    pairs = zeros = 0
+    pop, push = stack.pop, stack.append
+    # A vertex is pushed once, when its live degree first reaches 1 or
+    # less; taken with a leaf, or taken itself, it is marked -1.
+    while stack:
+        v = pop()
+        d = live[v]
+        if d < 0:
+            continue
+        live[v] = -1
+        if d == 0:
+            zeros += 1
+            continue
+        for u in nbrs[v]:
+            if live[u] >= 0:
+                break
+        live[u] = -1
+        pairs += 1
+        for x in nbrs[u]:
+            d = live[x]
+            if d > 0:
+                live[x] = d - 1
+                if d == 2:
+                    push(x)
+    taken = Inertia(pairs, pairs, zeros)
+    return taken if 2 * pairs + zeros == len(live) else taken + _eliminate(g, live)
+
+
+def _eliminate(g: WeightedGraph, live: list[int] | None = None) -> Inertia:
+    """Inertia of the subgraph of ``g`` on the positions whose ``live``
+    entry is not negative (all of ``g`` when ``live`` is None), by
+    least-degree block elimination.
+
     Pivots are live vertices of least current degree from a bucket queue;
     ties go to bucket-insertion order, which starts as vertex order, so the
     elimination is deterministic.
@@ -42,12 +107,18 @@ def inertia_oracle(g: WeightedGraph) -> Inertia:
     # edge reads its two ids off ``vs`` and looks up no row by id.
     vs = g.vertices
     rows: list[dict[str, Fraction]] = [{} for _ in vs]
-    adj = dict(zip(vs, rows))
-    for i, j, w in zip(g._u, g._v, g._w):
+    edges = zip(g._u, g._v, g._w)
+    if live is not None:
+        edges = [(i, j, w) for i, j, w in edges if live[i] >= 0 and live[j] >= 0]
+    for i, j, w in edges:
         rows[i][vs[j]] = w
         rows[j][vs[i]] = w
+    if live is None:
+        adj = dict(zip(vs, rows))
+    else:
+        adj = {vs[x]: rows[x] for x, d in enumerate(live) if d >= 0}
     diag: dict[str, Fraction] = {}  # the nonzero diagonal entries
-    degree = dict(zip(vs, map(len, rows)))
+    degree = dict(zip(adj, map(len, adj.values())))
     # OrderedDict pops its oldest key in O(1); a plain dict would rescan the
     # slots of every key already popped.  A degree's bucket is made the first
     # time a vertex moves into it.

@@ -27,7 +27,7 @@ from .core import Inertia
 from .graph import ComponentClass, WeightedGraph, _component_class, _component_vertices
 from .oracle import inertia_oracle
 from .reduction import ReductionRule, ReductionStep, ReductionTrace
-from .structure import BaseKind, _cut, _describe_at, _hanging_tree, _live, _peel
+from .structure import BaseKind, _cut, _describe_at, _hanging_tree, _live, _peel, _walk_threads
 
 __all__ = ["Method", "SolveResult", "solve"]
 
@@ -59,7 +59,6 @@ _CYCLIC_METHODS = {
 }
 
 _BASE_CLOSED_FORMS = {
-    BaseKind.CYCLE: lambda d: cycle_inertia(d.a),
     BaseKind.INFINITY: infinity_base_inertia,
     BaseKind.THETA: theta_base_inertia,
 }
@@ -83,14 +82,17 @@ def solve(g: WeightedGraph) -> SolveResult:
     one are trees or unicyclic, since a 2-core vertex meets each piece by
     at least one edge and a cycle-free piece by two; those of a denser one
     hold no matched live vertex.  Type II cuts out the whole core, its live
-    vertices, and evaluates it: a cycle or double-cycle base in closed
-    form, its descriptor read on ``g``'s adjacency through the live
-    degrees, and a denser core by the oracle on that core alone.  Deleting
-    a mismatched root keeps its tree's matching number.  A unicyclic core
-    that no vertex was peeled into is a bare cycle, and has no matched
-    vertex either.  The cost is O(n + m) apart from sorting the removed
-    vertex sets, the closed forms' rational arithmetic and the oracle on
-    bare cores denser than bicyclic.
+    vertices, and evaluates it.  A cycle takes ``cycle_inertia`` of its
+    weights in walk order: its length mod 4, and whether its alternating
+    product is 1, read the same from any start in either direction.  A
+    double-cycle base takes its closed form, from its canonical descriptor.
+    Both are walked on ``g``'s adjacency through the live degrees.  A
+    denser core goes to the oracle, alone.  Deleting a mismatched root
+    keeps its tree's matching number.  A unicyclic core that no vertex was
+    peeled into is a bare cycle, and has no matched vertex either.  The
+    cost is O(n + m) apart from sorting the removed vertex sets, the closed
+    forms' rational arithmetic and the oracle on bare cores denser than
+    bicyclic.
     """
     adj, vs = g._adj, g.vertices
     live, parent, tops, matched = _peel(g)
@@ -154,6 +156,11 @@ def solve(g: WeightedGraph) -> SolveResult:
             core.sort()
             if kind is ComponentClass.UNSUPPORTED:
                 base = inertia_oracle(g._induced_at(core))
+            elif kind is ComponentClass.UNICYCLIC:
+                # A cycle's inertia reads the same from any start in either
+                # direction, so the walk order serves.
+                ((*_, ws),) = _walk_threads(g, live, core[:1])
+                base = cycle_inertia(ws)
             else:
                 d = _describe_at(g, core, live)
                 base = _BASE_CLOSED_FORMS[d.kind](d)

@@ -18,6 +18,7 @@ from graph_inertia import (
     WeightedGraph,
     adjacency_matrix,
     classify,
+    inertia_oracle,
     parse_graph,
     reduce_to_core,
     serialize_graph,
@@ -767,7 +768,7 @@ def _bare_graphs() -> dict:
 
 
 @pytest.mark.parametrize("builder", sorted(_bare_graphs()))
-@pytest.mark.parametrize("read", ["neighbors", "has_vertex", "solve"])
+@pytest.mark.parametrize("read", ["neighbors", "has_vertex", "solve", "inertia_oracle"])
 def test_derived_maps_are_built_on_first_read(builder, read):
     g = _bare_graphs()[builder]
     assert _built_maps(g) == (None, None)
@@ -776,14 +777,17 @@ def test_derived_maps_are_built_on_first_read(builder, read):
         assert g.neighbors(v) == WeightedGraph(g.vertices, g.edges).neighbors(v)
     elif read == "has_vertex":
         assert g.has_vertex(v) and not g.has_vertex("not-a-vertex")
-    else:
+    elif read == "solve":
         assert solve(g) == solve(WeightedGraph(g.vertices, g.edges))
+    else:
+        assert inertia_oracle(g) == inertia_oracle(WeightedGraph(g.vertices, g.edges))
     index, adj = _built_maps(g)
     want_index, want_adj = _constructor_maps(g)
     # Each read builds only what it reads, and builds it as the
-    # constructor does, in the same order.
-    assert index == (None if read == "solve" else want_index)
-    assert adj == (None if read == "has_vertex" else want_adj)
+    # constructor does, in the same order; the oracle builds its own rows
+    # from the edge columns and neither map.
+    assert index == (None if read in ("solve", "inertia_oracle") else want_index)
+    assert adj == (None if read in ("has_vertex", "inertia_oracle") else want_adj)
 
 
 def test_the_edge_list_parser_hands_over_only_its_adjacency():

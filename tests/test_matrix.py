@@ -27,6 +27,7 @@ from graph_inertia.testgen import (
 )
 
 from reference import ecmo_add, ecmo_scale, ecmo_swap, inertia_by_sign_counting
+from test_acceptance import _criterion_10_graphs
 
 rationals = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6)
 
@@ -211,16 +212,20 @@ def test_sparse_oracle_matches_dense_on_generated_graphs(cls, regime):
         assert inertia_oracle(g) == dense_inertia(g), (cls, regime, n)
 
 
-# SHA-256 of the vertices the oracle pivots on, in elimination order, over
-# the graphs of ``test_oracle_pivots_in_least_degree_order``.
-ORACLE_PIVOT_ORDER_SHA256 = "ee95604ac41c79c5d69628195365b151c67e8d2901774579c6b5dc4e2d077ada"
+# SHA-256 of the vertices the oracle's elimination pivots on, in order, over
+# the graphs of ``test_oracle_pivots_in_least_degree_order``: as the oracle
+# runs it, after its leaf phase, and alone on each whole graph.
+ORACLE_PIVOT_ORDER_SHA256 = "b07bb6959b750d6aea59c00aef2d1bc7709a4017e5b80a7aa990065446490d39"
+WHOLE_GRAPH_PIVOT_ORDER_SHA256 = "ee95604ac41c79c5d69628195365b151c67e8d2901774579c6b5dc4e2d077ada"
 
 
 def test_oracle_pivots_in_least_degree_order(monkeypatch):
     # The inertia does not depend on the pivot order, so only a pin notices
     # when stale degrees stop the elimination taking least-degree pivots,
-    # which lets fill-in grow.  Generated graphs take mostly 2x2 pivots;
-    # fill-in on complete graphs makes 1x1 pivots with non-empty rows.
+    # which lets fill-in grow.  The leaf phase leaves most generated graphs
+    # nothing to eliminate, so the elimination is also pinned on each whole
+    # graph, where it takes mostly pendant 2x2 pivots; fill-in on complete
+    # graphs makes 1x1 pivots with non-empty rows.
     graphs = {
         f"{cls} {regime} {seed}": generate(GenSpec(cls, 40, 900 + seed, regime=regime))
         for cls in ["tree", "forest", "unicyclic", "bicyclic"]
@@ -231,16 +236,21 @@ def test_oracle_pivots_in_least_degree_order(monkeypatch):
         names = [f"k{i}" for i in range(n)]
         edges = [(x, y, 1 + i * j % 3) for i, x in enumerate(names) for j, y in enumerate(names) if i < j]
         graphs[f"K{n}"] = WeightedGraph(names, edges)
-    detached = []
-    for name, order in _detach_order(monkeypatch, graphs).items():
-        detached += [f"# {name}", *order]
-    digest = hashlib.sha256("\n".join(detached).encode()).hexdigest()
-    assert digest == ORACLE_PIVOT_ORDER_SHA256
+    for run, want in [
+        (inertia_oracle, ORACLE_PIVOT_ORDER_SHA256),
+        (oracle._eliminate, WHOLE_GRAPH_PIVOT_ORDER_SHA256),
+    ]:
+        detached = []
+        for name, order in _detach_order(monkeypatch, graphs, run).items():
+            detached += [f"# {name}", *order]
+        digest = hashlib.sha256("\n".join(detached).encode()).hexdigest()
+        assert digest == want
+    _check_leaf_phase(monkeypatch, graphs)
 
 
-def _detach_order(monkeypatch, graphs: dict) -> dict:
-    """Name -> the vertices ``oracle._detach`` receives while the oracle
-    runs on that graph, in call order."""
+def _detach_order(monkeypatch, graphs: dict, run=inertia_oracle) -> dict:
+    """Name -> the vertices ``oracle._detach`` receives while ``run`` runs
+    on that graph, in call order."""
     order = {}
     real_detach = oracle._detach
 
@@ -251,8 +261,43 @@ def _detach_order(monkeypatch, graphs: dict) -> dict:
     monkeypatch.setattr(oracle, "_detach", recording_detach)
     for name, g in graphs.items():
         order[name] = []
-        inertia_oracle(g)
+        run(g)
+    monkeypatch.undo()
     return order
+
+
+def _check_leaf_phase(monkeypatch, graphs: dict) -> None:
+    """The leaf phase hands the elimination only vertices with at least two
+    neighbours among themselves, the elimination pivots on each of them
+    once, and the two phases together find what the elimination finds on
+    the whole graph."""
+    detached = _detach_order(monkeypatch, graphs)
+    handed = []
+    real_eliminate = oracle._eliminate
+
+    def recording_eliminate(g, live=None):
+        handed.append([v for i, v in enumerate(g.vertices) if live is None or live[i] >= 0])
+        return real_eliminate(g, live)
+
+    monkeypatch.setattr(oracle, "_eliminate", recording_eliminate)
+    for name, g in graphs.items():
+        handed.clear()
+        assert inertia_oracle(g) == real_eliminate(g), name
+        kept = handed.pop() if handed else []
+        assert not handed, name
+        core = g.induced(kept)
+        assert all(len(core.neighbors(v)) >= 2 for v in kept), name
+        assert sorted(detached[name]) == sorted(kept), name
+    monkeypatch.undo()
+
+
+def test_leaf_phase_matches_the_whole_graph_elimination_at_scale():
+    # The leaf phase is exact on paper; until the oracle checks a
+    # certificate of its own, this compares it with the elimination alone,
+    # with no leaf phase, on criterion 10's graphs of about 3200 vertices.
+    for name, g in _criterion_10_graphs().items():
+        assert g.n >= 3190
+        assert inertia_oracle(g) == oracle._eliminate(g), name
 
 
 def _unit_base(build, p, l, q):
@@ -270,13 +315,16 @@ def test_oracle_pairs_a_zero_pivot_with_a_least_degree_partner(monkeypatch):
         "infinity(3,2,4)": _unit_base(build_infinity, 3, 2, 4),
         **{f"bicyclic {seed}": generate(GenSpec("bicyclic", 12, seed, regime="unit")) for seed in (3, 9, 10)},
     }
+    # The leaf phase takes t1 and t0 off bicyclic 9; the other graphs have
+    # no leaf.
+    _check_leaf_phase(monkeypatch, graphs)
     assert _detach_order(monkeypatch, graphs) == {
         "theta(2,4,5)": "b1 b2 u c1 v c3 c2".split(),
         "theta(4,4,4)": "a1 a2 b1 b2 c1 u c2 v".split(),
         "infinity(3,1,3)": "u1 u2 v1 u0 v2".split(),
         "infinity(3,2,4)": "u1 u2 u0 v1 v0 v2 v3".split(),
         "bicyclic 3": "u1 u2 u3 u0 w1 w2 w3 v1 v0 v2 v3 v4".split(),
-        "bicyclic 9": "t1 t0 u1 u2 u3 u4 u0 v1 v0 v2 v3 v4".split(),
+        "bicyclic 9": "u1 u2 u3 u4 u0 v1 v0 v2 v3 v4".split(),
         "bicyclic 10": "a1 a2 a3 v b1 b2 b3 c1 u c2 c3 c4".split(),
     }
 
@@ -338,6 +386,19 @@ def test_sparse_oracle_matches_dense_on_fixed_families():
         assert inertia_oracle(g) == dense_inertia(g), g
     assert inertia_oracle(cases[0]) == Inertia(0, 0, 0)
     assert inertia_oracle(cases[1]) == Inertia(0, 0, 3)
+
+
+def test_oracle_pendant_pivot_leaves_a_filled_in_partner_diagonal_unused():
+    # The leaf phase leaves this graph whole.  Fill-in gives v2 a nonzero
+    # diagonal, then leaves v0 a zero-diagonal leaf on v2: the update of that
+    # pendant pivot is zero, and v2's diagonal must go unused.
+    names = [f"v{i}" for i in range(5)]
+    edges = [
+        ("v0", "v2", 3), ("v0", "v3", 3), ("v0", "v4", 3), ("v1", "v3", 3),
+        ("v1", "v4", 3), ("v2", "v3", 1), ("v3", "v4", 1),
+    ]
+    g = WeightedGraph(names, edges)
+    assert inertia_oracle(g) == dense_inertia(g)
 
 
 def test_matrix_dump_format():

@@ -41,6 +41,7 @@ from graph_inertia.testgen import (
 from reference import is_mismatched
 from test_acceptance import _hang_two_vertex_paths, _long_type_ii_bases
 from test_cli import _pinned_inputs
+from test_structure import DESCRIPTORS_SHA256, _pinned_cores
 
 
 def test_solve_empty_graph():
@@ -68,6 +69,69 @@ def test_unicyclic_bare_cycle_type():
     res = solve(c5)
     assert res.inertia == Inertia(3, 2, 0)
     assert res.methods == (Method.CYCLE_CLOSED_FORM,)
+
+
+def _bicyclic_cut_to_bare_cycle() -> WeightedGraph:
+    """Triangles a-b-c and d-e-f joined by the edge c-d, with a pendant at
+    c.  c is the one matched root; cutting it leaves the path a-b, which
+    peels away, and the triangle d-e-f, which nothing was peeled into."""
+    return WeightedGraph(
+        ["a", "b", "c", "d", "e", "f", "leaf"],
+        [
+            ("a", "b", Fraction(2)),
+            ("b", "c", Fraction(3)),
+            ("c", "a", Fraction(1, 2)),
+            ("c", "d", Fraction(5)),
+            ("d", "e", Fraction(7)),
+            ("e", "f", Fraction(2, 3)),
+            ("f", "d", Fraction(4)),
+            ("c", "leaf", Fraction(3, 5)),
+        ],
+    )
+
+
+def test_solve_reads_a_cycle_in_walk_order(monkeypatch):
+    # A cycle's inertia reads the same from any start in either direction,
+    # so solve takes its weights in walk order; only describe_base reads
+    # the least rotation.
+    rng = random.Random(28)
+    cases = {
+        "bare-cycle": build_cycle(sample_cycle_weights(12, rng, branch="eq")),
+        "long-cycle": _hang_two_vertex_paths(build_cycle(sample_cycle_weights(40, rng)), rng),
+        "cut-to-bare-cycle": _bicyclic_cut_to_bare_cycle(),
+    }
+    expected = {name: solve(g) for name, g in cases.items()}
+
+    def refuse(*args):
+        raise AssertionError("solve read a cycle's least rotation")
+
+    monkeypatch.setattr(structure, "_least_cycle_reading", refuse)
+    for name, g in cases.items():
+        res = solve(g)
+        assert res == expected[name] and res.inertia == inertia_oracle(g), name
+    assert expected["bare-cycle"].methods == (Method.CYCLE_CLOSED_FORM,)
+    assert expected["bare-cycle"].inertia == Inertia(5, 5, 2)
+    assert expected["long-cycle"].methods == (Method.UNICYCLIC_TYPE_II,)
+    assert expected["cut-to-bare-cycle"].methods == (
+        Method.BICYCLIC_TYPE_I,
+        Method.FOREST,
+        Method.CYCLE_CLOSED_FORM,
+    )
+    with pytest.raises(AssertionError, match="least rotation"):
+        structure.describe_base(two_core(cases["long-cycle"]))
+    monkeypatch.undo()
+    # describe_base still reads the least rotation over both directions.
+    ws = [Fraction(k) for k in (3, 1, 2, 1, 2, 5)]
+    readings = [tuple(ws[k:] + ws[:k]) for k in range(6)]
+    readings += [r[::-1] for r in readings]
+    for k in range(6):
+        assert structure.describe_base(build_cycle(ws[k:] + ws[:k])).a == min(readings)
+    digest = hashlib.sha256()
+    count = 0
+    for core in _pinned_cores():
+        digest.update(repr(structure.describe_base(core)).encode() + b"\n")
+        count += 1
+    assert (count, digest.hexdigest()) == (1095, DESCRIPTORS_SHA256)
 
 
 def test_unicyclic_type_i_example():
