@@ -7,10 +7,13 @@ every base folds onto a bounded representative whose value is a table lookup
 or a short case split.  That weight, the weight of several folds in a row and
 the balance test of a cycle of length divisible by 4 are all one
 ``alternating_product``, which the rewrite engine and the generator's
-branch-forcing samplers use too.  Every fold is ``fold_path_weights``, after
-``reduce_infinity_shape`` or ``reduce_theta_shape`` has checked the shape.
-Every branch here is cross-checked against the congruence oracle by the
-test suite.
+branch-forcing samplers use too.  Every fold is ``fold_path_weights``.
+Each public closed form checks its shape and weights, then runs one private
+unchecked core (``_cycle_pn``, ``_infinity_pn``, ``_theta_pn``, ...) that
+returns the (i+, i-) pair; ``solve`` calls the cores alone, on the weights
+of a graph, which its constructor or parser has already checked.  Every
+branch here is cross-checked against the congruence oracle by the test
+suite.
 """
 
 from __future__ import annotations
@@ -111,17 +114,14 @@ def cycle_inertia(weights: Sequence[Fraction]) -> Inertia:
     """Inertia of a weighted cycle from its length and, when the length is
     divisible by 4, the comparison of its two alternating edge-weight products."""
     _check_cycle(weights)
-    n = len(weights)
-    r = n % 4
-    if r == 0:
-        if alternating_product(weights) == 1:
-            return Inertia(n // 2 - 1, n // 2 - 1, 2)
-        return Inertia(n // 2, n // 2, 0)
-    if r == 1:
-        return Inertia((n + 1) // 2, (n - 1) // 2, 0)
-    if r == 2:
-        return Inertia(n // 2, n // 2, 0)
-    return Inertia((n - 1) // 2, (n + 1) // 2, 0)
+    return _inertia(len(weights), _cycle_pn(weights))
+
+
+def _inertia(n: int, pn: tuple[int, int]) -> Inertia:
+    """The inertia of n vertices with the (i+, i-) pair ``pn``; the rest are
+    zeros."""
+    pos, neg = pn
+    return Inertia(pos, neg, n - pos - neg)
 
 
 def _path_pn(m: int) -> tuple[int, int]:
@@ -130,15 +130,18 @@ def _path_pn(m: int) -> tuple[int, int]:
 
 
 def _cycle_pn(ws: Sequence[Fraction]) -> tuple[int, int]:
-    return cycle_inertia(tuple(ws)).pn
-
-
-def _folded_inertia(n: int, rep_pn: tuple[int, int], folds: int) -> Inertia:
-    """Inertia of an n-vertex base from its representative's (i+, i-) and its
-    fold count: each fold adds (2, 2), and the rest of the n are zeros."""
-    pos = rep_pn[0] + 2 * folds
-    neg = rep_pn[1] + 2 * folds
-    return Inertia(pos, neg, n - pos - neg)
+    """``cycle_inertia(ws).pn``, unchecked."""
+    n = len(ws)
+    r = n % 4
+    if r == 0:
+        if alternating_product(ws) == 1:
+            return (n // 2 - 1, n // 2 - 1)
+        return (n // 2, n // 2)
+    if r == 1:
+        return ((n + 1) // 2, (n - 1) // 2)
+    if r == 2:
+        return (n // 2, n // 2)
+    return ((n - 1) // 2, (n + 1) // 2)
 
 
 def _tadpole_pn(cycle_ws: Sequence[Fraction], t: int) -> tuple[int, int]:
@@ -251,6 +254,11 @@ def infinity_condition(
     and weights are checked as ``infinity_inertia`` checks them.
     """
     _check_infinity(p, l, q, a, b, c)
+    return _infinity_condition(p, l, q, a, b, c)
+
+
+def _infinity_condition(p, l, q, a, b, c) -> CaseCondition | None:
+    """``infinity_condition``, unchecked."""
     row = INFINITY_TABLE.get((p, l, q))
     if row is None or row.condition_text is None:
         return None
@@ -292,6 +300,11 @@ def reduce_infinity_shape(p, l, q, a, b, c):
     never folds; l > 1 keeps at least a direct junction-junction edge.
     """
     _check_infinity(p, l, q, a, b, c)
+    return _reduce_infinity_shape(p, l, q, a, b, c)
+
+
+def _reduce_infinity_shape(p, l, q, a, b, c):
+    """``reduce_infinity_shape``, unchecked."""
     p0 = 3 + (p - 3) % 4
     q0 = 3 + (q - 3) % 4
     l0 = 1 if l == 1 else 2 + (l - 2) % 4
@@ -320,15 +333,23 @@ def _infinity_rep_pn(p, l, q, a, b, c):
         r = _path_pn(p - 1) if l == 1 else _tadpole_pn(a, l - 2)
         return (q // 2 + r[0], q // 2 + r[1])
     row = INFINITY_TABLE[(p, l, q)]
-    cond = infinity_condition(p, l, q, a, b, c)
+    cond = _infinity_condition(p, l, q, a, b, c)
     return row.outcome("any" if cond is None else cond.relation)
 
 
 def infinity_inertia(p, l, q, a, b, c) -> Inertia:
     """Closed-form inertia of a bare infinity base on p + q + l - 2 vertices."""
-    n = p + q + l - 2
-    rep, folds = reduce_infinity_shape(p, l, q, a, b, c)
-    return _folded_inertia(n, _infinity_rep_pn(*rep), folds)
+    _check_infinity(p, l, q, a, b, c)
+    return _inertia(p + q + l - 2, _infinity_pn(p, l, q, a, b, c))
+
+
+def _infinity_pn(p, l, q, a, b, c) -> tuple[int, int]:
+    """``infinity_inertia(p, l, q, a, b, c).pn``, unchecked: ``a`` and ``b``
+    may be read from their junctions in either direction, and ``p > q`` is
+    allowed, as long as ``c`` runs from ``a``'s junction."""
+    rep, folds = _reduce_infinity_shape(p, l, q, a, b, c)
+    pos, neg = _infinity_rep_pn(*rep)
+    return (pos + 2 * folds, neg + 2 * folds)  # each fold adds (2, 2)
 
 
 def infinity_base_inertia(d: BaseDescriptor) -> Inertia:
@@ -357,6 +378,11 @@ def reduce_theta_shape(p, l, q, a, b, c):
     Slots are returned sorted; the inertia offset is ``(2*folds, 2*folds)``.
     """
     _check_theta(p, l, q, a, b, c)
+    return _reduce_theta_shape(p, l, q, a, b, c)
+
+
+def _reduce_theta_shape(p, l, q, a, b, c):
+    """``reduce_theta_shape``, unchecked."""
     slots = sorted([(p, tuple(a)), (l, tuple(b)), (q, tuple(c))])
     out: list[tuple[int, tuple[Fraction, ...]]] = []
     folds = 0
@@ -416,9 +442,16 @@ def _theta_rep_pn(slots):
 
 def theta_inertia(p, l, q, a, b, c) -> Inertia:
     """Closed-form inertia of a bare theta base on p + l + q - 4 vertices."""
-    n = p + l + q - 4
-    slots, folds = reduce_theta_shape(p, l, q, a, b, c)
-    return _folded_inertia(n, _theta_rep_pn(slots), folds)
+    _check_theta(p, l, q, a, b, c)
+    return _inertia(p + l + q - 4, _theta_pn(p, l, q, a, b, c))
+
+
+def _theta_pn(p, l, q, a, b, c) -> tuple[int, int]:
+    """``theta_inertia(p, l, q, a, b, c).pn``, unchecked: the three paths
+    run from one hub, in any order."""
+    slots, folds = _reduce_theta_shape(p, l, q, a, b, c)
+    pos, neg = _theta_rep_pn(slots)
+    return (pos + 2 * folds, neg + 2 * folds)
 
 
 def theta_base_inertia(d: BaseDescriptor) -> Inertia:

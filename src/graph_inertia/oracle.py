@@ -25,7 +25,12 @@ fill-in bounded on graphs of small treewidth (Fürer, Hoppen & Trevisan,
 ICALP 2020); trees, unicyclic and bicyclic graphs cost about linear time.
 A zero-diagonal leaf that its pivots leave behind is unlinked with no
 arithmetic too.  Moving a vertex between degree buckets allocates nothing
-once its bucket exists.  All arithmetic is exact; the dense ECMO routine
+once its bucket exists.  All arithmetic is exact, on reduced
+``(numerator, denominator)`` pairs of ints with a positive denominator:
+each update is normalised by one ``math.gcd``, and no ``Fraction`` is
+built, whose pure-Python operators would cost most of the elimination's
+time.  ``tests/reference.py::eliminate_by_fractions`` is the same
+elimination on ``Fraction`` entries, and the dense ECMO routine
 ``matrix.congruent_diagonalize`` stays as the reference the tests compare
 against.
 """
@@ -33,7 +38,7 @@ against.
 from __future__ import annotations
 
 from collections import OrderedDict, defaultdict
-from fractions import Fraction
+from math import gcd
 
 from .core import Inertia
 from .graph import WeightedGraph
@@ -101,23 +106,26 @@ def _eliminate(g: WeightedGraph, live: list[int] | None = None) -> Inertia:
 
     Pivots are live vertices of least current degree from a bucket queue;
     ties go to bucket-insertion order, which starts as vertex order, so the
-    elimination is deterministic.
+    elimination is deterministic.  Every matrix entry is a reduced
+    ``(numerator, denominator)`` pair of ints with a positive denominator,
+    taken from the weights' own numerators and denominators; each update
+    is normalised by one ``math.gcd``, and the zero and sign tests read the
+    numerator.  So the arithmetic is exact and builds no ``Fraction``.
     """
     # Rows are reached by vertex position, as the edge columns give them: an
     # edge reads its two ids off ``vs`` and looks up no row by id.
     vs = g.vertices
-    rows: list[dict[str, Fraction]] = [{} for _ in vs]
+    rows: list[dict[str, tuple[int, int]]] = [{} for _ in vs]
     edges = zip(g._u, g._v, g._w)
     if live is not None:
         edges = [(i, j, w) for i, j, w in edges if live[i] >= 0 and live[j] >= 0]
     for i, j, w in edges:
-        rows[i][vs[j]] = w
-        rows[j][vs[i]] = w
+        rows[i][vs[j]] = rows[j][vs[i]] = (w.numerator, w.denominator)
     if live is None:
         adj = dict(zip(vs, rows))
     else:
         adj = {vs[x]: rows[x] for x, d in enumerate(live) if d >= 0}
-    diag: dict[str, Fraction] = {}  # the nonzero diagonal entries
+    diag: dict[str, tuple[int, int]] = {}  # the nonzero diagonal entries
     degree = dict(zip(adj, map(len, adj.values())))
     # OrderedDict pops its oldest key in O(1); a plain dict would rescan the
     # slots of every key already popped.  A degree's bucket is made the first
@@ -131,16 +139,20 @@ def _eliminate(g: WeightedGraph, live: list[int] | None = None) -> Inertia:
             low += 1
         v = buckets[low].popitem(last=False)[0]
         row = _detach(adj, v)
-        d = diag.pop(v, 0)
-        if d:
-            # 1x1 pivot: subtract row row^T / d as p s^T + s p^T.
-            if d > 0:
+        d = diag.pop(v, None)
+        if d is not None:
+            # 1x1 pivot: subtract row row^T / d as p s^T + s p^T, for
+            # s = row / (2 d), each entry w times dd / (2 dn) with dn made
+            # positive.
+            dn, dd = d
+            if dn > 0:
                 pos += 1
             else:
                 neg += 1
+                dn, dd = -dn, -dd
             touched = row
             if row:
-                _subtract_rank2(adj, diag, row, {y: w / (2 * d) for y, w in row.items()})
+                _subtract_rank2(adj, diag, row, _scaled(row, dd, 2 * dn))
         elif not row:
             zero += 1
             continue
@@ -150,18 +162,32 @@ def _eliminate(g: WeightedGraph, live: list[int] | None = None) -> Inertia:
             # s = q/b - c p/(2 b^2).
             u = min(row, key=lambda x: len(adj[x]))
             del buckets[degree[u]][u]
-            b = row.pop(u)
+            bn, bd = row.pop(u)
             rowu = _detach(adj, u)
-            c = diag.pop(u, 0)
+            c = diag.pop(u, None)
             pos += 1
             neg += 1
             if row:
                 touched = {**row, **rowu}
-                s = {y: w / b for y, w in rowu.items()}
-                if c:
-                    k = c / (2 * b * b)
-                    for y, w in row.items():
-                        s[y] = s.get(y, 0) - k * w
+                s = _scaled(rowu, bd, bn) if bn > 0 else _scaled(rowu, -bd, -bn)
+                if c is not None:
+                    # k = c / (2 b^2); an entry that cancels leaves s, as
+                    # a zero entry would subtract nothing.
+                    kn, kd = c[0] * bd * bd, 2 * c[1] * bn * bn
+                    for y, (wn, wd) in row.items():
+                        tn, td = kn * wn, kd * wd
+                        old = s.get(y)
+                        if old is None:
+                            k = gcd(tn, td)
+                            s[y] = (-tn // k, td // k)
+                            continue
+                        n = old[0] * td - tn * old[1]
+                        if n:
+                            m = old[1] * td
+                            k = gcd(n, m)
+                            s[y] = (n // k, m // k)
+                        else:
+                            del s[y]
                 _subtract_rank2(adj, diag, row, s)
             else:
                 # Pendant pivot: p = 0, so the update is zero and u's
@@ -178,7 +204,18 @@ def _eliminate(g: WeightedGraph, live: list[int] | None = None) -> Inertia:
     return Inertia(pos, neg, zero)
 
 
-def _detach(adj: dict[str, dict[str, Fraction]], v: str) -> dict[str, Fraction]:
+def _scaled(row: dict[str, tuple[int, int]], fn: int, fd: int) -> dict[str, tuple[int, int]]:
+    """``row`` times ``fn / fd``, for nonzero ints with ``fd > 0``, as
+    reduced pairs in ``row``'s order."""
+    out = {}
+    for y, (wn, wd) in row.items():
+        n, m = wn * fn, wd * fd
+        k = gcd(n, m)
+        out[y] = (n // k, m // k)
+    return out
+
+
+def _detach(adj: dict[str, dict[str, tuple[int, int]]], v: str) -> dict[str, tuple[int, int]]:
     """Remove ``v`` from the live matrix and return its off-diagonal row."""
     row = adj.pop(v)
     for x in row:
@@ -187,27 +224,38 @@ def _detach(adj: dict[str, dict[str, Fraction]], v: str) -> dict[str, Fraction]:
 
 
 def _subtract_rank2(
-    adj: dict[str, dict[str, Fraction]],
-    diag: dict[str, Fraction],
-    p: dict[str, Fraction],
-    s: dict[str, Fraction],
+    adj: dict[str, dict[str, tuple[int, int]]],
+    diag: dict[str, tuple[int, int]],
+    p: dict[str, tuple[int, int]],
+    s: dict[str, tuple[int, int]],
 ) -> None:
     """Subtract ``p s^T + s p^T`` from the live symmetric matrix, dropping
-    every entry that cancels to exactly zero so degrees stay exact."""
-    for x, px in p.items():
-        for y, sy in s.items():
-            t = px * sy
-            if not t:
-                continue
+    every entry that cancels to exactly zero so degrees stay exact.  No
+    entry of ``p`` or ``s`` is zero, so neither is any product."""
+    for x, (pn, pd) in p.items():
+        rowx = adj[x]
+        for y, (sn, sd) in s.items():
+            tn, td = pn * sn, pd * sd
             if x == y:
-                new = diag.get(x, 0) - 2 * t
-                if new:
-                    diag[x] = new
-                else:
-                    diag.pop(x, None)
-                continue
-            new = adj[x].get(y, 0) - t
-            if new:
-                adj[x][y] = adj[y][x] = new
+                tn *= 2
+                old = diag.get(x)
             else:
-                del adj[x][y], adj[y][x]
+                old = rowx.get(y)
+            if old is None:
+                k = gcd(tn, td)
+                new = (-tn // k, td // k)
+            else:
+                n = old[0] * td - tn * old[1]
+                if not n:
+                    if x == y:
+                        del diag[x]
+                    else:
+                        del rowx[y], adj[y][x]
+                    continue
+                m = old[1] * td
+                k = gcd(n, m)
+                new = (n // k, m // k)
+            if x == y:
+                diag[x] = new
+            else:
+                rowx[y] = adj[y][x] = new

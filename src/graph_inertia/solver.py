@@ -12,8 +12,9 @@ continues the same peel, which reports the roots it matches, and a type-II
 core is read in place on the input's adjacency, so no subgraph is rebuilt
 or peeled again and no component is split twice; the only graph built is
 a dense bare core, for the oracle.  One loop over a stack of components
-applies these rules, depth first, and appends methods and trace steps to
-one pair of lists, so the result is built once.  The result always equals the
+applies these rules, depth first, appends methods and trace steps to one
+pair of lists and adds up the closed parts' (i+, i-) as ints, so the
+result is built once.  The result always equals the
 congruence oracle on the whole input.
 """
 
@@ -22,12 +23,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 
-from .closed_forms import cycle_inertia, infinity_base_inertia, theta_base_inertia
+from .closed_forms import _cycle_pn, _infinity_pn, _theta_pn
 from .core import Inertia
 from .graph import ComponentClass, WeightedGraph, _component_class, _component_vertices
 from .oracle import inertia_oracle
 from .reduction import ReductionRule, ReductionStep, ReductionTrace
-from .structure import BaseKind, _cut, _describe_at, _hanging_tree, _live, _peel, _walk_threads
+from .structure import _cut, _hanging_tree, _live, _peel, _walk_threads
 
 __all__ = ["Method", "SolveResult", "solve"]
 
@@ -58,10 +59,24 @@ _CYCLIC_METHODS = {
     ComponentClass.UNSUPPORTED: (None, Method.ORACLE_FALLBACK),
 }
 
-_BASE_CLOSED_FORMS = {
-    BaseKind.INFINITY: infinity_base_inertia,
-    BaseKind.THETA: theta_base_inertia,
-}
+
+def _double_cycle_pn(g: WeightedGraph, live, core: list[int]) -> tuple[int, int]:
+    """(i+, i-) of the bare infinity or theta base on the ascending
+    positions ``core``, from its threads in walk order.  A theta's three
+    links all start at the first hub.  An infinity's first loop is ``a``
+    and its link ``c`` is read from ``a``'s hub; the closed form orders
+    ``p`` and ``q`` itself."""
+    threads = _walk_threads(g, live, [v for v in core if live[v] > 2])
+    loops = [t for t in threads if t[0] == t[1]]
+    if not loops:
+        a, b, c = (ws for *_, ws in threads)
+        return _theta_pn(len(a) + 1, len(b) + 1, len(c) + 1, a, b, c)
+    (h, _, _, a), (_, _, _, b) = loops
+    c = []  # the loops share their hub
+    for start, end, _, ws in threads:
+        if start != end:
+            c = ws if start == h else ws[::-1]
+    return _infinity_pn(len(a), len(c) + 1, len(b), a, b, c)
 
 
 def solve(g: WeightedGraph) -> SolveResult:
@@ -82,12 +97,15 @@ def solve(g: WeightedGraph) -> SolveResult:
     one are trees or unicyclic, since a 2-core vertex meets each piece by
     at least one edge and a cycle-free piece by two; those of a denser one
     hold no matched live vertex.  Type II cuts out the whole core, its live
-    vertices, and evaluates it.  A cycle takes ``cycle_inertia`` of its
-    weights in walk order: its length mod 4, and whether its alternating
-    product is 1, read the same from any start in either direction.  A
-    double-cycle base takes its closed form, from its canonical descriptor.
-    Both are walked on ``g``'s adjacency through the live degrees.  A
-    denser core goes to the oracle, alone.  Deleting a mismatched root
+    vertices, and evaluates it.  Every bare cycle or double-cycle base is
+    read in walk order, on ``g``'s adjacency through the live degrees, and
+    takes the unchecked core of its closed form, since ``g`` has already
+    checked its weights.  A cycle's length mod 4, and whether its
+    alternating product is 1, read the same from any start in either
+    direction.  An infinity or theta base's inertia depends only on its
+    shape and its paths' alternating products, so any reading of its
+    threads from their hubs serves, and no canonical descriptor is built.
+    A denser core goes to the oracle, alone.  Deleting a mismatched root
     keeps its tree's matching number.  A unicyclic core that no vertex was
     peeled into is a bare cycle, and has no matched vertex either.  The
     cost is O(n + m) apart from sorting the removed vertex sets, the closed
@@ -143,7 +161,7 @@ def solve(g: WeightedGraph) -> SolveResult:
     stack = split(range(g.n), _live(live), 0)
     scan = range(g.n) if len(stack) == 1 else None
     stack.reverse()
-    closed = Inertia(0, 0, 0)
+    pos = neg = 0
     while stack:
         core = stack.pop()
         if not core:
@@ -155,16 +173,16 @@ def solve(g: WeightedGraph) -> SolveResult:
         if not roots:
             core.sort()
             if kind is ComponentClass.UNSUPPORTED:
-                base = inertia_oracle(g._induced_at(core))
+                pn = inertia_oracle(g._induced_at(core)).pn
             elif kind is ComponentClass.UNICYCLIC:
                 # A cycle's inertia reads the same from any start in either
                 # direction, so the walk order serves.
                 ((*_, ws),) = _walk_threads(g, live, core[:1])
-                base = cycle_inertia(ws)
+                pn = _cycle_pn(ws)
             else:
-                d = _describe_at(g, core, live)
-                base = _BASE_CLOSED_FORMS[d.kind](d)
-            closed += base
+                pn = _double_cycle_pn(g, live, core)
+            pos += pn[0]
+            neg += pn[1]
             # A vertex peeled next to a live one has it as its parent.
             if kind is ComponentClass.UNICYCLIC and not any(
                 parent[nb] == v for v in core for nb in adj[v]
@@ -176,7 +194,7 @@ def solve(g: WeightedGraph) -> SolveResult:
                     ReductionStep(
                         ReductionRule.TYPE_II_CUT,
                         removed=tuple([vs[v] for v in core]),
-                        offset=base.pn,
+                        offset=pn,
                     )
                 )
             continue
@@ -203,5 +221,5 @@ def solve(g: WeightedGraph) -> SolveResult:
             rest = [v for v in core if live[v] >= 0]
             stack += split(scan, rest, peeled)[::-1]
     q = matched.count(1) // 2
-    inertia = closed + Inertia(q, q, g.n - sum(closed.as_tuple()) - 2 * q)
+    inertia = Inertia(pos + q, neg + q, g.n - pos - neg - 2 * q)
     return SolveResult(inertia, tuple(methods), ReductionTrace(tuple(steps)))

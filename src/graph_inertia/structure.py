@@ -1,8 +1,8 @@
 """One leaf peel for forest matching, matched-root tests and the 2-core,
 which a cut at a core vertex continues instead of peeling again; one walk
-down from a core vertex for its hanging tree; canonical descriptors of the
-core, read by one thread walk on a core graph or in place on the peeled
-graph."""
+down from a core vertex for its hanging tree; one thread walk over a core,
+which ``solve`` reads in place on the peeled graph and ``describe_base``
+turns into a canonical descriptor."""
 
 from __future__ import annotations
 
@@ -191,11 +191,11 @@ def _walk_threads(g: WeightedGraph, live, hubs) -> list[tuple]:
     """The maximal chains of degree-2 vertices between the positions
     ``hubs`` of ``g``'s subgraph on the positions whose ``live`` entry is
     not negative, each as ``(start, end, inner vertices, edge weights)``
-    with vertex ids, walked from the first hub in ``hubs`` order and then in
-    neighbour order.  Only a chain's last edge can be met again from a hub,
-    so it alone is marked, by edge position.  The cost is the total degree
-    in ``g`` of the vertices walked."""
-    adj, ws, vs = g._adj, g._w, g.vertices
+    with vertex positions, walked from the first hub in ``hubs`` order and
+    then in neighbour order.  Only a chain's last edge can be met again
+    from a hub, so it alone is marked, by edge position.  The cost is the
+    total degree in ``g`` of the vertices walked."""
+    adj, ws = g._adj, g._w
     used: set[int] = set()
     threads = []
     for h in hubs:
@@ -214,7 +214,7 @@ def _walk_threads(g: WeightedGraph, live, hubs) -> list[tuple]:
                 prev, cur = cur, nxt
                 weights.append(ws[i])
             used.add(i)
-            threads.append((vs[h], vs[cur], tuple(map(vs.__getitem__, inner)), tuple(weights)))
+            threads.append((h, cur, inner, weights))
     return threads
 
 
@@ -312,25 +312,27 @@ def describe_base(core: WeightedGraph) -> BaseDescriptor:
 
 
 def _describe_at(g: WeightedGraph, core, live) -> BaseDescriptor:
-    """``describe_base`` of the subgraph of ``g`` on the ascending positions
-    ``core``, read in place; both callers have checked that it is connected.
-    ``live`` gives each vertex of ``core`` its degree in that subgraph, at
-    least 2, and is negative at every other neighbour of a core vertex, as
-    the peel's live degrees are; the degrees add up to twice ``len(core)``,
-    or that plus 2.  Ascending positions give the walks the order they have
-    on the induced core graph, whose vertex and edge order are ``g``'s, so
-    the descriptor is the same."""
+    """The canonical descriptor of the connected subgraph of ``g`` on the
+    ascending positions ``core``.  ``live`` gives each vertex of ``core``
+    its degree in that subgraph, at least 2, and is negative at every other
+    neighbour of a core vertex; the degrees add up to twice ``len(core)``,
+    or that plus 2.  ``describe_base`` calls it on a whole core graph;
+    ``solve`` reads its bare bases in walk order and builds no descriptor."""
+    vs = g.vertices
     hubs = [v for v in core if live[v] > 2]
     if not hubs:
         # All degrees are exactly 2: one loop from the first vertex.
         ((h, _, inner, ws),) = _walk_threads(g, live, core[:1])
-        ws, vs = _least_cycle_reading([h, *inner], ws)
-        return BaseDescriptor(BaseKind.CYCLE, len(core), 0, 0, ws, (), (), vs, (), ())
+        ws, ids = _least_cycle_reading([vs[h], *map(vs.__getitem__, inner)], tuple(ws))
+        return BaseDescriptor(BaseKind.CYCLE, len(core), 0, 0, ws, (), (), ids, (), ())
 
     # The degrees add up to 2n + 2 and none is below 2, so there is one hub
     # of degree 4 or two of degree 3: two loops and at most one link
-    # between them, or three links.
-    threads = _walk_threads(g, live, hubs)
+    # between them, or three links.  Candidates compare by vertex ids.
+    threads = [
+        (vs[h], vs[e], tuple(map(vs.__getitem__, inner)), tuple(ws))
+        for h, e, inner, ws in _walk_threads(g, live, hubs)
+    ]
     loops = [t for t in threads if t[0] == t[1]]
     links = [t for t in threads if t[0] != t[1]]
     candidates = []

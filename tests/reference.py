@@ -4,15 +4,18 @@ validating constructor, subset-search and leaf-deletion matching,
 the matched-root test by its definition, characteristic-polynomial sign
 counting, the plain definitions of induced subgraphs and least cycle
 readings, the Fraction-by-Fraction alternating product, the rescanning
-rewrite engine and the ``reduce --output json`` payload, which the package's
-faster versions must reproduce; and the three elementary congruence
-operations, whose invariance the tests check the diagonalization against."""
+rewrite engine, the ``reduce --output json`` payload and the least-degree
+elimination on ``Fraction`` entries, which the package's faster versions
+must reproduce; and the three elementary congruence operations, whose
+invariance the tests check the diagonalization against."""
 
 from __future__ import annotations
 
 import json
+from collections import OrderedDict, defaultdict
 from fractions import Fraction
 
+from graph_inertia import oracle
 from graph_inertia.core import GraphError, Inertia, ParseError, echo, parse_rational
 from graph_inertia.graph import WeightedGraph, connected_components
 from graph_inertia.matrix import SymRationalMatrix
@@ -361,3 +364,117 @@ def reduce_payload(reduced: WeightedGraph, trace: ReductionTrace) -> dict:
             "edges": [[u, v, str(w)] for u, v, w in reduced.edges],
         },
     }
+
+
+def eliminate_by_fractions(g: WeightedGraph, live: list[int] | None = None) -> Inertia:
+    """``oracle._eliminate(g, live)`` with every matrix entry a ``Fraction``:
+    the same pivots, taken through the same ``oracle._detach`` calls.
+
+    Inertia of the subgraph of ``g`` on the positions whose ``live``
+    entry is not negative (all of ``g`` when ``live`` is None), by
+    least-degree block elimination.
+
+    Pivots are live vertices of least current degree from a bucket queue;
+    ties go to bucket-insertion order, which starts as vertex order, so the
+    elimination is deterministic.
+    """
+    # Rows are reached by vertex position, as the edge columns give them: an
+    # edge reads its two ids off ``vs`` and looks up no row by id.
+    vs = g.vertices
+    rows: list[dict[str, Fraction]] = [{} for _ in vs]
+    edges = zip(g._u, g._v, g._w)
+    if live is not None:
+        edges = [(i, j, w) for i, j, w in edges if live[i] >= 0 and live[j] >= 0]
+    for i, j, w in edges:
+        rows[i][vs[j]] = w
+        rows[j][vs[i]] = w
+    if live is None:
+        adj = dict(zip(vs, rows))
+    else:
+        adj = {vs[x]: rows[x] for x, d in enumerate(live) if d >= 0}
+    diag: dict[str, Fraction] = {}  # the nonzero diagonal entries
+    degree = dict(zip(adj, map(len, adj.values())))
+    # OrderedDict pops its oldest key in O(1); a plain dict would rescan the
+    # slots of every key already popped.  A degree's bucket is made the first
+    # time a vertex moves into it.
+    buckets: defaultdict[int, OrderedDict[str, None]] = defaultdict(OrderedDict)
+    for v, d in degree.items():
+        buckets[d][v] = None
+    pos = neg = zero = low = 0
+    while adj:
+        while not buckets.get(low):
+            low += 1
+        v = buckets[low].popitem(last=False)[0]
+        row = oracle._detach(adj, v)
+        d = diag.pop(v, 0)
+        if d:
+            # 1x1 pivot: subtract row row^T / d as p s^T + s p^T.
+            if d > 0:
+                pos += 1
+            else:
+                neg += 1
+            touched = row
+            if row:
+                _subtract_rank2(adj, diag, row, {y: w / (2 * d) for y, w in row.items()})
+        elif not row:
+            zero += 1
+            continue
+        else:
+            # 2x2 pivot on (v, u), inverse [[-c/b^2, 1/b], [1/b, 0]]: with
+            # p = column v and q = column u, subtract p s^T + s p^T for
+            # s = q/b - c p/(2 b^2).
+            u = min(row, key=lambda x: len(adj[x]))
+            del buckets[degree[u]][u]
+            b = row.pop(u)
+            rowu = oracle._detach(adj, u)
+            c = diag.pop(u, 0)
+            pos += 1
+            neg += 1
+            if row:
+                touched = {**row, **rowu}
+                s = {y: w / b for y, w in rowu.items()}
+                if c:
+                    k = c / (2 * b * b)
+                    for y, w in row.items():
+                        s[y] = s.get(y, 0) - k * w
+                _subtract_rank2(adj, diag, row, s)
+            else:
+                # Pendant pivot: p = 0, so the update is zero and u's
+                # diagonal, which only ever multiplies p, goes unused.
+                touched = rowu
+        for x in touched:
+            new = len(adj[x])
+            if new != degree[x]:
+                del buckets[degree[x]][x]
+                buckets[new][x] = None
+                degree[x] = new
+                if new < low:
+                    low = new
+    return Inertia(pos, neg, zero)
+
+
+def _subtract_rank2(
+    adj: dict[str, dict[str, Fraction]],
+    diag: dict[str, Fraction],
+    p: dict[str, Fraction],
+    s: dict[str, Fraction],
+) -> None:
+    """Subtract ``p s^T + s p^T`` from the live symmetric matrix, dropping
+    every entry that cancels to exactly zero so degrees stay exact."""
+    for x, px in p.items():
+        for y, sy in s.items():
+            t = px * sy
+            if not t:
+                continue
+            if x == y:
+                new = diag.get(x, 0) - 2 * t
+                if new:
+                    diag[x] = new
+                else:
+                    diag.pop(x, None)
+                continue
+            new = adj[x].get(y, 0) - t
+            if new:
+                adj[x][y] = adj[y][x] = new
+            else:
+                del adj[x][y], adj[y][x]

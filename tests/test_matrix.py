@@ -26,7 +26,13 @@ from graph_inertia.testgen import (
     random_weight,
 )
 
-from reference import ecmo_add, ecmo_scale, ecmo_swap, inertia_by_sign_counting
+from reference import (
+    ecmo_add,
+    ecmo_scale,
+    ecmo_swap,
+    eliminate_by_fractions,
+    inertia_by_sign_counting,
+)
 from test_acceptance import _criterion_10_graphs
 
 rationals = st.fractions(min_value=Fraction(-5), max_value=Fraction(5), max_denominator=6)
@@ -399,6 +405,111 @@ def test_oracle_pendant_pivot_leaves_a_filled_in_partner_diagonal_unused():
     ]
     g = WeightedGraph(names, edges)
     assert inertia_oracle(g) == dense_inertia(g)
+
+
+@st.composite
+def cyclic_graphs(draw, max_n=16, weights=None):
+    """Connected graphs of cyclomatic number up to 8: a random spanning tree
+    and up to 8 more edges, so sparse on many vertices and near complete on
+    five or six.  Weights come from a few values, or a wide range."""
+    n = draw(st.integers(2, max_n))
+    if weights is None:
+        weights = draw(
+            st.sampled_from([(1,), (1, 2), (Fraction(1, 3), 1, 5), tuple(range(1, 30))])
+        )
+    pairs = [(draw(st.integers(0, i - 1)), i) for i in range(1, n)]
+    chords = [(i, j) for j in range(n) for i in range(j) if (i, j) not in pairs]
+    if chords:
+        pairs += draw(st.lists(st.sampled_from(chords), max_size=8, unique=True))
+    names = [f"g{i}" for i in range(n)]
+    return WeightedGraph(
+        names, [(names[i], names[j], draw(st.sampled_from(weights))) for i, j in pairs]
+    )
+
+
+@st.composite
+def gadget_graphs(draw, cancel: bool):
+    """A cyclic graph with a 4-cycle v-x-y-u hung on some of its edges v-u
+    of weight b.  Pivoting on x and y subtracts w(v-x) w(u-y) / w(x-y) from
+    v-u: with ``cancel`` the x-y weight makes that exactly b, so the entry
+    cancels to zero, and otherwise it exceeds b, so the entry turns
+    negative."""
+    g = draw(cyclic_graphs(max_n=10))
+    edges = list(g.edges)
+    vertices = list(g.vertices)
+    for k, (v, u, b) in enumerate(edges[: draw(st.integers(1, len(edges)))]):
+        p, q = draw(st.sampled_from([1, 2, Fraction(1, 2), 3])), draw(st.sampled_from([1, 3, 4]))
+        ratio = 1 if cancel else draw(st.sampled_from([Fraction(3, 2), 2, 7]))
+        x, y = f"x{k}", f"y{k}"
+        vertices += (x, y)
+        edges += [(v, x, p), (u, y, q), (x, y, Fraction(p * q) / (b * ratio))]
+    return WeightedGraph(vertices, edges)
+
+
+def _same_elimination_as_fractions(g: WeightedGraph) -> None:
+    """``oracle._eliminate`` finds the reference's inertia through the same
+    ``_detach`` calls, in the same order."""
+    real_detach = oracle._detach
+    runs = []
+    for run in (oracle._eliminate, eliminate_by_fractions):
+        order = []
+
+        def recording_detach(adj, v, order=order):
+            order.append(v)
+            return real_detach(adj, v)
+
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(oracle, "_detach", recording_detach)
+            runs.append((run(g), order))
+    assert runs[0] == runs[1]
+    assert sorted(runs[0][1]) == sorted(g.vertices)
+
+
+@given(cyclic_graphs())
+@settings(max_examples=200, deadline=None)
+def test_integer_elimination_matches_fractions(g):
+    _same_elimination_as_fractions(g)
+
+
+@given(gadget_graphs(cancel=True))
+@settings(max_examples=100, deadline=None)
+def test_integer_elimination_matches_fractions_when_fill_cancels(g):
+    _same_elimination_as_fractions(g)
+
+
+@given(gadget_graphs(cancel=False))
+@settings(max_examples=100, deadline=None)
+def test_integer_elimination_matches_fractions_when_fill_turns_negative(g):
+    _same_elimination_as_fractions(g)
+
+
+def test_integer_elimination_builds_no_fraction(monkeypatch):
+    # Graphs and expected answers are built first: the elimination reads
+    # each weight's numerator and denominator and never makes a Fraction.
+    rng = random.Random(29)
+    graphs = {
+        f"{cls} {regime}": generate(GenSpec(cls, 40, 2900, regime=regime))
+        for cls in ["unicyclic", "bicyclic"]
+        for regime in ["random", "unit", "force"]
+    }
+    graphs["random 10^3-cycle"] = build_cycle([random_weight(rng) for _ in range(1000)])
+    for n in range(5, 9):
+        names = [f"k{i}" for i in range(n)]
+        edges = [(x, y, random_weight(rng)) for i, x in enumerate(names) for y in names[i + 1:]]
+        graphs[f"K{n}"] = WeightedGraph(names, edges)
+    expected = {name: eliminate_by_fractions(g) for name, g in graphs.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built a Fraction")
+
+    monkeypatch.setattr(Fraction, "__new__", refuse)
+    if hasattr(Fraction, "_from_coprime_ints"):  # Python 3.12 on
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(refuse))
+    with pytest.raises(AssertionError, match="built a Fraction"):
+        eliminate_by_fractions(graphs["K5"])
+    for name, g in graphs.items():
+        assert oracle._eliminate(g) == inertia_oracle(g) == expected[name], name
+    monkeypatch.undo()
 
 
 def test_matrix_dump_format():

@@ -23,7 +23,14 @@ from graph_inertia import (
     structure,
     two_core,
 )
-from graph_inertia.closed_forms import reduce_infinity_shape, reduce_theta_shape
+from graph_inertia import closed_forms
+from graph_inertia.closed_forms import (
+    cycle_inertia,
+    infinity_inertia,
+    reduce_infinity_shape,
+    reduce_theta_shape,
+    theta_inertia,
+)
 from graph_inertia.reduction import ReductionRule, ReductionStep, reduce_to_core
 from graph_inertia.solver import Method
 from graph_inertia.testgen import (
@@ -126,12 +133,96 @@ def test_solve_reads_a_cycle_in_walk_order(monkeypatch):
     readings += [r[::-1] for r in readings]
     for k in range(6):
         assert structure.describe_base(build_cycle(ws[k:] + ws[:k])).a == min(readings)
+    _check_pinned_descriptors()
+
+
+def _check_pinned_descriptors() -> None:
     digest = hashlib.sha256()
     count = 0
     for core in _pinned_cores():
         digest.update(repr(structure.describe_base(core)).encode() + b"\n")
         count += 1
     assert (count, digest.hexdigest()) == (1095, DESCRIPTORS_SHA256)
+
+
+def _shuffled(g: WeightedGraph, rng: random.Random) -> WeightedGraph:
+    """``g`` with its vertices in a random order, so the walk starts at
+    either hub and meets the loops in either order."""
+    return WeightedGraph(rng.sample(g.vertices, g.n), g.edges)
+
+
+def _double_cycle_walk_cases() -> dict[str, WeightedGraph]:
+    rng = random.Random(29)
+    cases = {}
+    infinities = [(3, 1, 3), (3, 2, 4), (4, 3, 5), (6, 1, 3), (5, 4, 3), (9, 6, 7), (4, 2, 4)]
+    thetas = [(2, 3, 4), (3, 4, 5), (4, 4, 4), (2, 3, 5), (6, 7, 9)]
+    for shape in infinities:
+        g = build_infinity(*shape, *sample_infinity_weights(*shape, rng))
+        cases[f"infinity{shape}"] = g
+        cases[f"infinity{shape} shuffled"] = _shuffled(g, rng)
+    for shape in thetas:
+        g = build_theta(*shape, *sample_theta_weights(*shape, rng))
+        cases[f"theta{shape}"] = g
+        cases[f"theta{shape} shuffled"] = _shuffled(g, rng)
+    # Conditions that read the link's direction, at equality.
+    for shape in [(3, 3, 5), (3, 5, 5), (3, 2, 3)]:
+        g = build_infinity(*shape, *sample_infinity_weights(*shape, rng, branch="eq"))
+        cases[f"infinity{shape} eq"] = g
+        cases[f"infinity{shape} eq shuffled"] = _shuffled(g, rng)
+    # Twin paths with equal products, and the (2, ., 6) weight addition.
+    for shape, branch in [
+        ((3, 3, 5), "eq"), ((3, 3, 7), "eq"), ((3, 3, 3), "eq:ceq"), ((5, 5, 5), "eq:ceq"),
+        ((5, 5, 5), "eq:cneq"), ((2, 4, 6), "ceq"), ((2, 4, 6), "cneq"),
+    ]:
+        ws = sample_theta_weights(*shape, rng, branch=branch)
+        cases[f"theta{shape} {branch}"] = _shuffled(build_theta(*shape, *ws), rng)
+    for name, g in _long_type_ii_bases(rng).items():
+        cases[f"long {name}"] = g
+    # Hanging trees: cut out whole, or cut at a matched root first.
+    base = build_theta(4, 5, 7, *sample_theta_weights(4, 5, 7, rng))
+    cases["theta with hanging paths"] = _hang_two_vertex_paths(base, rng)
+    for seed in range(6):
+        cases[f"bicyclic {seed}"] = generate(GenSpec("bicyclic", 30, 2900 + seed))
+    return cases
+
+
+def test_solve_reads_a_double_cycle_base_in_walk_order(monkeypatch):
+    # An infinity or theta base's inertia depends only on its shape and its
+    # paths' alternating products, so solve reads its threads in walk order
+    # and calls the closed forms' unchecked cores: it builds no canonical
+    # descriptor and does not check again the weights the graph checked.
+    cases = _double_cycle_walk_cases()
+    expected = {name: solve(g) for name, g in cases.items()}
+
+    def refuse(*args):
+        raise AssertionError("solve read a canonical descriptor or checked weights")
+
+    monkeypatch.setattr(structure, "_describe_at", refuse)
+    monkeypatch.setattr(closed_forms, "_check_weights", refuse)
+    for name, g in cases.items():
+        res = solve(g)
+        assert res == expected[name] and res.inertia == inertia_oracle(g), name
+    for name in cases:
+        if name.startswith(("infinity", "theta(")):
+            assert expected[name].methods == (Method.BICYCLIC_TYPE_II,), name
+    assert expected["long theta"].methods == (Method.BICYCLIC_TYPE_II,)
+    assert Method.BICYCLIC_TYPE_I in {m for r in expected.values() for m in r.methods}
+    with pytest.raises(AssertionError, match="canonical descriptor"):
+        structure.describe_base(two_core(cases["theta(2, 3, 4)"]))
+    with pytest.raises(AssertionError, match="checked weights"):
+        theta_inertia(2, 3, 4, [1], [1, 2], [1, 2, 3])
+    monkeypatch.undo()
+    _check_pinned_descriptors()
+    # The public closed forms still refuse what a graph would.
+    for call in [
+        lambda: cycle_inertia([1, 0, 1]),
+        lambda: infinity_inertia(3, 1, 3, [1, 2, -1], [1, 1, 1], []),
+        lambda: theta_inertia(2, 3, 4, [1], [1, Fraction(-1, 2)], [1, 2, 3]),
+        lambda: reduce_infinity_shape(3, 2, 3, [1, 1, 1], [1, 1, 1], [1.5]),
+        lambda: reduce_theta_shape(2, 3, 6, [1], [1, True], [1] * 5),
+    ]:
+        with pytest.raises(GraphError, match="above zero"):
+            call()
 
 
 def test_unicyclic_type_i_example():
