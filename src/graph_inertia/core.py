@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 __all__ = ["GraphError", "ParseError", "Inertia", "parse_rational"]
 
@@ -47,12 +47,13 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError("integer literal too long for exact conversion") from None
 
 
-@dataclass(frozen=True)
-class Inertia:
+class Inertia(NamedTuple):
     """Counts of positive, negative and zero eigenvalues of a symmetric matrix.
 
     For a graph this is taken over its weighted adjacency matrix, so
-    ``pos + neg + zero`` equals the number of vertices.
+    ``pos + neg + zero`` equals the number of vertices.  As a named tuple it
+    equals, and unpacks like, the plain tuple ``(pos, neg, zero)``; ``+``
+    adds counts, it does not concatenate.
     """
 
     pos: int

@@ -13,7 +13,7 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .closed_forms import alternating_product
 from .core import GraphError, echo
@@ -37,12 +37,15 @@ class ReductionRule(Enum):
     TYPE_II_CUT = "TypeIICut"
 
 
-@dataclass(frozen=True)
-class ReductionStep:
-    """One rewrite: removed vertices, added edges, and its (pos, neg) offset.
+class ReductionStep(NamedTuple):
+    """One rewrite, as the named tuple ``(rule, removed, added, offset)``.
 
-    For PathContract steps ``removed`` lists the four interior vertices in
-    path order starting next to ``added[0][0]``.
+    ``rule`` is the ``ReductionRule`` applied, ``removed`` the vertex ids it
+    deleted, ``added`` its new ``(u, v, weight)`` edges and ``offset`` the
+    ``(pos, neg)`` pair it adds to the inertia.  For PathContract steps
+    ``removed`` lists the four interior vertices in path order starting next
+    to ``added[0][0]``.  A step equals, and unpacks like, the plain tuple of
+    its fields.
     """
 
     rule: ReductionRule

@@ -20,8 +20,8 @@ congruence oracle on the whole input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 from .closed_forms import _cycle_pn, _infinity_pn, _theta_pn
 from .core import Inertia
@@ -43,8 +43,15 @@ class Method(Enum):
     ORACLE_FALLBACK = "OracleFallback"
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
+    """What ``solve`` returns, as the named tuple ``(inertia, methods, trace)``.
+
+    ``inertia`` is the graph's ``Inertia``, ``methods`` the ``Method`` tag
+    of each rule applied, in the order applied, and ``trace`` the
+    ``ReductionTrace`` of the splits and cuts.  A result equals, and unpacks
+    like, the plain tuple of its fields.
+    """
+
     inertia: Inertia
     methods: tuple[Method, ...]
     trace: ReductionTrace
