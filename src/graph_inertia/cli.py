@@ -32,12 +32,7 @@ from .oracle import inertia_oracle
 from .reduction import ReductionRule, ReductionTrace, reduce_to_core
 from .solver import solve
 from .structure import describe_base, two_core
-from .testgen import (
-    GenSpec,
-    build_infinity,
-    generate,
-    sample_infinity_weights,
-)
+from .testgen import GenSpec, build_infinity, generate, sample_infinity_weights
 
 __all__ = ["main"]
 
@@ -45,6 +40,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_MISMATCH = 3
+
+# The largest --n of gen and verify and --count of verify, checked first.
+MAX_N = 10**7
+MAX_COUNT = 10**6
 
 
 @functools.cache
@@ -207,6 +206,10 @@ def _cmd_verify(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
     n_min = {"tree": 1, "unicyclic": 3, "bicyclic": 5}[args.klass]
     if args.count < 1:
         raise GraphError(f"--count must be at least 1, got {args.count}")
+    if args.count > MAX_COUNT:
+        raise GraphError(f"--count must be at most {MAX_COUNT}, got {args.count}")
+    if args.n > MAX_N:
+        raise GraphError(f"--n must be at most {MAX_N}, got {args.n}")
     if args.n < n_min:
         raise GraphError(f"--n must be at least {n_min} for {args.klass} graphs, got {args.n}")
     mismatches = []
@@ -226,6 +229,8 @@ def _cmd_verify(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
 
 
 def _cmd_gen(args, out: TextIO, stdin: TextIO | BinaryIO | None) -> int:
+    if args.n > MAX_N:
+        raise GraphError(f"--n must be at most {MAX_N}, got {args.n}")
     g = generate(GenSpec(args.klass, args.n, args.seed))
     # The lines serialize_graph joins, written 4096 at a time: the text is
     # never held whole, and one write per line made the system time on a

@@ -5,6 +5,8 @@ its neighbor costs exactly (1, 1) on the (positive, negative) pair, and
 contracting a five-edge run whose four interior vertices have degree 2 into a
 single edge of weight ``w1*w3*w5/(w2*w4)`` costs exactly (2, 2).  That weight
 is ``alternating_product(ws)``, the product every closed-form fold takes.
+``reduce_to_core`` applies both on vertex positions; ``tests/reference.py``
+keeps each as a single-step rewrite of a graph.
 """
 
 from __future__ import annotations
@@ -13,18 +15,15 @@ import heapq
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 from .closed_forms import alternating_product
-from .core import GraphError, echo
 from .graph import WeightedGraph, _subgraph
 
 __all__ = [
     "ReductionRule",
     "ReductionStep",
     "ReductionTrace",
-    "delete_pendant_pair",
-    "contract_degree2_path",
     "reduce_to_core",
 ]
 
@@ -79,51 +78,6 @@ class ReductionTrace:
         return "\n".join(s.serialize() for s in self.steps)
 
 
-def delete_pendant_pair(g: WeightedGraph, v: str) -> tuple[WeightedGraph, ReductionStep]:
-    """Remove a pendant vertex and its unique neighbor; offset (1, 1)."""
-    if g.degree(v) != 1:
-        raise GraphError(f"vertex {echo(v)} is not pendant (degree {g.degree(v)})")
-    u = g.neighbors(v)[0][0]
-    step = ReductionStep(ReductionRule.PENDANT_PAIR, removed=(v, u), offset=(1, 1))
-    return g.without((v, u)), step
-
-
-def contract_degree2_path(
-    g: WeightedGraph, path: Sequence[str]
-) -> tuple[WeightedGraph, ReductionStep]:
-    """Replace a five-edge path whose interior vertices have degree 2 by one
-    edge of weight ``w1*w3*w5/(w2*w4)``; offset (2, 2).
-
-    ``path`` lists the six vertices in order, endpoints first and last.  The
-    rewrite is refused when it would leave a non-simple graph (a loop when the
-    endpoints coincide, or a parallel edge when they are already adjacent).
-    """
-    path = tuple(path)
-    if len(path) != 6:
-        raise GraphError("contraction path must list six vertices")
-    for x in path:
-        if not isinstance(x, str):
-            raise GraphError(f"unknown vertex {echo(x)}")
-    if path[0] == path[5] and len(set(path)) == 5:
-        raise GraphError("contraction refused: endpoints coincide, the new edge would be a loop")
-    if len(set(path)) != 6:
-        raise GraphError("contraction path revisits a vertex")
-    ws = [g.weight(path[i], path[i + 1]) for i in range(5)]
-    for x in path[1:5]:
-        if g.degree(x) != 2:
-            raise GraphError(f"interior vertex {echo(x)} has degree {g.degree(x)}, expected 2")
-    if g.has_edge(path[0], path[5]):
-        raise GraphError("contraction refused: the new edge would parallel an existing one")
-    w = alternating_product(ws)
-    added = ((path[0], path[5], w),)
-    rest = g.without(path[1:5])
-    step = ReductionStep(ReductionRule.PATH_CONTRACT, removed=path[1:5], added=added, offset=(2, 2))
-    index = rest._index
-    return WeightedGraph._trusted(
-        rest.vertices, rest._u + [index[path[0]]], rest._v + [index[path[5]]], rest._w + [w]
-    ), step
-
-
 def _run_from(adj: list[dict[int, int] | None], x1: int) -> list[int] | None:
     """The first contractible run x0..x5 through degree-2 ``x1``, trying its
     neighbours as x0 in neighbour order, or None; vertices are positions."""
@@ -155,8 +109,8 @@ def reduce_to_core(g: WeightedGraph) -> tuple[WeightedGraph, ReductionTrace]:
     One pass over a mutable copy of the adjacency does this in
     O((n + m) log n).  Deleting a neighbour keeps the order of the others and
     a contraction's edge is inserted last, so every neighbour order, and so
-    every choice, is the one the graph after each single-step rewrite
-    (``delete_pendant_pair``, ``contract_degree2_path``) would give.
+    every choice, is the one the graph after each single-step rewrite in
+    ``tests/reference.py`` would give.
     """
     vs = g.vertices
     # A copy of the adjacency by vertex position; None marks a deleted vertex.

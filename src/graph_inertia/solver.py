@@ -69,20 +69,17 @@ _CYCLIC_METHODS = {
 
 def _double_cycle_pn(g: WeightedGraph, live, core: list[int]) -> tuple[int, int]:
     """(i+, i-) of the bare infinity or theta base on the ascending
-    positions ``core``, from its threads in walk order.  A theta's three
-    links all start at the first hub.  An infinity's first loop is ``a``
-    and its link ``c`` is read from ``a``'s hub; the closed form orders
-    ``p`` and ``q`` itself."""
+    positions ``core``, from its threads in walk order.  ``_walk_threads``
+    walks every edge of the first hub before any other hub, so a theta's
+    three links, an infinity's first loop ``a`` and its link ``c`` all
+    start at that hub; the closed form orders ``p`` and ``q`` itself."""
     threads = _walk_threads(g, live, [v for v in core if live[v] > 2])
     loops = [t for t in threads if t[0] == t[1]]
     if not loops:
         a, b, c = (ws for *_, ws in threads)
         return _theta_pn(len(a) + 1, len(b) + 1, len(c) + 1, a, b, c)
-    (h, _, _, a), (_, _, _, b) = loops
-    c = []  # the loops share their hub
-    for start, end, _, ws in threads:
-        if start != end:
-            c = ws if start == h else ws[::-1]
+    (*_, a), (*_, b) = loops
+    c = next((ws for start, end, _, ws in threads if start != end), [])  # [] at a shared hub
     return _infinity_pn(len(a), len(c) + 1, len(b), a, b, c)
 
 

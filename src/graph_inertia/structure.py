@@ -289,9 +289,6 @@ def _least_cycle_reading(order: list[str], forward: tuple) -> tuple[tuple, tuple
     return ws[s:] + ws[:s], tuple(seq[s:] + seq[:s])
 
 
-_DISCONNECTED = "core must be connected and non-empty"
-
-
 def describe_base(core: WeightedGraph) -> BaseDescriptor:
     """Canonical descriptor of a 2-core (a cycle or a double-cycle base).
 
@@ -302,36 +299,26 @@ def describe_base(core: WeightedGraph) -> BaseDescriptor:
     # A disconnected core is reported as such even when it breaks another
     # rule too.
     if len(_component_vertices(core)) != 1:
-        raise GraphError(_DISCONNECTED)
+        raise GraphError("core must be connected and non-empty")
     degrees = list(map(len, core._adj))
     if min(degrees) < 2:
         raise GraphError("core has a vertex of degree < 2; not a 2-core")
     if core.m - core.n not in (0, 1):
         raise GraphError("core matches neither a cycle nor a double-cycle base")
-    return _describe_at(core, range(core.n), degrees)
-
-
-def _describe_at(g: WeightedGraph, core, live) -> BaseDescriptor:
-    """The canonical descriptor of the connected subgraph of ``g`` on the
-    ascending positions ``core``.  ``live`` gives each vertex of ``core``
-    its degree in that subgraph, at least 2, and is negative at every other
-    neighbour of a core vertex; the degrees add up to twice ``len(core)``,
-    or that plus 2.  ``describe_base`` calls it on a whole core graph;
-    ``solve`` reads its bare bases in walk order and builds no descriptor."""
-    vs = g.vertices
-    hubs = [v for v in core if live[v] > 2]
+    vs = core.vertices
+    hubs = [v for v, d in enumerate(degrees) if d > 2]
     if not hubs:
         # All degrees are exactly 2: one loop from the first vertex.
-        ((h, _, inner, ws),) = _walk_threads(g, live, core[:1])
+        ((h, _, inner, ws),) = _walk_threads(core, degrees, [0])
         ws, ids = _least_cycle_reading([vs[h], *map(vs.__getitem__, inner)], tuple(ws))
-        return BaseDescriptor(BaseKind.CYCLE, len(core), 0, 0, ws, (), (), ids, (), ())
+        return BaseDescriptor(BaseKind.CYCLE, core.n, 0, 0, ws, (), (), ids, (), ())
 
     # The degrees add up to 2n + 2 and none is below 2, so there is one hub
     # of degree 4 or two of degree 3: two loops and at most one link
     # between them, or three links.  Candidates compare by vertex ids.
     threads = [
         (vs[h], vs[e], tuple(map(vs.__getitem__, inner)), tuple(ws))
-        for h, e, inner, ws in _walk_threads(g, live, hubs)
+        for h, e, inner, ws in _walk_threads(core, degrees, hubs)
     ]
     loops = [t for t in threads if t[0] == t[1]]
     links = [t for t in threads if t[0] != t[1]]

@@ -20,7 +20,6 @@ from .closed_forms import (
 )
 from .core import GraphError
 from .graph import WeightedGraph
-from .structure import BaseDescriptor, BaseKind
 
 __all__ = [
     "GenSpec",
@@ -29,7 +28,6 @@ __all__ = [
     "build_cycle",
     "build_infinity",
     "build_theta",
-    "build_from_descriptor",
     "infinity_branches",
     "theta_branches",
     "sample_infinity_weights",
@@ -135,19 +133,6 @@ def build_theta(
     inners = [[f"{label}{i}" for i in range(1, size - 1)] for label, size in zip("abc", (p, l, q))]
     chains = [(["u", *inner, "v"], ws) for inner, ws in zip(inners, (a, b, c))]
     return _chains(["u", "v", *inners[0], *inners[1], *inners[2]], *chains)
-
-
-def build_from_descriptor(d: BaseDescriptor) -> WeightedGraph:
-    """Reassemble the graph a descriptor came from, on its own vertex ids.
-    The descriptor is the caller's, so its graph is built with every check."""
-    av, bv, cv = d.a_vertices, d.b_vertices, d.c_vertices
-    if d.kind is BaseKind.CYCLE:
-        return WeightedGraph(av, _links([((*av, av[0]), d.a)]))
-    if d.kind is BaseKind.INFINITY:
-        cycles = ((*av, av[0]), d.a), ((*bv, bv[0]), d.b)
-        path = (av[0], *cv, bv[0]), d.c
-        return WeightedGraph(dict.fromkeys(av + cv + bv), _links([*cycles, path]))
-    return WeightedGraph(dict.fromkeys(av + bv + cv), _links([(av, d.a), (bv, d.b), (cv, d.c)]))
 
 
 # ---------------------------------------------------------------------------

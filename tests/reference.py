@@ -4,23 +4,28 @@ validating constructor, subset-search and leaf-deletion matching,
 the matched-root test by its definition, characteristic-polynomial sign
 counting, the plain definitions of induced subgraphs and least cycle
 readings, the Fraction-by-Fraction alternating product, the rescanning
-rewrite engine, the ``reduce --output json`` payload and the least-degree
-elimination on ``Fraction`` entries, which the package's faster versions
-must reproduce; and the three elementary congruence operations, whose
-invariance the tests check the diagonalization against."""
+rewrite engine with its two single-step rewrites (``delete_pendant_pair``
+and ``contract_degree2_path``), the ``reduce --output json`` payload and
+the least-degree elimination on ``Fraction`` entries, which the package's
+faster versions must reproduce; ``build_from_descriptor``, which rebuilds
+the graph a base descriptor came from; and the three elementary congruence
+operations, whose invariance the tests check the diagonalization against."""
 
 from __future__ import annotations
 
 import json
 from collections import OrderedDict, defaultdict
 from fractions import Fraction
+from typing import Sequence
 
 from graph_inertia import oracle
+from graph_inertia.closed_forms import alternating_product
 from graph_inertia.core import GraphError, Inertia, ParseError, echo, parse_rational
 from graph_inertia.graph import WeightedGraph, connected_components
 from graph_inertia.matrix import SymRationalMatrix
-from graph_inertia.reduction import ReductionTrace, contract_degree2_path, delete_pendant_pair
-from graph_inertia.structure import max_matching_forest
+from graph_inertia.reduction import ReductionRule, ReductionStep, ReductionTrace
+from graph_inertia.structure import BaseDescriptor, BaseKind, max_matching_forest
+from graph_inertia.testgen import _links
 
 
 def parse_edgelist_by_line(text: str) -> WeightedGraph:
@@ -194,6 +199,19 @@ def least_cycle_reading(order: list, weight_of) -> tuple:
     return min(out)
 
 
+def build_from_descriptor(d: BaseDescriptor) -> WeightedGraph:
+    """Reassemble the graph a descriptor came from, on its own vertex ids.
+    The descriptor is the caller's, so its graph is built with every check."""
+    av, bv, cv = d.a_vertices, d.b_vertices, d.c_vertices
+    if d.kind is BaseKind.CYCLE:
+        return WeightedGraph(av, _links([((*av, av[0]), d.a)]))
+    if d.kind is BaseKind.INFINITY:
+        cycles = ((*av, av[0]), d.a), ((*bv, bv[0]), d.b)
+        path = (av[0], *cv, bv[0]), d.c
+        return WeightedGraph(dict.fromkeys(av + cv + bv), _links([*cycles, path]))
+    return WeightedGraph(dict.fromkeys(av + bv + cv), _links([(av, d.a), (bv, d.b), (cv, d.c)]))
+
+
 def alternating_product_by_fractions(ws) -> Fraction:
     """Product of the even-position weights over the odd-position ones, one
     ``Fraction`` product at a time."""
@@ -299,6 +317,51 @@ def inertia_by_sign_counting(m: SymRationalMatrix) -> Inertia:
     negated = [c if i % 2 == 0 else -c for i, c in enumerate(coeffs)]
     neg = sign_changes(negated)
     return Inertia(pos, neg, zero)
+
+
+def delete_pendant_pair(g: WeightedGraph, v: str) -> tuple[WeightedGraph, ReductionStep]:
+    """Remove a pendant vertex and its unique neighbor; offset (1, 1)."""
+    if g.degree(v) != 1:
+        raise GraphError(f"vertex {echo(v)} is not pendant (degree {g.degree(v)})")
+    u = g.neighbors(v)[0][0]
+    step = ReductionStep(ReductionRule.PENDANT_PAIR, removed=(v, u), offset=(1, 1))
+    return g.without((v, u)), step
+
+
+def contract_degree2_path(
+    g: WeightedGraph, path: Sequence[str]
+) -> tuple[WeightedGraph, ReductionStep]:
+    """Replace a five-edge path whose interior vertices have degree 2 by one
+    edge of weight ``w1*w3*w5/(w2*w4)``; offset (2, 2).
+
+    ``path`` lists the six vertices in order, endpoints first and last.  The
+    rewrite is refused when it would leave a non-simple graph (a loop when the
+    endpoints coincide, or a parallel edge when they are already adjacent).
+    """
+    path = tuple(path)
+    if len(path) != 6:
+        raise GraphError("contraction path must list six vertices")
+    for x in path:
+        if not isinstance(x, str):
+            raise GraphError(f"unknown vertex {echo(x)}")
+    if path[0] == path[5] and len(set(path)) == 5:
+        raise GraphError("contraction refused: endpoints coincide, the new edge would be a loop")
+    if len(set(path)) != 6:
+        raise GraphError("contraction path revisits a vertex")
+    ws = [g.weight(path[i], path[i + 1]) for i in range(5)]
+    for x in path[1:5]:
+        if g.degree(x) != 2:
+            raise GraphError(f"interior vertex {echo(x)} has degree {g.degree(x)}, expected 2")
+    if g.has_edge(path[0], path[5]):
+        raise GraphError("contraction refused: the new edge would parallel an existing one")
+    w = alternating_product(ws)
+    added = ((path[0], path[5], w),)
+    rest = g.without(path[1:5])
+    step = ReductionStep(ReductionRule.PATH_CONTRACT, removed=path[1:5], added=added, offset=(2, 2))
+    index = rest._index
+    return WeightedGraph._trusted(
+        rest.vertices, rest._u + [index[path[0]]], rest._v + [index[path[5]]], rest._w + [w]
+    ), step
 
 
 def find_contractible_run(g: WeightedGraph) -> tuple[str, ...] | None:

@@ -29,7 +29,7 @@ from graph_inertia.closed_forms import (
     reduce_theta_shape,
 )
 from graph_inertia.matrix import SymRationalMatrix
-from graph_inertia.reduction import ReductionRule, contract_degree2_path, delete_pendant_pair
+from graph_inertia.reduction import ReductionRule
 from graph_inertia.testgen import (
     GenSpec,
     build_cycle,
@@ -42,7 +42,15 @@ from graph_inertia.testgen import (
     sample_theta_weights,
 )
 
-from reference import brute_force_matching, ecmo_add, ecmo_scale, ecmo_swap, is_mismatched
+from reference import (
+    brute_force_matching,
+    contract_degree2_path,
+    delete_pendant_pair,
+    ecmo_add,
+    ecmo_scale,
+    ecmo_swap,
+    is_mismatched,
+)
 
 
 @contextmanager

@@ -276,6 +276,39 @@ def test_verify_accepts_the_class_minimum():
     assert code == 0 and out == "1/1 match\n"
 
 
+class _Generated(Exception):
+    pass
+
+
+def _refuse_to_generate(spec):
+    raise _Generated(spec.n)
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["gen", "--n", "100000000000000"], "--n must be at most 10000000, got 100000000000000"),
+    (["gen", "--class", "bicyclic", "--n", "10000001"], "--n must be at most 10000000, got 10000001"),
+    (["verify", "--n", "100000000000000"], "--n must be at most 10000000, got 100000000000000"),
+    (["verify", "--count", "1000001"], "--count must be at most 1000000, got 1000001"),
+])
+def test_gen_and_verify_refuse_sizes_above_their_limits(monkeypatch, argv, message):
+    # A missing check reaches generate, which fails at once here instead of
+    # allocating the graph.
+    monkeypatch.setattr(cli, "generate", _refuse_to_generate)
+    assert run(argv) == (1, "", f"error: {message}\n")
+
+
+def test_gen_and_verify_take_sizes_at_their_limits(monkeypatch):
+    assert (cli.MAX_N, cli.MAX_COUNT) == (10**7, 10**6)
+    monkeypatch.setattr(cli, "generate", _refuse_to_generate)
+    with pytest.raises(_Generated):
+        run(["gen", "--n", str(cli.MAX_N)])
+    with pytest.raises(_Generated):
+        run(["verify", "--n", str(cli.MAX_N), "--count", str(cli.MAX_COUNT)])
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    assert "`--n` above 10^7" in section and "`--count` above 10^6" in section
+
+
 def test_gen_bicyclic_at_four_vertices():
     code, out, _ = run(["gen", "--class", "bicyclic", "--n", "4", "--seed", "7"])
     assert code == 0

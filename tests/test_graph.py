@@ -27,10 +27,11 @@ from graph_inertia import (
 )
 from graph_inertia.core import parse_rational
 from graph_inertia.graph import GraphClass, connected_components
-from graph_inertia.reduction import contract_degree2_path, delete_pendant_pair
 from graph_inertia.testgen import GenSpec, build_cycle, build_infinity, build_theta, generate
 
 from reference import (
+    contract_degree2_path,
+    delete_pendant_pair,
     induced_by_filter,
     parse_edgelist_by_line,
     parse_json_by_constructor,

@@ -15,7 +15,7 @@ from graph_inertia import (
     reduce_to_core,
     solve,
 )
-from graph_inertia.reduction import ReductionRule, contract_degree2_path, delete_pendant_pair
+from graph_inertia.reduction import ReductionRule
 from graph_inertia.testgen import (
     GenSpec,
     build_cycle,
@@ -27,7 +27,7 @@ from graph_inertia.testgen import (
     sample_theta_weights,
 )
 
-from reference import reduce_by_rescan
+from reference import contract_degree2_path, delete_pendant_pair, reduce_by_rescan
 from test_acceptance import _long_type_ii_bases
 
 

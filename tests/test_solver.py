@@ -197,7 +197,7 @@ def test_solve_reads_a_double_cycle_base_in_walk_order(monkeypatch):
     def refuse(*args):
         raise AssertionError("solve read a canonical descriptor or checked weights")
 
-    monkeypatch.setattr(structure, "_describe_at", refuse)
+    monkeypatch.setattr(structure, "describe_base", refuse)
     monkeypatch.setattr(closed_forms, "_check_weights", refuse)
     for name, g in cases.items():
         res = solve(g)
@@ -213,6 +213,32 @@ def test_solve_reads_a_double_cycle_base_in_walk_order(monkeypatch):
         theta_inertia(2, 3, 4, [1], [1, 2], [1, 2, 3])
     monkeypatch.undo()
     _check_pinned_descriptors()
+
+
+def test_walk_starts_every_thread_at_the_first_hub_it_ends_at():
+    # _double_cycle_pn reads an infinity's link as walked, from the first
+    # loop's hub, and a theta's three links as walked: the walk takes every
+    # edge of the first hub before any other hub, whatever the vertex and
+    # edge order.
+    rng = random.Random(31)
+    sizes = range(3, 8)
+    for p, l, q in itertools.product(sizes, range(2, 7), sizes):
+        g = build_infinity(p, l, q, [1] * p, [1] * q, [1] * (l - 1))
+        g = WeightedGraph(rng.sample(g.vertices, g.n), rng.sample(g.edges, g.m))
+        live = list(map(len, g._adj))
+        hubs = [v for v, d in enumerate(live) if d > 2]
+        threads = structure._walk_threads(g, live, hubs)
+        loops = [t for t in threads if t[0] == t[1]]
+        (link,) = [t for t in threads if t[0] != t[1]]
+        assert link[0] == loops[0][0] == hubs[0], (p, l, q)
+    for shape in itertools.combinations_with_replacement(range(2, 7), 3):
+        if shape.count(2) > 1:
+            continue
+        g = build_theta(*shape, *([1] * (k - 1) for k in shape))
+        g = WeightedGraph(rng.sample(g.vertices, g.n), rng.sample(g.edges, g.m))
+        live = list(map(len, g._adj))
+        hubs = [v for v, d in enumerate(live) if d > 2]
+        assert [t[0] for t in structure._walk_threads(g, live, hubs)] == [hubs[0]] * 3, shape
     # The public closed forms still refuse what a graph would.
     for call in [
         lambda: cycle_inertia([1, 0, 1]),

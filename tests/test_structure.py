@@ -20,7 +20,6 @@ from graph_inertia import (
 from graph_inertia.testgen import (
     GenSpec,
     build_cycle,
-    build_from_descriptor,
     build_infinity,
     build_theta,
     generate,
@@ -34,6 +33,7 @@ from graph_inertia.structure import BaseKind, _hanging_tree, _peel
 
 from reference import (
     brute_force_matching,
+    build_from_descriptor,
     is_mismatched,
     leaf_deletion_matching,
     least_cycle_reading,

@@ -13,7 +13,6 @@ from graph_inertia.testgen import (
     _REGIMES,
     GenSpec,
     build_cycle,
-    build_from_descriptor,
     build_infinity,
     build_theta,
     generate,
@@ -23,6 +22,8 @@ from graph_inertia.testgen import (
     sample_theta_weights,
     theta_branches,
 )
+
+from reference import build_from_descriptor
 
 
 def test_generate_is_deterministic():
