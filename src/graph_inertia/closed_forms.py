@@ -10,8 +10,9 @@ the balance test of a cycle of length divisible by 4 are all one
 branch-forcing samplers use too.  Every fold is ``fold_path_weights``.
 Each public closed form checks its shape and weights, then runs one private
 unchecked core (``_cycle_pn``, ``_infinity_pn``, ``_theta_pn``, ...) that
-returns the (i+, i-) pair; ``solve`` calls the cores alone, on the weights
-of a graph, which its constructor or parser has already checked.  Every
+returns the (i+, i-) pair.  The ``_pn`` cores take the paths' weights alone
+and read the shape off their lengths; ``solve`` calls them on the weights of
+a graph, which its constructor or parser has already checked.  Every
 branch here is cross-checked against the congruence oracle by the test
 suite.
 """
@@ -340,14 +341,14 @@ def _infinity_rep_pn(p, l, q, a, b, c):
 def infinity_inertia(p, l, q, a, b, c) -> Inertia:
     """Closed-form inertia of a bare infinity base on p + q + l - 2 vertices."""
     _check_infinity(p, l, q, a, b, c)
-    return _inertia(p + q + l - 2, _infinity_pn(p, l, q, a, b, c))
+    return _inertia(p + q + l - 2, _infinity_pn(a, b, c))
 
 
-def _infinity_pn(p, l, q, a, b, c) -> tuple[int, int]:
-    """``infinity_inertia(p, l, q, a, b, c).pn``, unchecked: ``a`` and ``b``
-    may be read from their junctions in either direction, and ``p > q`` is
-    allowed, as long as ``c`` runs from ``a``'s junction."""
-    rep, folds = _reduce_infinity_shape(p, l, q, a, b, c)
+def _infinity_pn(a, b, c) -> tuple[int, int]:
+    """``infinity_inertia``'s (i+, i-), unchecked, with p, q and l - 1 the
+    lengths of ``a``, ``b`` and ``c``: ``a`` and ``b`` may be read either
+    way, and ``p > q`` is allowed, as long as ``c`` runs from ``a``."""
+    rep, folds = _reduce_infinity_shape(len(a), len(c) + 1, len(b), a, b, c)
     pos, neg = _infinity_rep_pn(*rep)
     return (pos + 2 * folds, neg + 2 * folds)  # each fold adds (2, 2)
 
@@ -443,13 +444,13 @@ def _theta_rep_pn(slots):
 def theta_inertia(p, l, q, a, b, c) -> Inertia:
     """Closed-form inertia of a bare theta base on p + l + q - 4 vertices."""
     _check_theta(p, l, q, a, b, c)
-    return _inertia(p + l + q - 4, _theta_pn(p, l, q, a, b, c))
+    return _inertia(p + l + q - 4, _theta_pn(a, b, c))
 
 
-def _theta_pn(p, l, q, a, b, c) -> tuple[int, int]:
-    """``theta_inertia(p, l, q, a, b, c).pn``, unchecked: the three paths
-    run from one hub, in any order."""
-    slots, folds = _reduce_theta_shape(p, l, q, a, b, c)
+def _theta_pn(a, b, c) -> tuple[int, int]:
+    """``theta_inertia``'s (i+, i-), unchecked, with p, l and q one more
+    than the paths' lengths: the paths run from one hub, in any order."""
+    slots, folds = _reduce_theta_shape(len(a) + 1, len(b) + 1, len(c) + 1, a, b, c)
     pos, neg = _theta_rep_pn(slots)
     return (pos + 2 * folds, neg + 2 * folds)
 

@@ -102,7 +102,9 @@ def inertia_oracle(g: WeightedGraph) -> Inertia:
 def _eliminate(g: WeightedGraph, live: list[int] | None = None) -> Inertia:
     """Inertia of the subgraph of ``g`` on the positions whose ``live``
     entry is not negative (all of ``g`` when ``live`` is None), by
-    least-degree block elimination.
+    least-degree block elimination.  One pass over the edge columns fills
+    the rows of those positions; any other position, one the leaf phase
+    took, has a ``None`` row, and an edge at it is skipped.
 
     Pivots are live vertices of least current degree from a bucket queue;
     ties go to bucket-insertion order, which starts as vertex order, so the
@@ -115,16 +117,12 @@ def _eliminate(g: WeightedGraph, live: list[int] | None = None) -> Inertia:
     # Rows are reached by vertex position, as the edge columns give them: an
     # edge reads its two ids off ``vs`` and looks up no row by id.
     vs = g.vertices
-    rows: list[dict[str, tuple[int, int]]] = [{} for _ in vs]
-    edges = zip(g._u, g._v, g._w)
-    if live is not None:
-        edges = [(i, j, w) for i, j, w in edges if live[i] >= 0 and live[j] >= 0]
-    for i, j, w in edges:
-        rows[i][vs[j]] = rows[j][vs[i]] = (w.numerator, w.denominator)
-    if live is None:
-        adj = dict(zip(vs, rows))
-    else:
-        adj = {vs[x]: rows[x] for x, d in enumerate(live) if d >= 0}
+    rows = [{} for _ in vs] if live is None else [{} if d >= 0 else None for d in live]
+    for i, j, w in zip(g._u, g._v, g._w):
+        ri, rj = rows[i], rows[j]
+        if ri is not None and rj is not None:
+            ri[vs[j]] = rj[vs[i]] = (w.numerator, w.denominator)
+    adj = {v: row for v, row in zip(vs, rows) if row is not None}
     diag: dict[str, tuple[int, int]] = {}  # the nonzero diagonal entries
     degree = dict(zip(adj, map(len, adj.values())))
     # OrderedDict pops its oldest key in O(1); a plain dict would rescan the

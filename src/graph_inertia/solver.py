@@ -3,9 +3,9 @@
 Every connected component follows one rule, whatever its class.  Forests
 are a matching count.  A core vertex whose hanging tree matches it is cut
 off with that tree (type I), and the rest is solved; a core with no such
-vertex is cut out whole (type II) and evaluated, in closed form when it is
-a cycle or a double-cycle base and by the congruence oracle when it is
-denser.  Both cuts are Schur complements of pendant 2x2 pivots, so they
+vertex is cut out whole (type II) and evaluated: a bare cycle, infinity or
+theta in closed form, by one reader of its threads, and a denser core by
+the oracle.  Both cuts are Schur complements of pendant 2x2 pivots, so they
 hold on any graph and in any order.  One leaves-first peel of the whole
 input serves every component and every rest: a cut deletes its root and
 continues the same peel, which reports the roots it matches, and a type-II
@@ -67,20 +67,23 @@ _CYCLIC_METHODS = {
 }
 
 
-def _double_cycle_pn(g: WeightedGraph, live, core: list[int]) -> tuple[int, int]:
-    """(i+, i-) of the bare infinity or theta base on the ascending
-    positions ``core``, from its threads in walk order.  ``_walk_threads``
-    walks every edge of the first hub before any other hub, so a theta's
-    three links, an infinity's first loop ``a`` and its link ``c`` all
-    start at that hub; the closed form orders ``p`` and ``q`` itself."""
-    threads = _walk_threads(g, live, [v for v in core if live[v] > 2])
-    loops = [t for t in threads if t[0] == t[1]]
+def _bare_base_pn(g: WeightedGraph, live, core: list[int]) -> tuple[int, int]:
+    """(i+, i-) of the bare cycle, infinity or theta base on the ascending
+    positions ``core``, from its threads walked from its hubs, or from its
+    first vertex when it has none.  ``_walk_threads`` walks every edge of
+    the first hub before any other hub, so a theta's three links, an
+    infinity's first loop ``a`` and its link ``c`` all start at that hub;
+    the closed forms order the paths themselves."""
+    hubs = [v for v in core if live[v] > 2] or core[:1]
+    threads = _walk_threads(g, live, hubs)
+    loops = [ws for start, end, _, ws in threads if start == end]
+    links = [ws for start, end, _, ws in threads if start != end]
+    if len(loops) == 1:
+        return _cycle_pn(loops[0])
     if not loops:
-        a, b, c = (ws for *_, ws in threads)
-        return _theta_pn(len(a) + 1, len(b) + 1, len(c) + 1, a, b, c)
-    (*_, a), (*_, b) = loops
-    c = next((ws for start, end, _, ws in threads if start != end), [])  # [] at a shared hub
-    return _infinity_pn(len(a), len(c) + 1, len(b), a, b, c)
+        return _theta_pn(*links)
+    (c,) = links or [[]]  # no link at a shared hub
+    return _infinity_pn(*loops, c)
 
 
 def solve(g: WeightedGraph) -> SolveResult:
@@ -101,10 +104,10 @@ def solve(g: WeightedGraph) -> SolveResult:
     one are trees or unicyclic, since a 2-core vertex meets each piece by
     at least one edge and a cycle-free piece by two; those of a denser one
     hold no matched live vertex.  Type II cuts out the whole core, its live
-    vertices, and evaluates it.  Every bare cycle or double-cycle base is
-    read in walk order, on ``g``'s adjacency through the live degrees, and
-    takes the unchecked core of its closed form, since ``g`` has already
-    checked its weights.  A cycle's length mod 4, and whether its
+    vertices, and evaluates it.  Every bare cycle, infinity or theta base is
+    read in walk order by one reader, on ``g``'s adjacency through the live
+    degrees; its paths' weights go to the unchecked core of its closed form,
+    since ``g`` has checked them.  A cycle's length mod 4, and whether its
     alternating product is 1, read the same from any start in either
     direction.  An infinity or theta base's inertia depends only on its
     shape and its paths' alternating products, so any reading of its
@@ -178,13 +181,8 @@ def solve(g: WeightedGraph) -> SolveResult:
             core.sort()
             if kind is ComponentClass.UNSUPPORTED:
                 pn = inertia_oracle(g._induced_at(core)).pn
-            elif kind is ComponentClass.UNICYCLIC:
-                # A cycle's inertia reads the same from any start in either
-                # direction, so the walk order serves.
-                ((*_, ws),) = _walk_threads(g, live, core[:1])
-                pn = _cycle_pn(ws)
             else:
-                pn = _double_cycle_pn(g, live, core)
+                pn = _bare_base_pn(g, live, core)
             pos += pn[0]
             neg += pn[1]
             # A vertex peeled next to a live one has it as its parent.

@@ -8,8 +8,10 @@ rewrite engine with its two single-step rewrites (``delete_pendant_pair``
 and ``contract_degree2_path``), the ``reduce --output json`` payload and
 the least-degree elimination on ``Fraction`` entries, which the package's
 faster versions must reproduce; ``build_from_descriptor``, which rebuilds
-the graph a base descriptor came from; and the three elementary congruence
-operations, whose invariance the tests check the diagonalization against."""
+the graph a base descriptor came from; ``rescaled``, a graph congruent to
+its argument, whose inertia every solver must keep; and the three
+elementary congruence operations, whose invariance the tests check the
+diagonalization against."""
 
 from __future__ import annotations
 
@@ -210,6 +212,14 @@ def build_from_descriptor(d: BaseDescriptor) -> WeightedGraph:
         path = (av[0], *cv, bv[0]), d.c
         return WeightedGraph(dict.fromkeys(av + cv + bv), _links([*cycles, path]))
     return WeightedGraph(dict.fromkeys(av + bv + cv), _links([(av, d.a), (bv, d.b), (cv, d.c)]))
+
+
+def rescaled(g: WeightedGraph, rng) -> WeightedGraph:
+    """``g`` with each weight w(u, v) times d_u * d_v, for a random positive
+    ``Fraction`` d per vertex.  Its matrix is D A D, congruent to A, so by
+    Sylvester's law of inertia it keeps ``g``'s inertia."""
+    d = {v: Fraction(rng.randint(1, 12), rng.randint(1, 12)) for v in g.vertices}
+    return WeightedGraph(g.vertices, [(u, v, w * d[u] * d[v]) for u, v, w in g.edges])
 
 
 def alternating_product_by_fractions(ws) -> Fraction:

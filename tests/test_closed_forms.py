@@ -4,7 +4,7 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from graph_inertia import (
@@ -37,6 +37,7 @@ from graph_inertia.testgen import (
     build_theta,
     generate,
     infinity_branches,
+    random_weight,
     sample_cycle_weights,
     sample_infinity_weights,
     sample_theta_weights,
@@ -433,3 +434,75 @@ def test_forced_theta_equalities_reach_their_branch(monkeypatch, shape):
         for _ in range(300):
             a, b, c = sample_theta_weights(*shape, rng, branch=branch)
             assert _taken_branch(monkeypatch, *shape, a, b, c) == branch.split(":")[-1]
+
+
+# ---------------------------------------------------------------------------
+# the unchecked cores that solve reads bare bases with
+
+
+def _unfolded(ws, folds, rng):
+    """``ws`` with ``4 * folds`` random weights put back after its first,
+    which is rescaled so that ``fold_path_weights(_, folds)`` gives ``ws``
+    again: a forced branch of the representative stays forced."""
+    if not folds:
+        return tuple(ws)
+    extra = [random_weight(rng) for _ in range(4 * folds)]
+    return (ws[0] / alternating_product((1, *extra)), *extra, *ws[1:])
+
+
+@st.composite
+def _forced_paths(draw, shape, branches, sample):
+    """Weights of the representative ``shape`` in a drawn branch, each path
+    but an empty link unfolded by a drawn number of folds, up to 12 edges."""
+    branch = draw(st.sampled_from(branches(*shape) or (None,)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    paths = sample(*shape, rng, branch=branch)
+    folds = [draw(st.integers(0, (12 - len(ws)) // 4 if ws else 0)) for ws in paths]
+    return [_unfolded(ws, k, rng) for ws, k in zip(paths, folds)]
+
+
+@st.composite
+def _forced_cycles(draw):
+    n = draw(st.integers(3, 12))
+    branch = draw(st.sampled_from(("eq", None) if n % 4 == 0 else (None,)))
+    return list(sample_cycle_weights(n, random.Random(draw(st.integers(0, 2**32 - 1))), branch))
+
+
+@pytest.mark.parametrize("shape", _theta_rep_shapes(), ids=lambda s: f"theta{s}")
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_theta_core_reads_its_paths_in_any_order_from_either_hub(shape, data):
+    paths = data.draw(_forced_paths(shape, theta_branches, sample_theta_weights))
+    a, b, c = paths
+    expected = inertia_oracle(build_theta(len(a) + 1, len(b) + 1, len(c) + 1, a, b, c)).pn
+    for reading in itertools.permutations(paths):
+        assert closed_forms._theta_pn(*reading) == expected, reading
+    assert closed_forms._theta_pn(a[::-1], b[::-1], c[::-1]) == expected
+
+
+# Every infinity representative with p <= q; a reading below swaps the loops.
+_INFINITY_REPS = [
+    (p, l, q)
+    for p, q in itertools.combinations_with_replacement(range(3, 7), 2)
+    for l in range(1, 6)
+]
+
+
+@pytest.mark.parametrize("shape", _INFINITY_REPS, ids=lambda s: f"infinity{s}")
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_infinity_core_reads_its_loops_either_way_and_in_either_order(shape, data):
+    a, b, c = data.draw(_forced_paths(shape, infinity_branches, sample_infinity_weights))
+    expected = inertia_oracle(build_infinity(len(a), len(c) + 1, len(b), a, b, c)).pn
+    # The link runs from the first loop's junction, so swapping the loops
+    # reverses it.
+    for reading in [(a, b, c), (b, a, c[::-1]), (a[::-1], b, c), (a, b[::-1], c)]:
+        assert closed_forms._infinity_pn(*reading) == expected, reading
+
+
+@given(_forced_cycles())
+def test_cycle_core_reads_its_weights_from_any_start_either_way(ws):
+    expected = inertia_oracle(build_cycle(ws)).pn
+    for k in range(len(ws)):
+        rotated = ws[k:] + ws[:k]
+        assert closed_forms._cycle_pn(rotated) == closed_forms._cycle_pn(rotated[::-1]) == expected

@@ -39,13 +39,15 @@ from graph_inertia.testgen import (
     build_infinity,
     build_theta,
     generate,
+    infinity_branches,
     random_weight,
     sample_cycle_weights,
     sample_infinity_weights,
     sample_theta_weights,
+    theta_branches,
 )
 
-from reference import is_mismatched
+from reference import is_mismatched, rescaled
 from test_acceptance import _hang_two_vertex_paths, _long_type_ii_bases
 from test_cli import _pinned_inputs
 from test_structure import DESCRIPTORS_SHA256, _pinned_cores
@@ -112,7 +114,11 @@ def test_solve_reads_a_cycle_in_walk_order(monkeypatch):
     def refuse(*args):
         raise AssertionError("solve read a cycle's least rotation")
 
-    monkeypatch.setattr(structure, "_least_cycle_reading", refuse)
+    # Every descriptor build looks BaseDescriptor up in structure's own
+    # globals, so refusing it there also catches a solver that imports
+    # describe_base under its own name.
+    for name in ("_least_cycle_reading", "_least_rotation", "BaseDescriptor"):
+        monkeypatch.setattr(structure, name, refuse)
     for name, g in cases.items():
         res = solve(g)
         assert res == expected[name] and res.inertia == inertia_oracle(g), name
@@ -198,6 +204,7 @@ def test_solve_reads_a_double_cycle_base_in_walk_order(monkeypatch):
         raise AssertionError("solve read a canonical descriptor or checked weights")
 
     monkeypatch.setattr(structure, "describe_base", refuse)
+    monkeypatch.setattr(structure, "BaseDescriptor", refuse)
     monkeypatch.setattr(closed_forms, "_check_weights", refuse)
     for name, g in cases.items():
         res = solve(g)
@@ -216,7 +223,7 @@ def test_solve_reads_a_double_cycle_base_in_walk_order(monkeypatch):
 
 
 def test_walk_starts_every_thread_at_the_first_hub_it_ends_at():
-    # _double_cycle_pn reads an infinity's link as walked, from the first
+    # _bare_base_pn reads an infinity's link as walked, from the first
     # loop's hub, and a theta's three links as walked: the walk takes every
     # edge of the first hub before any other hub, whatever the vertex and
     # edge order.
@@ -249,6 +256,50 @@ def test_walk_starts_every_thread_at_the_first_hub_it_ends_at():
     ]:
         with pytest.raises(GraphError, match="above zero"):
             call()
+
+
+def _rescale_cases() -> dict[str, WeightedGraph]:
+    """Generated unicyclic and bicyclic graphs in every regime, and every
+    bare infinity with p, q in 3-7 and l in 2-6 and every bare theta with
+    paths of 1-6 edges, in each forced branch, in shuffled vertex order."""
+    rng = random.Random(32)
+    cases = {}
+    for cls, regime in itertools.product(("unicyclic", "bicyclic"), ("random", "unit", "force")):
+        for seed in range(3200, 3212):
+            n = rng.randint(4, 60)
+            cases[f"{cls} {regime} n={n} seed {seed}"] = generate(GenSpec(cls, n, seed, regime))
+    sizes = range(3, 8)
+    for shape in itertools.product(sizes, range(2, 7), sizes):
+        for branch in infinity_branches(*shape) or (None,):
+            g = build_infinity(*shape, *sample_infinity_weights(*shape, rng, branch=branch))
+            cases[f"infinity{shape} {branch}"] = _shuffled(g, rng)
+    for shape in itertools.combinations_with_replacement(range(2, 8), 3):
+        if shape.count(2) > 1:
+            continue
+        for branch in theta_branches(*shape) or (None,):
+            g = build_theta(*shape, *sample_theta_weights(*shape, rng, branch=branch))
+            cases[f"theta{shape} {branch}"] = _shuffled(g, rng)
+    return cases
+
+
+def test_solve_keeps_its_result_under_congruent_rescaling():
+    # D A D is congruent to A for a positive diagonal D, so multiplying each
+    # weight w(u, v) by d_u * d_v keeps the inertia.  Every closed-form
+    # condition must read the same on the rescaled weights, whichever
+    # branch the weights force and whichever way the walk reads the paths.
+    rng = random.Random(33)
+    for name, g in _rescale_cases().items():
+        expected = solve(g)
+        assert expected.inertia == inertia_oracle(g), name
+        for _ in range(4):
+            h = rescaled(g, rng)
+            assert solve(h) == expected and inertia_oracle(h) == expected.inertia, name
+
+
+def test_solve_keeps_its_result_under_rescaling_at_scale():
+    # Too large for the oracle in tier-1: solve checks itself.
+    g = generate(GenSpec("bicyclic", 10**5, 34, "force"))
+    assert solve(rescaled(g, random.Random(34))) == solve(g)
 
 
 def test_unicyclic_type_i_example():
