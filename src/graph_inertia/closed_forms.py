@@ -19,9 +19,8 @@ suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .core import GraphError, Inertia, echo
 from .graph import WeightedGraph
@@ -45,8 +44,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CaseCondition:
+class CaseCondition(NamedTuple):
     """A decided weight condition: two positive products and their order."""
 
     lhs: Fraction
@@ -182,8 +180,7 @@ def fold_path_weights(ws: Sequence[Fraction], times: int) -> tuple[Fraction, ...
 # infinity bases
 
 
-@dataclass(frozen=True)
-class InfinityRow:
+class InfinityRow(NamedTuple):
     """One representative row of the infinity case table."""
 
     shape: tuple[int, int, int]

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .core import GraphError, ParseError, echo, parse_rational
 from .matrix import SymRationalMatrix
@@ -545,8 +544,7 @@ class ComponentClass(Enum):
     UNSUPPORTED = "unsupported"
 
 
-@dataclass(frozen=True)
-class Classification:
+class Classification(NamedTuple):
     overall: GraphClass
     components: tuple[ComponentClass, ...]
 

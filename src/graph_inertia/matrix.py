@@ -8,9 +8,8 @@ All arithmetic is exact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .core import GraphError, Inertia
 
@@ -22,21 +21,31 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class SymRationalMatrix:
-    """Immutable dense symmetric matrix of exact rationals."""
-
+class _SymRationalMatrixFields(NamedTuple):
     rows: tuple[tuple[Fraction, ...], ...]
 
-    def __post_init__(self) -> None:
-        n = len(self.rows)
-        for row in self.rows:
+
+class SymRationalMatrix(_SymRationalMatrixFields):
+    """Immutable dense symmetric matrix of exact rationals: the named tuple
+    ``(rows,)``, checked square and symmetric on every construction."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows: tuple[tuple[Fraction, ...], ...]) -> "SymRationalMatrix":
+        n = len(rows)
+        for row in rows:
             if len(row) != n:
                 raise GraphError("matrix is not square")
         for i in range(n):
             for j in range(i):
-                if self.rows[i][j] != self.rows[j][i]:
+                if rows[i][j] != rows[j][i]:
                     raise GraphError(f"matrix is not symmetric at ({i},{j})")
+        return super().__new__(cls, rows)
+
+    @classmethod
+    def _make(cls, iterable) -> "SymRationalMatrix":
+        # ``_replace`` builds through ``_make``: route it through the checks.
+        return cls(*iterable)
 
     @classmethod
     def from_rows(cls, rows: Iterable[Sequence]) -> "SymRationalMatrix":
@@ -51,8 +60,7 @@ class SymRationalMatrix:
         return "\n".join(" ".join(str(x) for x in row) for row in self.rows)
 
 
-@dataclass(frozen=True)
-class EcmoStep:
+class EcmoStep(NamedTuple):
     """One applied congruence operation.
 
     ``op`` is ``"swap"`` (rows/columns i and j), ``"scale"`` (row/column i
@@ -66,8 +74,7 @@ class EcmoStep:
     k: Fraction | None = None
 
 
-@dataclass(frozen=True)
-class DiagonalizationResult:
+class DiagonalizationResult(NamedTuple):
     inertia: Inertia
     diagonal: tuple[Fraction, ...]
     steps: tuple[EcmoStep, ...]

@@ -12,7 +12,6 @@ keeps each as a single-step rewrite of a graph.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -61,8 +60,7 @@ class ReductionStep(NamedTuple):
         )
 
 
-@dataclass(frozen=True)
-class ReductionTrace:
+class ReductionTrace(NamedTuple):
     steps: tuple[ReductionStep, ...] = ()
 
     @property

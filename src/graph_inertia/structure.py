@@ -6,10 +6,10 @@ turns into a canonical descriptor."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cmp_to_key
+from typing import NamedTuple
 
 from .core import GraphError
 from .graph import WeightedGraph, _component_vertices
@@ -141,8 +141,7 @@ class BaseKind(Enum):
     THETA = "theta"
 
 
-@dataclass(frozen=True)
-class BaseDescriptor:
+class BaseDescriptor(NamedTuple):
     """Canonical description of a cycle, a double-cycle (infinity) base, or a
     theta base, with weight sequences read in a fixed orientation.
 
@@ -178,8 +177,7 @@ class BaseDescriptor:
         return f"{self.kind.value}({self.p},{self.l},{self.q})"
 
 
-@dataclass(frozen=True)
-class HangingTree:
+class HangingTree(NamedTuple):
     """Maximal tree of a unicyclic/bicyclic graph hanging off one core vertex."""
 
     root: str

@@ -6,9 +6,8 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .closed_forms import (
     INFINITY_TABLE,
@@ -46,8 +45,10 @@ def random_weight(rng: random.Random) -> Fraction:
     """Small random positive rational p/q, p in 1..20 drawn before q in
     1..10; keeps exact arithmetic fast while making accidental product
     equalities unlikely.  Each of the 200 values is one shared ``Fraction``,
-    so a generated graph's random weights are at most 200 objects."""
-    return _RANDOM_WEIGHTS[rng.randint(1, 20) - 1][rng.randint(1, 10) - 1]
+    so a generated graph's random weights are at most 200 objects.
+    ``randrange(20)`` makes the same ``_randbelow(20)`` draw as
+    ``randint(1, 20) - 1`` without its extra call, so both give one stream."""
+    return _RANDOM_WEIGHTS[rng.randrange(20)][rng.randrange(10)]
 
 
 def _weights(rng: random.Random, count: int, unit: bool = False) -> tuple[Fraction, ...]:
@@ -268,8 +269,7 @@ def sample_theta_weights(p, l, q, rng, branch=None, unit=False):
 # random graph generation
 
 
-@dataclass(frozen=True)
-class GenSpec:
+class GenSpec(NamedTuple):
     """Deterministic generation request; ``seed`` fully determines the output.
 
     ``regime`` is "random", "unit", or "force"; a force regime picks a

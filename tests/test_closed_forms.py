@@ -397,10 +397,10 @@ def _taken_branch(monkeypatch, p, l, q, a, b, c):
     seen = []
     cycle_pn, path_pn = closed_forms._cycle_pn, closed_forms._path_pn
 
-    class Recorded(CaseCondition):
-        def __init__(self, lhs, rhs):
-            super().__init__(lhs, rhs)
-            seen.append(self.relation)
+    def recorded(lhs, rhs):
+        cond = CaseCondition(lhs, rhs)
+        seen.append(cond.relation)
+        return cond
 
     def cycle(ws):
         if len(ws) % 4:
@@ -414,7 +414,7 @@ def _taken_branch(monkeypatch, p, l, q, a, b, c):
         return path_pn(m)
 
     with monkeypatch.context() as m:
-        m.setattr(closed_forms, "CaseCondition", Recorded)
+        m.setattr(closed_forms, "CaseCondition", recorded)
         m.setattr(closed_forms, "_cycle_pn", cycle)
         m.setattr(closed_forms, "_path_pn", path)
         theta_inertia(p, l, q, a, b, c)
