@@ -332,7 +332,26 @@ def _parse_edgelist(text: str) -> WeightedGraph:
     edge line appends its endpoints' positions and its weight.  So a parse
     makes no object per edge but the weights, and a weight text met again
     reuses its first ``Fraction``.  The id -> position map that numbers the
-    vertices is dropped; the graph builds it again on its first read."""
+    vertices is dropped; the graph builds it again on its first read.
+
+    One loop reads the lines, and each line is split once.  A plain edge
+    line, whose first id and weight text were met on earlier lines, costs
+    two id lookups, one weight lookup, one test for a self-loop or a
+    duplicate, and the stores.  Every other line takes the one branch that
+    the first id's failed lookup opens: a blank line, a header, a line of
+    the wrong token count (its first id is taken as ``None``, never an id),
+    a new first id or a new weight text.  That branch tests the line as the
+    grammar orders its checks.  No line counter runs: a message's line
+    number is the edges stored plus the blank and header lines read, plus
+    one.
+
+    An id may begin with the header mark ``vertices:`` when it came as a
+    second id or a header token.  A later line whose first token is that id
+    is a header, and the first id's lookup would take it for an edge.  Such
+    a text holds the mark at least twice, so in a text that holds it more
+    than once the lookup that opens the branch never finds an id, and every
+    line is tested for the mark first.
+    """
     index: dict[str, int] = {}
     adj: list[dict[int, int]] = []
     new_vertex = adj.append
@@ -342,46 +361,59 @@ def _parse_edgelist(text: str) -> WeightedGraph:
     add_u, add_v, add_w = us.append, vs_.append, ws.append
     # Each distinct weight text is parsed and checked once, at its first line.
     weights: dict[str, Fraction] = {}
+    vertex_at, weight_of = index.get, weights.get
+    # The first id's lookup; it finds none when the mark comes twice.
+    first_at = vertex_at if text.count("vertices:") < 2 else {}.get
+    skipped = 0  # blank and header lines read
     lines = text.splitlines()
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
-    # Each line is split once; a line's first token starts where its
-    # stripped text does, so it alone tells the header.
-    for lineno, parts in enumerate(map(str.split, lines), 1):
-        if not parts:
-            continue
-        if parts[0].startswith("vertices:"):
-            parts[0] = parts[0][len("vertices:"):]
-            for tok in parts:
-                if tok and tok not in index:
-                    index[tok] = len(adj)
-                    new_vertex({})
-            continue
-        if len(parts) != 3:
-            line = lines[lineno - 1].strip()
-            raise ParseError(f"expected '<u> <v> <weight>', got {echo(line)}", lineno)
-        u, v, wtext = parts
-        w = weights.get(wtext)
-        if w is None:
-            try:
-                w = parse_rational(wtext)
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from None
-            if w.numerator <= 0:
-                raise ParseError(f"non-positive weight {w}", lineno)
-            weights[wtext] = w
-        if u == v:
-            raise ParseError(f"self-loop at vertex {echo(u)}", lineno)
-        i = index.get(u)
-        j = index.get(v)
-        if i is None:
-            i = index[u] = len(adj)
-            new_vertex({})
-        elif j is not None and j in adj[i]:
-            raise ParseError(f"duplicate edge {echo(u)}-{echo(v)}", lineno)
+    for line in lines:
+        parts = line.split()
+        try:
+            u, v, wtext = parts
+        except ValueError:
+            u = None
+        i = first_at(u)
+        if i is None or (w := weight_of(wtext)) is None:
+            if not parts:
+                skipped += 1
+                continue
+            if parts[0].startswith("vertices:"):
+                parts[0] = parts[0][len("vertices:"):]
+                for tok in parts:
+                    if tok and tok not in index:
+                        index[tok] = len(adj)
+                        new_vertex({})
+                skipped += 1
+                continue
+            lineno = len(ws) + skipped + 1
+            if len(parts) != 3:
+                raise ParseError(f"expected '<u> <v> <weight>', got {echo(line.strip())}", lineno)
+            w = weight_of(wtext)
+            if w is None:
+                try:
+                    w = parse_rational(wtext)
+                except ValueError as exc:
+                    raise ParseError(str(exc), lineno) from None
+                if w.numerator <= 0:
+                    raise ParseError(f"non-positive weight {w}", lineno)
+                weights[wtext] = w
+            if u == v:
+                raise ParseError(f"self-loop at vertex {echo(u)}", lineno)
+            i = vertex_at(u)
+            if i is None:
+                i = index[u] = len(adj)
+                new_vertex({})
+        j = vertex_at(v)
         if j is None:
             j = index[v] = len(adj)
             new_vertex({})
+        elif j in adj[i] or i == j:
+            raise ParseError(
+                f"self-loop at vertex {echo(u)}" if i == j else f"duplicate edge {echo(u)}-{echo(v)}",
+                len(ws) + skipped + 1,
+            )
         adj[i][j] = adj[j][i] = len(ws)
         add_u(i)
         add_v(j)

@@ -8,8 +8,9 @@ rewrite engine with its two single-step rewrites (``delete_pendant_pair``
 and ``contract_degree2_path``), the ``reduce --output json`` payload and
 the least-degree elimination on ``Fraction`` entries, which the package's
 faster versions must reproduce; ``build_from_descriptor``, which rebuilds
-the graph a base descriptor came from; ``rescaled``, a graph congruent to
-its argument, whose inertia every solver must keep; and the three
+the graph a base descriptor came from; ``rescaled`` and ``relabelled``,
+graphs congruent to their argument, whose inertia every solver must keep;
+``subdivided``, whose inertia is its argument's plus (2, 2, 0); and the three
 elementary congruence operations, whose invariance the tests check the
 diagonalization against."""
 
@@ -220,6 +221,36 @@ def rescaled(g: WeightedGraph, rng) -> WeightedGraph:
     Sylvester's law of inertia it keeps ``g``'s inertia."""
     d = {v: Fraction(rng.randint(1, 12), rng.randint(1, 12)) for v in g.vertices}
     return WeightedGraph(g.vertices, [(u, v, w * d[u] * d[v]) for u, v, w in g.edges])
+
+
+def relabelled(g: WeightedGraph, rng) -> WeightedGraph:
+    """``g`` on new vertex ids, its vertices and edges in a random order.
+    Its matrix is P A P^T for a permutation matrix P, so it keeps ``g``'s
+    inertia."""
+    names = dict(zip(g.vertices, rng.sample([f"r{k}" for k in range(g.n)], g.n)))
+    edges = rng.sample(g.edges, g.m)
+    return WeightedGraph(
+        rng.sample(list(names.values()), g.n), [(names[u], names[v], w) for u, v, w in edges]
+    )
+
+
+def subdivided(g: WeightedGraph, rng) -> WeightedGraph:
+    """``g`` with one random edge u-v of weight w replaced by a five-edge
+    path u-s1-s2-s3-s4-v through four new vertices, with random weights
+    w1..w5 where w1*w3*w5/(w2*w4) = w.  Contracting that path gives ``g``
+    back with an inertia offset of (2, 2, 0), so the inertia gains exactly
+    that."""
+    edges = list(g.edges)
+    e = rng.randrange(g.m)
+    u, v, w = edges[e]
+    tag = 0
+    while any(g.has_vertex(f"s{tag}.{k}") for k in range(1, 5)):
+        tag += 1
+    path = [u, *(f"s{tag}.{k}" for k in range(1, 5)), v]
+    ws = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(4)]
+    ws.append(w * ws[1] * ws[3] / (ws[0] * ws[2]))
+    edges[e : e + 1] = [(path[k], path[k + 1], ws[k]) for k in range(5)]
+    return WeightedGraph((*g.vertices, *path[1:5]), edges)
 
 
 def alternating_product_by_fractions(ws) -> Fraction:

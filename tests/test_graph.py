@@ -513,13 +513,25 @@ def _edgelist_texts(draw):
     if draw(st.booleans()):
         # A long run of good lines first, so an error comes late.
         k = draw(st.integers(1, 200))
-        lines = [f"p{i} p{i + 1} {('3/4', '2', '5/3')[i % 3]}" for i in range(k)] + lines
+        run = [f"p{i} p{i + 1} {('3/4', '2', '5/3')[i % 3]}" for i in range(k)]
+        if draw(st.booleans()):
+            # Header first, as generated text has it: the run's ids shuffled,
+            # one of them twice, sometimes glued to the mark.
+            ids = list(draw(st.permutations([f"p{i}" for i in range(k + 1)])))
+            ids.insert(draw(st.integers(0, len(ids))), draw(st.sampled_from(ids)))
+            run.insert(0, "vertices:" + draw(st.sampled_from(["", " "])) + " ".join(ids))
+        lines = run + lines
     breaks = draw(st.lists(_BREAKS, min_size=len(lines), max_size=len(lines)))
     return "".join(line + br for line, br in zip(lines, breaks))
 
 
 @given(_edgelist_texts())
 @settings(max_examples=400, deadline=None)
+# A first token that is a known id beginning with the header mark still
+# makes its line a header.
+@example("a vertices:x 1\nvertices:x b 1\n")
+@example("a vertices: 1\nvertices: b c\n")
+@example("a vertices: 1\nvertices: b 1\n")
 def test_parse_graph_matches_the_line_by_line_parser(text):
     try:
         want = parse_edgelist_by_line(text)

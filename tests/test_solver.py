@@ -47,7 +47,7 @@ from graph_inertia.testgen import (
     theta_branches,
 )
 
-from reference import is_mismatched, rescaled
+from reference import is_mismatched, relabelled, rescaled, subdivided
 from test_acceptance import _hang_two_vertex_paths, _long_type_ii_bases
 from test_cli import _pinned_inputs
 from test_structure import DESCRIPTORS_SHA256, _pinned_cores
@@ -300,6 +300,34 @@ def test_solve_keeps_its_result_under_rescaling_at_scale():
     # Too large for the oracle in tier-1: solve checks itself.
     g = generate(GenSpec("bicyclic", 10**5, 34, "force"))
     assert solve(rescaled(g, random.Random(34))) == solve(g)
+
+
+def test_solve_keeps_its_inertia_under_relabelling_and_gains_a_fold_under_subdivision():
+    # Renaming and reordering the vertices permutes the matrix, which keeps
+    # the inertia.  A five-edge path whose alternating product is the edge
+    # weight contracts back to the edge with offset (2, 2, 0); when the edge
+    # lies on a cycle, the subdivided base takes one fold more.
+    rng = random.Random(35)
+    for name, g in _rescale_cases().items():
+        expected = inertia_oracle(g)
+        h = relabelled(g, rng)
+        assert solve(h).inertia == expected == inertia_oracle(h), name
+        s = subdivided(g, rng)
+        assert solve(s).inertia == expected + Inertia(2, 2, 0) == inertia_oracle(s), name
+
+
+def test_relabelling_and_subdivision_at_scale():
+    # Too large for the oracle in tier-1: the two relations check solve.  A
+    # generated graph's random edge is almost surely off its 2-core, so a
+    # bare infinity base is checked too: there the new path lands on a
+    # loop or the link and takes one fold more.
+    rng = random.Random(36)
+    shape = (33335, 33336, 33337)
+    bare = build_infinity(*shape, *sample_infinity_weights(*shape, rng))
+    for g in (generate(GenSpec("bicyclic", 10**5, 34, "force")), bare):
+        expected = solve(g).inertia
+        assert solve(relabelled(g, rng)).inertia == expected
+        assert solve(subdivided(g, rng)).inertia == expected + Inertia(2, 2, 0)
 
 
 def test_unicyclic_type_i_example():
