@@ -345,12 +345,19 @@ def _parse_edgelist(text: str) -> WeightedGraph:
     number is the edges stored plus the blank and header lines read, plus
     one.
 
+    A ``vertices:`` header met before any id, as generated text has it,
+    numbers its ids in one update of the id map and makes their neighbour
+    dicts in one comprehension.  A header that repeats an id, or that comes
+    after ids are numbered, registers its new ids one at a time.
+
     An id may begin with the header mark ``vertices:`` when it came as a
     second id or a header token.  A later line whose first token is that id
     is a header, and the first id's lookup would take it for an edge.  Such
-    a text holds the mark at least twice, so in a text that holds it more
-    than once the lookup that opens the branch never finds an id, and every
-    line is tested for the mark first.
+    a text holds the mark at least twice outside comments, so in a text
+    that does the lookup that opens the branch never finds an id, and every
+    line is tested for the mark first.  The mark is counted in the whole
+    text, and again after the comments are cut only when it comes twice
+    there, so a comment that names the mark keeps plain edges fast.
     """
     index: dict[str, int] = {}
     adj: list[dict[int, int]] = []
@@ -362,12 +369,15 @@ def _parse_edgelist(text: str) -> WeightedGraph:
     # Each distinct weight text is parsed and checked once, at its first line.
     weights: dict[str, Fraction] = {}
     vertex_at, weight_of = index.get, weights.get
-    # The first id's lookup; it finds none when the mark comes twice.
-    first_at = vertex_at if text.count("vertices:") < 2 else {}.get
-    skipped = 0  # blank and header lines read
     lines = text.splitlines()
+    marks = text.count("vertices:")
     if "#" in text:
         lines = [line.split("#", 1)[0] for line in lines]
+        if marks > 1:
+            marks = sum([line.count("vertices:") for line in lines])
+    # The first id's lookup; it finds none when the mark comes twice.
+    first_at = vertex_at if marks < 2 else {}.get
+    skipped = 0  # blank and header lines read
     for line in lines:
         parts = line.split()
         try:
@@ -381,11 +391,21 @@ def _parse_edgelist(text: str) -> WeightedGraph:
                 continue
             if parts[0].startswith("vertices:"):
                 parts[0] = parts[0][len("vertices:"):]
+                if not parts[0]:
+                    del parts[0]
+                skipped += 1
+                if not index:
+                    # A header before any id numbers its ids in one update,
+                    # which comes out short when it repeats one.
+                    index.update(zip(parts, itertools.count()))
+                    if len(index) == len(parts):
+                        adj += [{} for _ in parts]
+                        continue
+                    index.clear()
                 for tok in parts:
-                    if tok and tok not in index:
+                    if tok not in index:
                         index[tok] = len(adj)
                         new_vertex({})
-                skipped += 1
                 continue
             lineno = len(ws) + skipped + 1
             if len(parts) != 3:

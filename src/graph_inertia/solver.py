@@ -11,11 +11,12 @@ input serves every component and every rest: a cut deletes its root and
 continues the same peel, which reports the roots it matches, and a type-II
 core is read in place on the input's adjacency, so no subgraph is rebuilt
 or peeled again and no component is split twice; the only graph built is
-a dense bare core, for the oracle.  One loop over a stack of components
-applies these rules, depth first, appends methods and trace steps to one
-pair of lists and adds up the closed parts' (i+, i-) as ints, so the
-result is built once.  The result always equals the
-congruence oracle on the whole input.
+a dense bare core, for the oracle.  A bare base with nothing beside it is
+walked once: the walk that reads its threads also shows it is one piece.
+One loop over a stack of components applies these rules, depth first,
+appends methods and trace steps to one pair of lists and adds up the
+closed parts' (i+, i-) as ints, so the result is built once.  The result
+always equals the congruence oracle on the whole input.
 """
 
 from __future__ import annotations
@@ -67,15 +68,23 @@ _CYCLIC_METHODS = {
 }
 
 
-def _bare_base_pn(g: WeightedGraph, live, core: list[int]) -> tuple[int, int]:
-    """(i+, i-) of the bare cycle, infinity or theta base on the ascending
-    positions ``core``, from its threads walked from its hubs, or from its
-    first vertex when it has none.  ``_walk_threads`` walks every edge of
+def _core_threads(g: WeightedGraph, live, core: list[int]) -> tuple[list[tuple], int]:
+    """The threads of the live subgraph on the ascending positions
+    ``core``, walked from its hubs in ascending order, or from its first
+    vertex when it has none, and the number of vertices they cover: the
+    hubs and the threads' inner vertices.  On a bare cycle, infinity or
+    theta base that number is ``len(core)``."""
+    hubs = [v for v in core if live[v] > 2] or core[:1]
+    threads = _walk_threads(g, live, hubs)
+    return threads, len(hubs) + sum([len(inner) for _, _, inner, _ in threads])
+
+
+def _bare_base_pn(threads: list[tuple]) -> tuple[int, int]:
+    """(i+, i-) of a bare cycle, infinity or theta base from its threads
+    as ``_core_threads`` walks them.  ``_walk_threads`` walks every edge of
     the first hub before any other hub, so a theta's three links, an
     infinity's first loop ``a`` and its link ``c`` all start at that hub;
     the closed forms order the paths themselves."""
-    hubs = [v for v in core if live[v] > 2] or core[:1]
-    threads = _walk_threads(g, live, hubs)
     loops = [ws for start, end, _, ws in threads if start == end]
     links = [ws for start, end, _, ws in threads if start != end]
     if len(loops) == 1:
@@ -93,31 +102,37 @@ def solve(g: WeightedGraph) -> SolveResult:
     One leaves-first peel of the whole input gives every component's 2-core
     and matching, and the components themselves: only the cores are walked,
     and a scan in vertex order that stops once it has met every component
-    orders them.  One loop pops the live vertices of a component off a
-    stack and applies its rule.  Type I cuts matched roots, each with the
-    tree hanging off it, and continues the same peel: a unicyclic or
+    orders them.  When no tree is left beside the cores, no live vertex is
+    matched and the live graph has at most one edge more than vertices, the
+    walk of the threads from the hubs (or from the first live vertex) is
+    made first; if it covers every live vertex, the input is one bare cycle,
+    infinity or theta base, and that walk is the only one.  Otherwise the
+    cores are split as above, and each bare piece is walked when it comes
+    up.  The class and the matched vertices of the live graph are read once,
+    and serve its one piece.  One loop pops the live vertices of a component
+    off a stack and applies its rule.  Type I cuts matched roots, each with
+    the tree hanging off it, and continues the same peel: a unicyclic or
     bicyclic component cuts the one that comes first in ``g``'s order, a
     denser one every matched live root in that order and then every live
     root those cuts match, which the continued peel reports and cannot
     unmatch.  The rest of a unicyclic component then peels away; any other
     splits once, and its pieces go back on the stack.  Those of a bicyclic
-    one are trees or unicyclic, since a 2-core vertex meets each piece by
-    at least one edge and a cycle-free piece by two; those of a denser one
-    hold no matched live vertex.  Type II cuts out the whole core, its live
+    one are trees or unicyclic, since a 2-core vertex meets each piece by at
+    least one edge and a cycle-free piece by two; those of a denser one hold
+    no matched live vertex.  Type II cuts out the whole core, its live
     vertices, and evaluates it.  Every bare cycle, infinity or theta base is
     read in walk order by one reader, on ``g``'s adjacency through the live
     degrees; its paths' weights go to the unchecked core of its closed form,
     since ``g`` has checked them.  A cycle's length mod 4, and whether its
     alternating product is 1, read the same from any start in either
     direction.  An infinity or theta base's inertia depends only on its
-    shape and its paths' alternating products, so any reading of its
-    threads from their hubs serves, and no canonical descriptor is built.
-    A denser core goes to the oracle, alone.  Deleting a mismatched root
-    keeps its tree's matching number.  A unicyclic core that no vertex was
-    peeled into is a bare cycle, and has no matched vertex either.  The
-    cost is O(n + m) apart from sorting the removed vertex sets, the closed
-    forms' rational arithmetic and the oracle on bare cores denser than
-    bicyclic.
+    shape and its paths' alternating products, so any reading of its threads
+    from their hubs serves, and no canonical descriptor is built.  A denser
+    core goes to the oracle, alone.  Deleting a mismatched root keeps its
+    tree's matching number.  A unicyclic core that no vertex was peeled into
+    is a bare cycle, and has no matched vertex either.  The cost is O(n + m)
+    apart from sorting the removed vertex sets, the closed forms' rational
+    arithmetic and the oracle on bare cores denser than bicyclic.
     """
     adj, vs = g._adj, g.vertices
     live, parent, tops, matched = _peel(g)
@@ -163,9 +178,22 @@ def solve(g: WeightedGraph) -> SolveResult:
         return [comps[i] for i in met]
 
     # Peeling takes a vertex and an edge at a time from a component with a
-    # cycle, so its core has the component's m - n.  ``range(g.n)`` serves
-    # the split of a connected ``g``; otherwise a split scans its component.
-    stack = split(range(g.n), _live(live), 0)
+    # cycle, so its core has the component's m - n.  The live graph has
+    # minimum degree 2, so when it has at most one edge more than vertices,
+    # every piece of it is a cycle but at most one, which holds every hub,
+    # and a walk from the hubs, or from the first vertex when there are
+    # none, covers every live vertex iff there is one piece.
+    whole = _live(live)
+    kind = _component_class(len(whole), sum(map(live.__getitem__, whole)) // 2)
+    roots = [v for v in whole if matched[v]]
+    threads = None
+    if whole and not (tops or roots) and kind is not ComponentClass.UNSUPPORTED:
+        threads, covered = _core_threads(g, live, whole)
+        if covered < len(whole):
+            threads = None
+    # ``range(g.n)`` serves the split of a connected ``g``; otherwise a split
+    # scans its component.
+    stack = [whole] if threads else split(range(g.n), whole, 0)
     scan = range(g.n) if len(stack) == 1 else None
     stack.reverse()
     pos = neg = 0
@@ -174,15 +202,19 @@ def solve(g: WeightedGraph) -> SolveResult:
         if not core:
             methods.append(Method.FOREST)
             continue
-        kind = _component_class(len(core), sum(map(live.__getitem__, core)) // 2)
+        if core is not whole:
+            # ``kind``, ``roots`` and ``threads`` above hold for ``whole``
+            # alone, which a split returns as itself when it is one piece.
+            kind = _component_class(len(core), sum(map(live.__getitem__, core)) // 2)
+            roots = sorted([v for v in core if matched[v]])
+            threads = None
         type_i, type_ii = _CYCLIC_METHODS[kind]
-        roots = sorted([v for v in core if matched[v]])
         if not roots:
             core.sort()
             if kind is ComponentClass.UNSUPPORTED:
                 pn = inertia_oracle(g._induced_at(core)).pn
             else:
-                pn = _bare_base_pn(g, live, core)
+                pn = _bare_base_pn(threads or _core_threads(g, live, core)[0])
             pos += pn[0]
             neg += pn[1]
             # A vertex peeled next to a live one has it as its parent.

@@ -532,6 +532,16 @@ def _edgelist_texts(draw):
 @example("a vertices:x 1\nvertices:x b 1\n")
 @example("a vertices: 1\nvertices: b c\n")
 @example("a vertices: 1\nvertices: b 1\n")
+# A comment that names the mark, before the header: the mark is counted
+# after the comments are cut.
+@example("# vertices: listed below\nvertices: p0 p1 p2\np0 p1 1\np1 p2 2\np2 p0 3\n")
+# Headers: one that repeats an id, ids listed again after edges, a second
+# header, the mark glued to the first id, and no ids.
+@example("vertices: a b a\nb a 1\na c 2\n")
+@example("a b 1\nvertices: c b a\nc a 2\n")
+@example("vertices: b a\nvertices: c a d\na d 1\nd c 2\n")
+@example("vertices:a b\nb c 1\nc a 2\n")
+@example("vertices:\nb a 1\n")
 def test_parse_graph_matches_the_line_by_line_parser(text):
     try:
         want = parse_edgelist_by_line(text)

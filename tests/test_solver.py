@@ -449,6 +449,20 @@ def test_dense_core_alone_goes_to_the_oracle():
     assert res.inertia == inertia_oracle(g) == inertia_oracle(k4) + Inertia(1, 1, 0)
 
 
+def _counting(monkeypatch, name: str) -> list:
+    """Wrap ``solver``'s ``name`` so that each call appends its arguments to
+    the returned list."""
+    calls = []
+    real = getattr(solver, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, name, counted)
+    return calls
+
+
 def test_dense_component_cuts_its_roots_before_it_splits(monkeypatch):
     # A 200-cycle whose vertex i is also joined to vertex i + 7, every
     # vertex with a leaf: every core vertex is a matched root.  All are cut (those the cuts do
@@ -459,20 +473,94 @@ def test_dense_component_cuts_its_roots_before_it_splits(monkeypatch):
     core = [(f"c{i}", f"c{(i + d) % n}", random_weight(rng)) for i in range(n) for d in (1, 7)]
     leaves = [(f"c{i}", f"l{i}", random_weight(rng)) for i in range(n)]
     g = WeightedGraph([f"{c}{i}" for c in "cl" for i in range(n)], core + leaves)
-    walks = []
-    real_walk = solver._component_vertices
-
-    def counting_walk(*args, **kwargs):
-        walks.append(args)
-        return real_walk(*args, **kwargs)
-
-    monkeypatch.setattr(solver, "_component_vertices", counting_walk)
+    walks = _counting(monkeypatch, "_component_vertices")
     res = solve(g)
     assert len(walks) == 2
     assert res.inertia == inertia_oracle(g)
     assert Method.ORACLE_FALLBACK not in res.methods
     cuts = [s for s in res.trace.steps if s.rule is ReductionRule.TYPE_I_DECOMPOSE]
     assert len(cuts) > n // 2
+
+
+def test_solve_walks_a_connected_bare_base_once(monkeypatch):
+    # A bare cycle, infinity or theta with trees that match no core vertex
+    # is one piece: the walk of its threads proves that, so solve reads them
+    # once and never walks the core breadth-first.
+    rng = random.Random(36)
+    cases = {
+        "cycle": build_cycle(sample_cycle_weights(9, rng)),
+        "infinity": build_infinity(4, 3, 5, *sample_infinity_weights(4, 3, 5, rng)),
+        "shared-hub infinity": build_infinity(3, 1, 4, *sample_infinity_weights(3, 1, 4, rng)),
+        "theta": build_theta(3, 4, 5, *sample_theta_weights(3, 4, 5, rng)),
+    }
+    cases = {name: _hang_two_vertex_paths(base, rng) for name, base in cases.items()}
+    expected = {name: solve(g) for name, g in cases.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("solve walked a connected bare core breadth-first")
+
+    monkeypatch.setattr(solver, "_component_vertices", refuse)
+    walks = _counting(monkeypatch, "_walk_threads")
+    for name, g in cases.items():
+        del walks[:]
+        res = solve(g)
+        assert len(walks) == 1, name
+        assert res == expected[name] and res.inertia == inertia_oracle(g), name
+        assert [s.rule for s in res.trace.steps] == [ReductionRule.TYPE_II_CUT], name
+    assert expected["cycle"].methods == (Method.UNICYCLIC_TYPE_II,)
+    assert expected["theta"].methods == (Method.BICYCLIC_TYPE_II,)
+    assert expected["infinity"].methods == (Method.BICYCLIC_TYPE_II,)
+
+
+def test_solve_splits_what_one_walk_cannot_cover(monkeypatch):
+    # Several pieces, trees beside a core, or a matched core vertex: the
+    # split runs as before and each bare piece is walked on its own.  Methods
+    # and traces as read before the single walk.
+    c5 = build_cycle([1] * 5).relabel(lambda v: "b" + v)
+    long_cycle = build_cycle([1] * 40)
+    graphs = {
+        "two cycles": build_cycle([1, 2, 3, 4]).relabel(lambda v: "a" + v).union(c5),
+        "infinity and cycle": build_infinity(3, 2, 4, [1, 2, 3], [1, 1, 2, 3], [5]).union(
+            build_cycle([2, 3, Fraction(1, 2)]).relabel(lambda v: "c" + v)
+        ),
+        "cycle and tree": c5.union(parse_graph("t0 t1 1\nt1 t2 2\nt2 t3 3\n")),
+        "matched long cycle": WeightedGraph(
+            long_cycle.vertices + ("leaf",), long_cycle.edges + (("v7", "leaf", 3),)
+        ),
+    }
+    split = ReductionStep(ReductionRule.COMPONENT_SPLIT)
+    cycle, forest = Method.CYCLE_CLOSED_FORM, Method.FOREST
+    expected = {
+        "two cycles": (Inertia(5, 4, 0), (cycle, cycle), (split,), 3),
+        "infinity and cycle": (
+            Inertia(4, 6, 0),
+            (Method.BICYCLIC_TYPE_II, cycle),
+            (
+                split,
+                ReductionStep(
+                    ReductionRule.TYPE_II_CUT,
+                    removed=("u0", "u1", "u2", "v0", "v1", "v2", "v3"),
+                    offset=(3, 4),
+                ),
+            ),
+            3,
+        ),
+        "cycle and tree": (Inertia(5, 4, 0), (cycle, forest), (split,), 1),
+        "matched long cycle": (
+            Inertia(20, 20, 1),
+            (Method.UNICYCLIC_TYPE_I,),
+            (ReductionStep(ReductionRule.TYPE_I_DECOMPOSE, removed=("v7", "leaf"), offset=(1, 1)),),
+            0,
+        ),
+    }
+    splits = _counting(monkeypatch, "_component_vertices")
+    walks = _counting(monkeypatch, "_walk_threads")
+    for name, g in graphs.items():
+        del splits[:], walks[:]
+        inertia, methods, steps, walked = expected[name]
+        assert solve(g) == (inertia, methods, (steps,)), name
+        assert inertia == inertia_oracle(g), name
+        assert splits and len(walks) == walked, name
 
 
 def _hub_chain(levels: int) -> WeightedGraph:
