@@ -123,6 +123,12 @@ def _inertia(n: int, pn: tuple[int, int]) -> Inertia:
     return Inertia(pos, neg, n - pos - neg)
 
 
+def _plus(k: int, pn: tuple[int, int]) -> tuple[int, int]:
+    """``pn`` with ``k`` added to both counts: every rule that takes a part
+    off the graph adds the same k to i+ and to i-."""
+    return (k + pn[0], k + pn[1])
+
+
 def _path_pn(m: int) -> tuple[int, int]:
     # a path on m vertices has matching number floor(m/2)
     return (m // 2, m // 2)
@@ -150,10 +156,8 @@ def _tadpole_pn(cycle_ws: Sequence[Fraction], t: int) -> tuple[int, int]:
     cycle-minus-junction path; an even tail leaves the cycle intact.
     """
     if t % 2 == 1:
-        half = (t + 1) // 2 + (len(cycle_ws) - 1) // 2
-        return (half, half)
-    cp, cn = _cycle_pn(cycle_ws)
-    return (t // 2 + cp, t // 2 + cn)
+        return _plus((t + 1) // 2, _path_pn(len(cycle_ws) - 1))
+    return _plus(t // 2, _cycle_pn(cycle_ws))
 
 
 # ---------------------------------------------------------------------------
@@ -322,14 +326,12 @@ def _infinity_rep_pn(p, l, q, a, b, c):
         p, q, a, b = q, p, b, a
         c = tuple(reversed(c))
     if q == 4 and alternating_product(b) == 1:
-        r = _tadpole_pn(a, l - 1)
-        return (1 + r[0], 1 + r[1])
+        return _plus(1, _tadpole_pn(a, l - 1))
     if q in (4, 6):
         # A 6-cycle, or an unbalanced 4-cycle, detaches with its junction at
         # offset (q/2, q/2), leaving the other cycle minus the shared junction
         # (a path) or with the rest of the connector hanging off it.
-        r = _path_pn(p - 1) if l == 1 else _tadpole_pn(a, l - 2)
-        return (q // 2 + r[0], q // 2 + r[1])
+        return _plus(q // 2, _path_pn(p - 1) if l == 1 else _tadpole_pn(a, l - 2))
     row = INFINITY_TABLE[(p, l, q)]
     cond = _infinity_condition(p, l, q, a, b, c)
     return row.outcome("any" if cond is None else cond.relation)
@@ -346,8 +348,7 @@ def _infinity_pn(a, b, c) -> tuple[int, int]:
     lengths of ``a``, ``b`` and ``c``: ``a`` and ``b`` may be read either
     way, and ``p > q`` is allowed, as long as ``c`` runs from ``a``."""
     rep, folds = _reduce_infinity_shape(len(a), len(c) + 1, len(b), a, b, c)
-    pos, neg = _infinity_rep_pn(*rep)
-    return (pos + 2 * folds, neg + 2 * folds)  # each fold adds (2, 2)
+    return _plus(2 * folds, _infinity_rep_pn(*rep))  # each fold adds (2, 2)
 
 
 def infinity_base_inertia(d: BaseDescriptor) -> Inertia:
@@ -402,8 +403,7 @@ def _theta_rep_pn(slots):
         # The five-edge path folds onto the parallel direct hub edge by
         # weight addition, leaving a cycle through the remaining path.
         folded = a[0] + alternating_product(c)
-        r = _cycle_pn((folded, *reversed(b)))
-        return (2 + r[0], 2 + r[1])
+        return _plus(2, _cycle_pn((folded, *reversed(b))))
     twins = [(i, j) for i, j in ((0, 1), (0, 2), (1, 2)) if sizes[i] == sizes[j]]
     if twins:
         # Any pair of twin paths A, B gives the inertia; with three twins, a
@@ -417,14 +417,10 @@ def _theta_rep_pn(slots):
         size = sizes[i]
         if size == 4:
             folded = A[2] + alternating_product((A[1], A[0], B[0], B[1], B[2]))
-            r = _cycle_pn((A[0], A[1], folded, *reversed(C)))
-            return (1 + r[0], 1 + r[1])
+            return _plus(1, _cycle_pn((A[0], A[1], folded, *reversed(C))))
         if ap[i] == ap[j]:
-            k = (size - 3) // 2
-            r = _cycle_pn((*A, *reversed(C)))
-            return (k + r[0], k + r[1])
-        r = _path_pn(ts + 2 * size - 8)
-        return (2 + r[0], 2 + r[1])
+            return _plus((size - 3) // 2, _cycle_pn((*A, *reversed(C))))
+        return _plus(2, _path_pn(ts + 2 * size - 8))
     if sizes == (2, 3, 4):
         cond = CaseCondition(a[0], alternating_product(c))
         return {"gt": (2, 3), "eq": (2, 2), "lt": (3, 2)}[cond.relation]
@@ -448,8 +444,7 @@ def _theta_pn(a, b, c) -> tuple[int, int]:
     """``theta_inertia``'s (i+, i-), unchecked, with p, l and q one more
     than the paths' lengths: the paths run from one hub, in any order."""
     slots, folds = _reduce_theta_shape(len(a) + 1, len(b) + 1, len(c) + 1, a, b, c)
-    pos, neg = _theta_rep_pn(slots)
-    return (pos + 2 * folds, neg + 2 * folds)
+    return _plus(2 * folds, _theta_rep_pn(slots))
 
 
 def theta_base_inertia(d: BaseDescriptor) -> Inertia:

@@ -140,17 +140,14 @@ def _eliminate(g: WeightedGraph, live: list[int] | None = None) -> Inertia:
         d = diag.pop(v, None)
         if d is not None:
             # 1x1 pivot: subtract row row^T / d as p s^T + s p^T, for
-            # s = row / (2 d), each entry w times dd / (2 dn) with dn made
-            # positive.
+            # s = row / (2 d).
             dn, dd = d
             if dn > 0:
                 pos += 1
             else:
                 neg += 1
-                dn, dd = -dn, -dd
             touched = row
-            if row:
-                _subtract_rank2(adj, diag, row, _scaled(row, dd, 2 * dn))
+            _subtract_rank2(adj, diag, row, _scaled(row, dd, 2 * dn))
         elif not row:
             zero += 1
             continue
@@ -167,17 +164,14 @@ def _eliminate(g: WeightedGraph, live: list[int] | None = None) -> Inertia:
             neg += 1
             if row:
                 touched = {**row, **rowu}
-                s = _scaled(rowu, bd, bn) if bn > 0 else _scaled(rowu, -bd, -bn)
+                s = _scaled(rowu, bd, bn)
                 if c is not None:
-                    # k = c / (2 b^2); an entry that cancels leaves s, as
-                    # a zero entry would subtract nothing.
-                    kn, kd = c[0] * bd * bd, 2 * c[1] * bn * bn
-                    for y, (wn, wd) in row.items():
-                        tn, td = kn * wn, kd * wd
+                    # Subtract c p / (2 b^2); an entry that cancels leaves
+                    # s, as a zero entry would subtract nothing.
+                    for y, (tn, td) in _scaled(row, c[0] * bd * bd, 2 * c[1] * bn * bn).items():
                         old = s.get(y)
                         if old is None:
-                            k = gcd(tn, td)
-                            s[y] = (-tn // k, td // k)
+                            s[y] = (-tn, td)
                             continue
                         n = old[0] * td - tn * old[1]
                         if n:
@@ -203,8 +197,10 @@ def _eliminate(g: WeightedGraph, live: list[int] | None = None) -> Inertia:
 
 
 def _scaled(row: dict[str, tuple[int, int]], fn: int, fd: int) -> dict[str, tuple[int, int]]:
-    """``row`` times ``fn / fd``, for nonzero ints with ``fd > 0``, as
-    reduced pairs in ``row``'s order."""
+    """``row`` times ``fn / fd``, for nonzero ints of either sign, as
+    reduced pairs with a positive denominator in ``row``'s order."""
+    if fd < 0:
+        fn, fd = -fn, -fd
     out = {}
     for y, (wn, wd) in row.items():
         n, m = wn * fn, wd * fd

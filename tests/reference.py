@@ -10,12 +10,15 @@ the least-degree elimination on ``Fraction`` entries, which the package's
 faster versions must reproduce; ``build_from_descriptor``, which rebuilds
 the graph a base descriptor came from; ``rescaled`` and ``relabelled``,
 graphs congruent to their argument, whose inertia every solver must keep;
-``subdivided``, whose inertia is its argument's plus (2, 2, 0); and the three
+``subdivided`` and ``pendant_paired``, whose inertias are their argument's
+plus (2, 2, 0) and (1, 1, 0); ``free_trees``, every tree on n vertices up to
+isomorphism, and ``trees_with_added_edges``; and the three
 elementary congruence operations, whose invariance the tests check the
 diagonalization against."""
 
 from __future__ import annotations
 
+import itertools
 import json
 from collections import OrderedDict, defaultdict
 from fractions import Fraction
@@ -251,6 +254,81 @@ def subdivided(g: WeightedGraph, rng) -> WeightedGraph:
     ws.append(w * ws[1] * ws[3] / (ws[0] * ws[2]))
     edges[e : e + 1] = [(path[k], path[k + 1], ws[k]) for k in range(5)]
     return WeightedGraph((*g.vertices, *path[1:5]), edges)
+
+
+def pendant_paired(g: WeightedGraph, rng) -> WeightedGraph:
+    """``g`` with a new two-vertex path v-x-y hung off a random vertex v,
+    with random weights.  The leaf y and its neighbour x are a pendant pair,
+    whose deletion gives ``g`` back with an offset of (1, 1, 0), so the
+    inertia gains exactly that."""
+    tag = 0
+    while g.has_vertex(f"x{tag}") or g.has_vertex(f"y{tag}"):
+        tag += 1
+    v, x, y = rng.choice(g.vertices), f"x{tag}", f"y{tag}"
+    w = [Fraction(rng.randint(1, 12), rng.randint(1, 12)) for _ in range(2)]
+    return WeightedGraph((*g.vertices, x, y), [*g.edges, (v, x, w[0]), (x, y, w[1])])
+
+
+def free_trees(n: int) -> list[tuple[tuple[int, int], ...]]:
+    """Every free tree on vertices 0..n-1, one per isomorphism class, as its
+    edges.  The rooted trees come as the canonical level sequences of Beyer
+    & Hedetniemi ("Constant time generation of rooted trees", SIAM J.
+    Comput. 1980), each in turn; two of them are the same free tree exactly
+    when their canonical codes rooted at the centre agree, and the first
+    one of each code is kept.  ``len(free_trees(n))`` for n = 1, 2, ... is
+    OEIS A000055: 1, 1, 1, 2, 3, 6, 11, 23, ..."""
+    levels = list(range(n))
+    seen: dict[str, tuple[tuple[int, int], ...]] = {}
+    while True:
+        edges = tuple(
+            (next(j for j in range(i - 1, -1, -1) if levels[j] == levels[i] - 1), i)
+            for i in range(1, n)
+        )
+        seen.setdefault(_centred_code(n, edges), edges)
+        # The successor: the last vertex below depth 1 and the part of the
+        # sequence from its parent on are copied over the tail.
+        p = max((i for i in range(n) if levels[i] > 1), default=None)
+        if p is None:
+            return list(seen.values())
+        q = max(i for i in range(p) if levels[i] == levels[p] - 1)
+        for i in range(p, n):
+            levels[i] = levels[i - (p - q)]
+
+
+def _centred_code(n: int, edges) -> str:
+    """The tree's canonical code: the least of its codes rooted at a centre,
+    a vertex whose farthest vertex is nearest.  A rooted code is "(" then
+    the sorted codes of the children then ")"."""
+    nbrs: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+
+    def depths(root):
+        out, frontier, d = {root: 0}, [root], 0
+        while frontier:
+            d += 1
+            frontier = [y for x in frontier for y in nbrs[x] if y not in out]
+            out.update((y, d) for y in frontier)
+        return out
+
+    def code(v, parent):
+        return "(" + "".join(sorted(code(u, v) for u in nbrs[v] if u != parent)) + ")"
+
+    ecc = [max(depths(v).values()) for v in range(n)]
+    return min(code(v, -1) for v in range(n) if ecc[v] == min(ecc))
+
+
+def trees_with_added_edges(n: int, extra: int):
+    """Each free tree on n vertices with ``extra`` added edges, in every
+    position: every connected graph on n vertices with cyclomatic number
+    ``extra``, up to isomorphism, each as often as its spanning trees allow.
+    Yields each as an edge list on the vertex ids "0".."n-1"."""
+    for tree in free_trees(n):
+        present = set(tree)
+        absent = [(u, v) for v in range(n) for u in range(v) if (u, v) not in present]
+        for added in itertools.combinations(absent, extra):
+            yield [(str(u), str(v)) for u, v in (*tree, *added)]
 
 
 def alternating_product_by_fractions(ws) -> Fraction:

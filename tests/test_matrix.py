@@ -512,6 +512,15 @@ def test_integer_elimination_builds_no_fraction(monkeypatch):
     monkeypatch.undo()
 
 
+def test_scaled_moves_the_sign_of_a_negative_factor_into_the_numerators():
+    # Every row scaling of the elimination goes through ``_scaled``, which
+    # takes the factor of a negative pivot as it comes.
+    assert oracle._scaled({"x": (1, 3)}, 1, -2) == {"x": (-1, 6)}
+    assert oracle._scaled({"x": (-2, 3), "y": (4, 9)}, -3, -8) == {"x": (-1, 4), "y": (1, 6)}
+    assert list(oracle._scaled({"b": (1, 1), "a": (2, 1)}, 1, -2)) == ["b", "a"]
+    assert oracle._scaled({}, 5, -1) == {}
+
+
 def test_matrix_dump_format():
     m = SymRationalMatrix.from_rows([[0, Fraction(1, 2)], [Fraction(1, 2), 0]])
     assert m.dump() == "0 1/2\n1/2 0"

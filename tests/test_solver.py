@@ -47,7 +47,15 @@ from graph_inertia.testgen import (
     theta_branches,
 )
 
-from reference import is_mismatched, relabelled, rescaled, subdivided
+from reference import (
+    free_trees,
+    is_mismatched,
+    pendant_paired,
+    relabelled,
+    rescaled,
+    subdivided,
+    trees_with_added_edges,
+)
 from test_acceptance import _hang_two_vertex_paths, _long_type_ii_bases
 from test_cli import _pinned_inputs
 from test_structure import DESCRIPTORS_SHA256, _pinned_cores
@@ -306,7 +314,8 @@ def test_solve_keeps_its_inertia_under_relabelling_and_gains_a_fold_under_subdiv
     # Renaming and reordering the vertices permutes the matrix, which keeps
     # the inertia.  A five-edge path whose alternating product is the edge
     # weight contracts back to the edge with offset (2, 2, 0); when the edge
-    # lies on a cycle, the subdivided base takes one fold more.
+    # lies on a cycle, the subdivided base takes one fold more.  A new
+    # two-vertex path hung off a vertex is a pendant pair, (1, 1, 0).
     rng = random.Random(35)
     for name, g in _rescale_cases().items():
         expected = inertia_oracle(g)
@@ -314,6 +323,8 @@ def test_solve_keeps_its_inertia_under_relabelling_and_gains_a_fold_under_subdiv
         assert solve(h).inertia == expected == inertia_oracle(h), name
         s = subdivided(g, rng)
         assert solve(s).inertia == expected + Inertia(2, 2, 0) == inertia_oracle(s), name
+        t = pendant_paired(g, rng)
+        assert solve(t).inertia == expected + Inertia(1, 1, 0) == inertia_oracle(t), name
 
 
 def test_relabelling_and_subdivision_at_scale():
@@ -328,6 +339,29 @@ def test_relabelling_and_subdivision_at_scale():
         expected = solve(g).inertia
         assert solve(relabelled(g, rng)).inertia == expected
         assert solve(subdivided(g, rng)).inertia == expected + Inertia(2, 2, 0)
+        assert solve(pendant_paired(g, rng)).inertia == expected + Inertia(1, 1, 0)
+
+
+def test_solve_matches_the_oracle_on_every_small_connected_graph():
+    # Every tree on up to 8 vertices, one per isomorphism class, with 0, 1
+    # or 2 edges added in every position: every connected tree, unicyclic
+    # and bicyclic graph on up to 8 vertices, with every arrangement of
+    # hanging trees, which random draws miss.  Unit weights put every
+    # cycle's alternating product at 1; random weights mostly do not.  The
+    # 14,174 weighted graphs take about 1 s; the budget is 30 s.
+    assert [len(free_trees(n)) for n in range(1, 9)] == [1, 1, 1, 2, 3, 6, 11, 23]
+    rng = random.Random(37)
+    count = 0
+    start = time.perf_counter()
+    for n, extra in itertools.product(range(1, 9), range(3)):
+        for pairs in trees_with_added_edges(n, extra):
+            for weigh in (lambda: 1, lambda: random_weight(rng)):
+                g = WeightedGraph(map(str, range(n)), [(u, v, weigh()) for u, v in pairs])
+                assert solve(g).inertia == inertia_oracle(g), g.edges
+                count += 1
+    elapsed = time.perf_counter() - start
+    assert count == 14174
+    assert elapsed < 30, f"{count} graphs took {elapsed:.1f}s"
 
 
 def test_unicyclic_type_i_example():
